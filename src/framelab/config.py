@@ -13,9 +13,6 @@ MAX_UPSET_FAMILY = 1 << 16
 # Map/hom enumerations whose raw search space exceeds this are refused.
 MAX_SEARCH_SPACE = 1 << 20
 
-# Subset-enumeration prime-filter oracle runs only for lattices this small.
-PRIME_FILTER_ORACLE_BOUND = 16
-
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having
 # at most this many join-irreducibles (and never more than the lattice's own
 # count). Bounds the quadratic blowup of the corpus-wide hom enumeration.

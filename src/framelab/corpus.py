@@ -8,12 +8,11 @@ parameters is byte-identical and reports stay diffable.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 
 from . import config
-from .duality import poset_content_id, priestley_space_of
+from .duality import poset_content_id, priestley_space_of, sha256
 from .errors import CapacityError
 from .lattices import birkhoff_lattice
 from .posets import Poset, enumerate_posets
@@ -69,7 +68,7 @@ def _corpus_hash(entries):
     payload = json.dumps(
         [e.entry_id for e in entries], separators=(",", ":")
     ).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
+    return sha256(payload).hexdigest()[:16]
 
 
 def corpus_to_json(corpus):

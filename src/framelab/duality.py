@@ -2,10 +2,11 @@
 
 A lattice goes to its space of prime filters ordered by inclusion, carried by
 the assignment phi(a) = {points containing a}; a space goes to its lattice of
-clopen upsets. Both directions exist in two independent routes where the
-sizes allow: prime filters by literal subset enumeration, and the fast path
-through join irreducibles. Round trips, hom dualization with its functor
-laws, and one named validator per characterization statement live here.
+clopen upsets. The dual space is built by the fast path through join
+irreducibles and checked, on every lattice, against the prime filters that
+`lattices.prime_filters` finds by filter closure without consulting join
+irreducibles. Round trips, hom dualization with its functor laws, and one
+named validator per characterization statement live here.
 
 Validators re-derive every side from the definitional operations (the ideal
 oracle for way-below, the literal space operators); they never consult the
@@ -15,10 +16,20 @@ failure.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+# Content ids hash a few hundred bytes at a time. Like the standard library's
+# random module, prefer the interpreter's built-in SHA-256 to hashlib, whose
+# OpenSSL backend adds about 3.5 MB of resident memory to the process.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import config
 from .errors import ConsistencyError, IsoFailure, NotFrameHom
@@ -28,6 +39,7 @@ from .lattices import (
     hom_predicate,
     join_irreducible_poset,
     join_irreducibles,
+    prime_filters,
     way_below_rows_oracle,
 )
 from .posets import MonotoneMap, PointSet, Poset, bits
@@ -66,11 +78,11 @@ VALIDATOR_NAMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoneMapRecord:
     """A lattice, its dual space, and the connecting assignment.
 
-    phi[a] is the clopen upset of points whose filter contains a;
+    phi[a] is the mask of the clopen upset of points whose filter contains a;
     point_filters[p] is the mask of lattice elements in point p's filter.
     """
 
@@ -80,14 +92,14 @@ class StoneMapRecord:
     point_filters: tuple
 
     def phi_mask(self, a):
-        return self.phi[a].mask
+        return self.phi[a]
 
 
 def poset_content_id(poset):
     """Stable content hash of the canonical poset serialization."""
     doc = poset.canonical().to_doc()
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    return sha256(payload).hexdigest()[:12]
 
 
 def lattice_content_id(lattice):
@@ -98,47 +110,19 @@ def lattice_content_id(lattice):
     return poset_content_id(lattice.carrier_poset())
 
 
-# -- prime-filter oracle ------------------------------------------------------
+# -- the dual space ------------------------------------------------------------
 
 
-def prime_filter_subset_oracle(lattice, oracle_bound=None):
-    """Prime filters by literal subset enumeration.
-
-    Keeps the subsets that are nonempty, proper, upward closed, meet closed,
-    and prime. Only runs for lattices within the configured bound; returns
-    None above it.
-    """
-    bound = (
-        config.PRIME_FILTER_ORACLE_BOUND if oracle_bound is None else oracle_bound
-    )
-    n = lattice.size
-    if n > bound:
-        return None
-    out = []
-    full = lattice.full_mask
-    up, meet, join = lattice.up, lattice.meet, lattice.join
-    for mask in range(1, full):
-        members = list(bits(mask))
-        if any(up[a] & ~mask for a in members):
-            continue
-        if any(not (mask >> meet[a][b]) & 1 for a in members for b in members):
-            continue
-        outside = list(bits(full & ~mask))
-        if any((mask >> join[a][b]) & 1 for a in outside for b in outside):
-            continue
-        out.append(mask)
-    return sorted(out)
-
-
-def priestley_space_of(lattice, oracle_bound=None):
-    """Dual space with its Stone map.
+def priestley_space_of(lattice):
+    """Dual space with its Stone map, cached on the lattice.
 
     Fast path: points are the join irreducibles, each carrying its principal
-    filter, ordered by filter inclusion. Within the oracle bound the literal
-    prime-filter enumeration must produce the same space up to the unique
-    filter-preserving bijection, phi included.
+    filter, ordered by filter inclusion. On every lattice the prime filters
+    of `lattices.prime_filters`, which never consults join irreducibles,
+    must produce the same space up to the unique filter-preserving
+    bijection, phi included; a mismatch raises ConsistencyError.
     """
-    if lattice._priestley_record is not None and oracle_bound is None:
+    if lattice._priestley_record is not None:
         return lattice._priestley_record
     irr = join_irreducibles(lattice)
     filters = [lattice.up[j] for j in irr]
@@ -149,21 +133,16 @@ def priestley_space_of(lattice, oracle_bound=None):
             if filters[p] & ~filters[q] == 0:
                 point_up[p] |= 1 << q
     points = Poset(point_up, _trusted=True)
-    space = FinPriestley(points)
     phi = []
     for a in range(lattice.size):
         mask = 0
         for p in range(k):
             if (filters[p] >> a) & 1:
                 mask |= 1 << p
-        phi.append(PointSet(points, mask))
-    record = StoneMapRecord(lattice, space, tuple(phi), tuple(filters))
-
-    oracle = prime_filter_subset_oracle(lattice, oracle_bound)
-    if oracle is not None:
-        _check_against_oracle(record, oracle)
-    if oracle_bound is None:
-        lattice._priestley_record = record
+        phi.append(mask)
+    record = StoneMapRecord(lattice, FinPriestley(points), tuple(phi), tuple(filters))
+    _check_against_oracle(record, prime_filters(lattice))
+    lattice._priestley_record = record
     return record
 
 
@@ -192,11 +171,6 @@ def _check_against_oracle(record, oracle_filters):
 
 
 # -- the other direction ----------------------------------------------------------
-
-
-def clop_up_lattice(space, family_bound=None):
-    """The lattice of clopen upsets of a space (the upset lattice, finitely)."""
-    return birkhoff_lattice(space.points, family_bound)
 
 
 def dualize_hom(hom):
@@ -266,7 +240,7 @@ def round_trip_frame(lattice):
 def round_trip_space(space):
     """x -> {clopen upsets containing x} must be an order-isomorphism onto
     the dual space of the clopen-upset lattice."""
-    lattice = clop_up_lattice(space)
+    lattice = birkhoff_lattice(space.points)
     record = priestley_space_of(lattice)
     family = clop_upset_masks(space)
     index = {f: p for p, f in enumerate(record.point_filters)}
@@ -305,14 +279,14 @@ def phi_join_law(lattice, elements):
 # -- validators ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationReport:
     validator: str
     lattice_id: str
     status: str
     witness: dict | None = None
     micros: int = 0
-    details: dict = field(default_factory=dict)
+    details: dict | None = None
 
     @property
     def passed(self):
@@ -393,25 +367,22 @@ def _v_compact_characterization(lattice, corpus, cap):
     return None
 
 
-def _frame_algebraic_per_element(lattice, a):
-    rows = way_below_rows_oracle(lattice)
-    compact = [b for b in range(lattice.size) if (rows[b] >> b) & 1]
-    below = [b for b in compact if lattice.leq(b, a)]
-    return lattice.join_of(below) == a
-
-
 def _v_algebraic_equivalence(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
+    rows = way_below_rows_oracle(lattice)
+    compact = 0
+    for b in range(lattice.size):
+        if (rows[b] >> b) & 1:
+            compact |= 1 << b
+    frame_side = True
     for a in range(lattice.size):
-        lhs = _frame_algebraic_per_element(lattice, a)
+        lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
         phi_a = record.phi_mask(a)
         rhs = closure(space, _core_mask(space, phi_a)) == phi_a
         if lhs != rhs:
             return {"element": a, "sides": [lhs, rhs]}
-    frame_side = all(
-        _frame_algebraic_per_element(lattice, a) for a in range(lattice.size)
-    )
+        frame_side = frame_side and lhs
     space_side, _ = lspace_predicate_witness(space, "algebraicL")
     if frame_side != space_side:
         return {"global": [frame_side, space_side]}

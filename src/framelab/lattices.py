@@ -62,7 +62,6 @@ class FinDLat:
         "_carrier",
         "_distributive_witness",
         "_ideals",
-        "_filters",
         "_prime_filters",
         "_wb_rows",
         "_wb_checked",
@@ -89,7 +88,6 @@ class FinDLat:
         self._carrier = None
         self._distributive_witness = -1
         self._ideals = None
-        self._filters = None
         self._prime_filters = None
         self._wb_rows = None
         self._wb_checked = False
@@ -341,47 +339,28 @@ def _irr_mask(lattice):
 # -- ideals, filters, prime filters --------------------------------------------
 
 
-def _close_ideal(lattice, mask):
-    join = lattice.join
-    while True:
-        new = mask
-        for i in bits(mask):
-            new |= lattice.down[i]
-        probe = new
-        members = list(bits(new))
-        for i, a in enumerate(members):
-            row = join[a]
-            for b in members[i:]:
-                new |= 1 << row[b]
-        if new == mask:
-            return mask
-        mask = new
+def _closure_family(lattice, seed, table, rows):
+    """Every ideal (or filter) reachable from `seed` by adding one element.
 
-
-def _close_filter(lattice, mask):
-    meet = lattice.meet
-    while True:
-        new = mask
-        for i in bits(mask):
-            new |= lattice.up[i]
-        members = list(bits(new))
-        for i, a in enumerate(members):
-            row = meet[a]
-            for b in members[i:]:
-                new |= 1 << row[b]
-        if new == mask:
-            return mask
-        mask = new
-
-
-def _closure_family(lattice, seed, close):
+    The filter generated by a filter F and an element x is
+    ↑{f ∧ x : f ∈ F}, and dually the ideal generated by an ideal I and x is
+    ↓{i ∨ x : i ∈ I}. So one step ORs the `rows` (`up` for filters, `down`
+    for ideals) of the `table` row of x (`meet` or `join`) over the members.
+    Every ideal (filter) containing the seed is reached: a strictly larger
+    one J contains some x outside the current I, and the ideal generated by
+    I and x lies inside J.
+    """
     seen = {seed}
     frontier = [seed]
+    full = lattice.full_mask
     while frontier:
         current = frontier.pop()
-        outside = lattice.full_mask & ~current
-        for x in bits(outside):
-            grown = close(lattice, current | (1 << x))
+        members = list(bits(current))
+        for x in bits(full & ~current):
+            row = table[x]
+            grown = 0
+            for f in members:
+                grown |= rows[row[f]]
             if grown not in seen:
                 seen.add(grown)
                 frontier.append(grown)
@@ -391,17 +370,15 @@ def _closure_family(lattice, seed, close):
 def all_ideals(lattice):
     """All ideals: nonempty downsets closed under binary joins, as masks."""
     if lattice._ideals is None:
-        seed = _close_ideal(lattice, 1 << lattice.bottom)
-        lattice._ideals = tuple(_closure_family(lattice, seed, _close_ideal))
+        lattice._ideals = tuple(_closure_family(
+            lattice, lattice.down[lattice.bottom], lattice.join, lattice.down
+        ))
     return list(lattice._ideals)
 
 
 def all_filters(lattice):
     """All filters: nonempty upsets closed under binary meets, as masks."""
-    if lattice._filters is None:
-        seed = _close_filter(lattice, 1 << lattice.top)
-        lattice._filters = tuple(_closure_family(lattice, seed, _close_filter))
-    return list(lattice._filters)
+    return _closure_family(lattice, lattice.up[lattice.top], lattice.meet, lattice.up)
 
 
 def prime_filters(lattice):
@@ -409,7 +386,8 @@ def prime_filters(lattice):
 
     On a finite lattice closure of the complement under binary joins is
     closure under all joins, so these are exactly the completely prime
-    filters.
+    filters. The search never consults join irreducibles, so the dual
+    space's fast path can be checked against it.
     """
     if lattice._prime_filters is None:
         out = []

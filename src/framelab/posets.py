@@ -26,6 +26,11 @@ def popcount(mask):
     return mask.bit_count()
 
 
+def mask_order_key(mask):
+    """Canonical order of masks: by cardinality, then by sorted members."""
+    return (popcount(mask), tuple(bits(mask)))
+
+
 class Poset:
     """Finite partial order. The empty poset (size 0) is a first-class value."""
 
@@ -520,7 +525,7 @@ def upset_masks(poset, family_bound=None):
     if (1 << n) > bound:
         raise CapacityError(f"2^{n} upsets exceed the configured bound {bound}")
     masks = [m for m in range(1 << n) if poset.up_mask(m) == m]
-    masks.sort(key=lambda m: (popcount(m), tuple(bits(m))))
+    masks.sort(key=mask_order_key)
     poset._upset_masks = tuple(masks)
     return poset._upset_masks
 

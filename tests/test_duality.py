@@ -4,29 +4,35 @@ import itertools
 
 import pytest
 
-from framelab import NotFrameHom, Poset, enumerate_posets, isomorphic
+from framelab import ConsistencyError, NotFrameHom, Poset, enumerate_posets, isomorphic
+from framelab import duality
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
     birkhoff_lattice,
     compose_homs,
     enumerate_homs,
+    join_irreducibles,
+    prime_filters,
 )
 from framelab.duality import (
     VALIDATOR_NAMES,
-    clop_up_lattice,
     dualize_hom,
     lattice_content_id,
     phi_join_law,
     priestley_space_of,
-    prime_filter_subset_oracle,
     round_trip_frame,
     round_trip_space,
     validate,
     validate_all,
 )
 from framelab.posets import bits
-from framelab.spaces import FinPriestley, compose_space_maps, map_predicate
+from framelab.spaces import (
+    FinPriestley,
+    clop_upset_masks,
+    compose_space_maps,
+    map_predicate,
+)
 
 _B2 = birkhoff_lattice(Poset.antichain(2))
 
@@ -72,17 +78,34 @@ def test_priestley_space_of_chains():
 
 def test_prime_filter_oracle_matches_fast_path_everywhere_small():
     for lat in corpus(3):
-        oracle = prime_filter_subset_oracle(lat, oracle_bound=16)
-        if oracle is None:
-            continue
-        rec = priestley_space_of(lat)
-        assert sorted(rec.point_filters) == oracle
+        # literal scan: proper nonempty upsets, meet closed, prime
+        full = lat.full_mask
+        scan = []
+        for mask in range(1, full):
+            members = list(bits(mask))
+            outside = list(bits(full & ~mask))
+            if (
+                all(lat.up[a] & ~mask == 0 for a in members)
+                and all((mask >> lat.meet[a][b]) & 1 for a in members for b in members)
+                and not any(
+                    (mask >> lat.join[a][b]) & 1 for a in outside for b in outside
+                )
+            ):
+                scan.append(mask)
+        assert prime_filters(lat) == scan
+        assert sorted(priestley_space_of(lat).point_filters) == scan
 
 
-def test_oracle_bound_skips_large_lattices():
+def test_oracle_catches_a_dropped_join_irreducible(monkeypatch):
+    # 32 elements: beyond the reach of a subset scan over 2^|L| masks
     lat = birkhoff_lattice(Poset.antichain(5))
-    assert prime_filter_subset_oracle(lat) is None
-    # the record still builds through the fast path
+    assert lat.size == 32
+    monkeypatch.setattr(
+        duality, "join_irreducibles", lambda lattice: join_irreducibles(lattice)[:-1]
+    )
+    with pytest.raises(ConsistencyError):
+        priestley_space_of(lat)
+    monkeypatch.undo()
     assert priestley_space_of(lat).space.size == 5
 
 
@@ -102,9 +125,13 @@ def test_convention_round_trip_on_points(n):
 
 
 def test_clop_up_lattice_examples():
-    assert clop_up_lattice(FinPriestley(Poset.antichain(2))).size == 4
-    assert clop_up_lattice(FinPriestley(Poset.chain(2))).size == 3
-    assert clop_up_lattice(FinPriestley(Poset.empty())).size == 1
+    for points, size in (
+        (Poset.antichain(2), 4),
+        (Poset.chain(2), 3),
+        (Poset.empty(), 1),
+    ):
+        assert len(clop_upset_masks(FinPriestley(points))) == size
+        assert birkhoff_lattice(points).size == size
 
 
 # -- hom dualization ---------------------------------------------------------------

@@ -17,6 +17,7 @@ from framelab import (
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
+    _closure_family,
     all_filters,
     all_ideals,
     birkhoff_lattice,
@@ -188,10 +189,26 @@ def test_join_irreducibles_have_unique_lower_cover(lat):
 # -- ideals, filters, way below ---------------------------------------------------
 
 
-@pytest.mark.parametrize("lat", corpus_lattices(3), ids=lambda l: f"m{l.size}")
+def _closure_case_id(lat):
+    # lattices of 4-point posets get their own prefix, so the ids of the
+    # smaller cases do not depend on how many larger ones there are
+    prefix = "n4-" if lat.base_poset.size == 4 else ""
+    return f"{prefix}m{lat.size}"
+
+
+@pytest.mark.parametrize("lat", corpus_lattices(4), ids=_closure_case_id)
 def test_ideal_and_filter_enumeration_matches_bruteforce(lat):
     assert all_ideals(lat) == ideals_brute(lat)
     assert all_filters(lat) == filters_brute(lat)
+
+
+def test_bruteforce_check_catches_an_ideal_step_over_up_rows():
+    # mutant: the ideal step ORs `up` rows where it should OR `down` rows
+    assert any(
+        _closure_family(lat, lat.down[lat.bottom], lat.join, lat.up)
+        != ideals_brute(lat)
+        for lat in corpus_lattices(4)
+    )
 
 
 def test_ideals_of_b2():
