@@ -36,6 +36,7 @@ from .errors import ConsistencyError, IsoFailure, NotFrameHom
 from .lattices import (
     birkhoff_lattice,
     enumerate_homs,
+    frame_predicate,
     hom_predicate,
     join_irreducible_poset,
     join_irreducibles,
@@ -52,10 +53,8 @@ from .spaces import (
     clop_scott_upset_masks,
     clop_upset_masks,
     clopen_biset_masks,
-    closure,
     is_scott_upset,
     lspace_predicate_witness,
-    map_predicate,
     point_space_predicate_witness,
     reg_part,
     spatial_mask,
@@ -191,14 +190,11 @@ def dualize_hom(hom):
                 "preimage of a prime filter under a frame hom must be a prime filter"
             )
         images.append(index[preimage])
-    space_map = SpaceMap(
+    return SpaceMap(
         rec_tgt.space,
         rec_src.space,
         MonotoneMap(rec_tgt.space.points, rec_src.space.points, images),
     )
-    if not map_predicate(space_map, "lMorphism"):
-        raise ConsistencyError("a dualized frame hom must be an L-morphism")
-    return space_map
 
 
 # -- round trips --------------------------------------------------------------------
@@ -266,14 +262,17 @@ def round_trip_space(space):
 
 
 def phi_join_law(lattice, elements):
-    """phi(join S) equals the closure of the union of the phi images."""
+    """phi(join S) equals the closure of the union of the phi images.
+
+    Closure is the identity on a finite space, so that is the union itself.
+    """
     record = priestley_space_of(lattice)
     elements = list(elements)
     lhs = record.phi_mask(lattice.join_of(elements))
     union = 0
     for a in elements:
         union |= record.phi_mask(a)
-    return lhs == closure(record.space, union)
+    return lhs == union
 
 
 # -- validators ------------------------------------------------------------------------
@@ -334,14 +333,10 @@ def validate_all(lattice, corpus=None, lattice_id=None, proper_coherent_cap=None
     ]
 
 
-def _upsets_of(space):
-    return clop_upset_masks(space)
-
-
 def _v_core_chain(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
-    for um in _upsets_of(space):
+    for um in clop_upset_masks(space):
         core_m = _core_mask(space, um)
         ker_m = _kernel_mask(space, um)
         if core_m & ~ker_m or ker_m & ~um:
@@ -379,7 +374,7 @@ def _v_algebraic_equivalence(lattice, corpus, cap):
     for a in range(lattice.size):
         lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
         phi_a = record.phi_mask(a)
-        rhs = closure(space, _core_mask(space, phi_a)) == phi_a
+        rhs = _core_mask(space, phi_a) == phi_a
         if lhs != rhs:
             return {"element": a, "sides": [lhs, rhs]}
         frame_side = frame_side and lhs
@@ -395,7 +390,7 @@ def _v_scott_extensions(lattice, corpus, cap):
     continuous, _ = lspace_predicate_witness(space, "continuousL")
     if not continuous:
         return None  # premise of the statement
-    ups = _upsets_of(space)
+    ups = clop_upset_masks(space)
     scott = clop_scott_upset_masks(space)
     y_mask = spatial_mask(space)
     all_scott_upsets = [
@@ -405,7 +400,7 @@ def _v_scott_extensions(lattice, corpus, cap):
         ker_m = _kernel_mask(space, um)
         core_m = _core_mask(space, um)
         s1 = ker_m == core_m
-        s2 = closure(space, core_m) == um
+        s2 = core_m == um
         s3 = all(
             any((v >> y) & 1 and v & ~um == 0 for v in scott)
             for y in bits(um & y_mask)
@@ -460,13 +455,6 @@ def _v_scott_stable(lattice, corpus, cap):
     return None
 
 
-def _frame_side(lattice, name):
-    from .lattices import frame_predicate_witness
-
-    ok, _ = frame_predicate_witness(lattice, name)
-    return ok
-
-
 def _point_space_side(space, name):
     _, point_space = spatial_part(space)
     ok, _ = point_space_predicate_witness(point_space, name)
@@ -476,11 +464,26 @@ def _point_space_side(space, name):
 def _three_way(lattice, frame_name, space_name, point_name):
     record = priestley_space_of(lattice)
     space = record.space
-    s1 = _frame_side(lattice, frame_name)
+    s1 = frame_predicate(lattice, frame_name)
     s2, _ = lspace_predicate_witness(space, space_name)
     s3 = _point_space_side(space, point_name)
     if not s1 == s2 == s3:
         return {"sides": [s1, s2, s3]}
+    return None
+
+
+def _spatial_three_way(lattice, frame_name, space_name, point_name):
+    """As _three_way, but the point-space side counts only on spatial frames."""
+    record = priestley_space_of(lattice)
+    space = record.space
+    s1 = frame_predicate(lattice, frame_name)
+    s2, _ = lspace_predicate_witness(space, space_name)
+    if s1 != s2:
+        return {"sides": [s1, s2]}
+    if frame_predicate(lattice, "spatial"):
+        s3 = _point_space_side(space, point_name)
+        if s1 != s3:
+            return {"sides": [s1, s2, s3]}
     return None
 
 
@@ -495,7 +498,7 @@ def _v_coherent_equivalence(lattice, corpus, cap):
 def _v_cen_sub_reg(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
-    for um in _upsets_of(space):
+    for um in clop_upset_masks(space):
         u = PointSet(space.points, um)
         if center(space, u).mask & ~reg_part(space, u).mask:
             return {"upset": um}
@@ -510,7 +513,7 @@ def _v_stone_collapse(lattice, corpus, cap):
         return None  # statement premise
     if sorted(clop_scott_upset_masks(space)) != sorted(clopen_biset_masks(space)):
         return {"families": "ClopSUp != ClopBi"}
-    for um in _upsets_of(space):
+    for um in clop_upset_masks(space):
         u = PointSet(space.points, um)
         if center(space, u).mask != _core_mask(space, um):
             return {"upset": um}
@@ -518,31 +521,11 @@ def _v_stone_collapse(lattice, corpus, cap):
 
 
 def _v_zero_dim_equivalence(lattice, corpus, cap):
-    record = priestley_space_of(lattice)
-    space = record.space
-    s1 = _frame_side(lattice, "zeroDimensional")
-    s2, _ = lspace_predicate_witness(space, "zeroDimL")
-    if s1 != s2:
-        return {"sides": [s1, s2]}
-    if _frame_side(lattice, "spatial"):
-        s3 = _point_space_side(space, "zeroDimensional")
-        if s1 != s3:
-            return {"sides": [s1, s2, s3]}
-    return None
+    return _spatial_three_way(lattice, "zeroDimensional", "zeroDimL", "zeroDimensional")
 
 
 def _v_stone_equivalence(lattice, corpus, cap):
-    record = priestley_space_of(lattice)
-    space = record.space
-    s1 = _frame_side(lattice, "stone")
-    s2, _ = lspace_predicate_witness(space, "stoneL")
-    if s1 != s2:
-        return {"sides": [s1, s2]}
-    if _frame_side(lattice, "spatial"):
-        s3 = _point_space_side(space, "stoneSpace")
-        if s1 != s3:
-            return {"sides": [s1, s2, s3]}
-    return None
+    return _spatial_three_way(lattice, "stone", "stoneL", "stoneSpace")
 
 
 _VALIDATORS = {

@@ -753,10 +753,13 @@ def enumerate_homs(source, target, kind, search_bound=None):
             if ok:
                 backtrack(s + 1, base)
 
-    if kind == "latticeHom":
-        for base in range(target.size):
-            backtrack(0, base)
-    else:
-        backtrack(0, target.bottom)
+    try:
+        if kind == "latticeHom":
+            for base in range(target.size):
+                backtrack(0, base)
+        else:
+            backtrack(0, target.bottom)
+    finally:
+        del backtrack  # it refers to itself; free the cycle without the collector
     results.sort(key=lambda h: h.image)
     return results

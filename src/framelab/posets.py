@@ -517,13 +517,13 @@ def upset_masks(poset, family_bound=None):
     Canonical order: by cardinality, then by the sorted tuple of members.
     Everything downstream that enumerates clopen upsets inherits this order.
     """
-    cached = poset._upset_masks
-    if cached is not None:
-        return cached
     bound = config.MAX_UPSET_FAMILY if family_bound is None else family_bound
     n = poset.size
     if (1 << n) > bound:
         raise CapacityError(f"2^{n} upsets exceed the configured bound {bound}")
+    cached = poset._upset_masks
+    if cached is not None:
+        return cached
     masks = [m for m in range(1 << n) if poset.up_mask(m) == m]
     masks.sort(key=mask_order_key)
     poset._upset_masks = tuple(masks)
@@ -626,7 +626,10 @@ def iter_monotone_image_tuples(p, q):
             image[v] = c
             yield from backtrack(k + 1)
 
-    yield from backtrack(0)
+    try:
+        yield from backtrack(0)
+    finally:
+        del backtrack  # it refers to itself; free the cycle without the collector
 
 
 def monotone_maps(p, q, search_bound=None):

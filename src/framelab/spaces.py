@@ -1,11 +1,11 @@
 """Finite Priestley spaces and the clopen-upset operator calculus.
 
-A finite Priestley space is a finite poset carrying the discrete topology:
-every subset is clopen and the clopen upsets are exactly the upsets. The
-topology is not stored; instead, closure/interior/openness are routed through
-the small evaluation seam below so the defining formulas (which all mention
-closure) are implemented verbatim and stay correct should a non-discrete
-backend ever be added.
+A finite Priestley space is a finite poset carrying the discrete topology.
+Every subset is clopen, so closure is the identity and the clopen upsets are
+exactly the upsets; the formulas below are written with that built in, and
+the topology is not stored. Infinite (chain) duals, where closure is not the
+identity, are meant to get their own closed-form backend (ROADMAP item 4)
+rather than a topology layer here.
 
 Operators on clopen upsets: kernel (union of clopen upsets way below U),
 core (union of clopen Scott upsets inside U), regular part (union of clopen
@@ -47,14 +47,13 @@ POINT_SPACE_PREDICATES = (
 class FinPriestley:
     """Finite Priestley space: a poset of points, topology implicitly discrete."""
 
-    __slots__ = ("points", "_spatial", "_ker", "_core", "_reg", "_cen",
-                 "_scott", "_bisets", "_components")
+    __slots__ = ("points", "_ker", "_core", "_reg", "_cen", "_scott", "_bisets",
+                 "_components")
 
     def __init__(self, points):
         if not isinstance(points, Poset):
             raise TypeError("expected a Poset of points")
         self.points = points
-        self._spatial = None
         # per-operator memo dicts, created on first use: a corpus that is
         # only built never runs an operator, and each empty dict is 64 bytes
         self._ker = self._core = self._reg = self._cen = None
@@ -83,46 +82,16 @@ class FinPriestley:
         return f"FinPriestley(points={self.points!r})"
 
 
-# -- topology evaluation seam (discrete backend) ----------------------------
-
-
-def closure(space, mask):
-    """Topological closure; the discrete backend is the identity."""
-    return mask
-
-
-def interior(space, mask):
-    return mask
-
-
-def is_open(space, mask):
-    return True
-
-
-def is_closed(space, mask):
-    return True
-
-
-def is_clopen(space, mask):
-    return is_open(space, mask) and is_closed(space, mask)
-
-
 # -- clopen upsets -----------------------------------------------------------
 
 
 def clop_upset_masks(space):
     """Masks of the clopen upsets (= all upsets, discretely), canonical order."""
-    return [
-        m for m in upset_masks(space.points) if is_clopen(space, m)
-    ]
+    return upset_masks(space.points)
 
 
 def clop_upsets(space):
     return [PointSet(space.points, m) for m in clop_upset_masks(space)]
-
-
-def open_upset_masks(space):
-    return [m for m in upset_masks(space.points) if is_open(space, m)]
 
 
 def _upset_mask_of(space, point_set):
@@ -170,39 +139,25 @@ class PointSpace:
 
 
 def spatial_mask(space):
-    """Points whose downset is clopen; equals the whole space finitely (checked)."""
-    if space._spatial is None:
-        points = space.points
-        y = 0
-        for p in range(points.size):
-            if is_clopen(space, points.down[p]):
-                y |= 1 << p
-        if y != points.full_mask:
-            raise ConsistencyError("spatial part of a finite space must be everything")
-        space._spatial = y
-    return space._spatial
+    """Points whose downset is clopen: every point, since every set is clopen."""
+    return space.full_mask
 
 
 def spatial_part(space):
     """The spatial part and its point-space topology {U ∩ Y : U clopen upset}.
 
-    The returned topology is checked to coincide with the upset (Alexandroff)
-    topology of the induced order, as it must when Y is all of the space.
+    Y is the whole space, so the opens are the clopen upsets: the upset
+    (Alexandroff) topology of the order.
     """
-    y = spatial_mask(space)
-    points = space.points
-    opens = {u & y for u in clop_upset_masks(space)}
-    point_space = PointSpace(points, opens)
-    if set(point_space.opens) != set(upset_masks(points)):
-        raise ConsistencyError("point-space topology must be the upset topology")
-    return PointSet(points, y), point_space
+    return (PointSet(space.points, spatial_mask(space)),
+            PointSpace(space.points, clop_upset_masks(space)))
 
 
 # -- way below / kernel ----------------------------------------------------------
 
 
 def clop_way_below(space, v, u):
-    """V ≪ U: every open upset W with U ⊆ cl W already contains V.
+    """V ≪ U: every upset W with U ⊆ W (= cl W) already contains V.
 
     Checked against the finite collapse (V ≪ U iff V ⊆ U).
     """
@@ -215,8 +170,8 @@ def clop_way_below(space, v, u):
 
 
 def _clop_way_below_masks(space, vm, um):
-    for w in open_upset_masks(space):
-        if um & ~closure(space, w) == 0 and vm & ~w:
+    for w in clop_upset_masks(space):
+        if um & ~w == 0 and vm & ~w:
             return False
     return True
 
@@ -244,26 +199,23 @@ def _kernel_mask(space, um):
 
 
 def is_scott_upset(space, subset):
-    """Closed upsets whose minimal points lie in the spatial part.
+    """Closed upsets (= upsets) whose minimal points lie in the spatial part.
 
     Also evaluates the closure-reflection formulation (F ⊆ cl W implies
-    F ⊆ W for open upsets W) and insists the two routes agree.
+    F ⊆ W for open upsets W, with cl W = W) and insists the two routes agree.
     """
     if subset.poset is not space.points:
         raise BindingError("point set is not bound to this space")
     mask = subset.mask
     points = space.points
-    structural = is_closed(space, mask) and points.up_mask(mask) == mask
-    if structural:
+    if points.up_mask(mask) == mask:
         min_mask = 0
         for i in bits(mask):
             if points.down[i] & mask == 1 << i:
                 min_mask |= 1 << i
         route_min = min_mask & ~spatial_mask(space) == 0
         route_reflect = all(
-            mask & ~w == 0
-            for w in open_upset_masks(space)
-            if mask & ~closure(space, w) == 0
+            mask & ~w == 0 for w in clop_upset_masks(space) if mask & ~w == 0
         )
     else:
         route_min = route_reflect = False
@@ -279,7 +231,7 @@ def clop_scott_upset_masks(space):
             for m in clop_upset_masks(space)
             if is_scott_upset(space, PointSet(space.points, m))
         )
-    return list(space._scott)
+    return space._scott
 
 
 def clop_scott_upsets(space):
@@ -354,7 +306,7 @@ def comparability_components(space):
             comps.append(comp)
             seen |= comp
         space._components = tuple(comps)
-    return list(space._components)
+    return space._components
 
 
 def clopen_biset_masks(space):
@@ -368,7 +320,7 @@ def clopen_biset_masks(space):
                 m |= comps[i]
             masks.add(m)
         space._bisets = tuple(sorted(masks, key=mask_order_key))
-    return list(space._bisets)
+    return space._bisets
 
 
 def clopen_bisets(space):
@@ -405,22 +357,29 @@ def has_priestley_separation(space):
     return True
 
 
-def is_esakia(space):
-    """The downset of each clopen set is clopen."""
-    points = space.points
-    return all(
-        is_clopen(space, points.down_mask(m))
-        for m in range(1 << points.size)
-        if is_clopen(space, m)
-    )
-
-
-def is_extremally_order_disconnected(space):
-    """The closure of each open upset is open."""
-    return all(is_open(space, closure(space, u)) for u in open_upset_masks(space))
-
-
 # -- space predicates ---------------------------------------------------------------
+
+
+# Composite L-space and point-space predicates: each is the conjunction of
+# the listed predicates, and its witness is that of the first one to fail.
+# stablyCompactlyBased needs no meet condition on the compact opens because
+# every subset of a finite space is compact.
+_CONJUNCTIONS = {
+    "arithmeticL": ("kernelStable", "algebraicL"),
+    "coherentL": ("lCompact", "arithmeticL"),
+    "stoneL": ("lCompact", "zeroDimL"),
+    "stablyCompactlyBased": ("compactlyBased", "sober"),
+    "spectral": ("stablyCompactlyBased", "compact"),
+    "stoneSpace": ("zeroDimensional", "compact", "hausdorff"),
+}
+
+
+def _conjunction(witness, subject, names):
+    for name in names:
+        ok, w = witness(subject, name)
+        if not ok:
+            return ok, w
+    return True, None
 
 
 def lspace_predicate(space, name):
@@ -429,9 +388,14 @@ def lspace_predicate(space, name):
 
 
 def lspace_predicate_witness(space, name):
-    """Density of O in U means cl(O) = U, evaluated with the literal closure."""
+    """Evaluate an L-space condition; returns (bool, witness or None).
+
+    Density of O in U means cl(O) = U, that is O = U on a finite space.
+    """
     if name not in LSPACE_PREDICATES:
         raise UnknownPredicate(f"unknown L-space predicate {name!r}")
+    if name in _CONJUNCTIONS:
+        return _conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
     ups = clop_upset_masks(space)
     if name == "continuousL":
         return _density_sweep(space, ups, _kernel_mask)
@@ -451,30 +415,15 @@ def lspace_predicate_witness(space, name):
                 if lhs != rhs:
                     return False, {"upsets": (um, vm)}
         return True, None
-    if name == "lCompact":
-        full = space.full_mask
-        ok = _kernel_mask(space, full) == full
-        return ok, (None if ok else {"upset": full})
-    if name == "arithmeticL":
-        ok, w = lspace_predicate_witness(space, "kernelStable")
-        if not ok:
-            return ok, w
-        return lspace_predicate_witness(space, "algebraicL")
-    if name == "coherentL":
-        ok, w = lspace_predicate_witness(space, "lCompact")
-        if not ok:
-            return ok, w
-        return lspace_predicate_witness(space, "arithmeticL")
-    # stoneL
-    ok, w = lspace_predicate_witness(space, "lCompact")
-    if not ok:
-        return ok, w
-    return lspace_predicate_witness(space, "zeroDimL")
+    # lCompact
+    full = space.full_mask
+    ok = _kernel_mask(space, full) == full
+    return ok, (None if ok else {"upset": full})
 
 
 def _density_sweep(space, ups, part):
     for um in ups:
-        if closure(space, part(space, um)) != um:
+        if part(space, um) != um:
             return False, {"upset": um}
     return True, None
 
@@ -536,16 +485,14 @@ def compose_space_maps(outer, inner):
 
 
 def map_predicate(space_map, name):
-    """Literal evaluation over all (open/clopen) upsets of the target."""
+    """Literal evaluation over the clopen upsets of the target."""
     if name not in MAP_PREDICATES:
         raise UnknownPredicate(f"unknown space-map predicate {name!r}")
+    # f⁻¹(cl U) = cl f⁻¹(U) holds outright: closure is the identity on both sides
+    if name == "lMorphism":
+        return True
     src, tgt = space_map.source, space_map.target
     f = space_map.mapping
-    if name == "lMorphism":
-        for um in open_upset_masks(tgt):
-            if f.preimage_mask(closure(tgt, um)) != closure(src, f.preimage_mask(um)):
-                return False
-        return True
     if name == "properL":
         for um in clop_upset_masks(tgt):
             if f.preimage_mask(_kernel_mask(tgt, um)) & ~_kernel_mask(
@@ -601,6 +548,9 @@ def point_space_predicate(point_space, name):
 def point_space_predicate_witness(point_space, name):
     if name not in POINT_SPACE_PREDICATES:
         raise UnknownPredicate(f"unknown point-space predicate {name!r}")
+    if name in _CONJUNCTIONS:
+        return _conjunction(point_space_predicate_witness, point_space,
+                            _CONJUNCTIONS[name])
     opens = point_space.opens
     n = point_space.poset.size
     if name == "sober":
@@ -621,17 +571,6 @@ def point_space_predicate_witness(point_space, name):
                 if not any((b >> y) & 1 and b & ~o == 0 for b in opens):
                     return False, {"open": o, "point": y}
         return True, None
-    if name == "stablyCompactlyBased":
-        ok, w = point_space_predicate_witness(point_space, "compactlyBased")
-        if not ok:
-            return ok, w
-        # compact opens are closed under binary meets: all subsets are compact
-        return point_space_predicate_witness(point_space, "sober")
-    if name == "spectral":
-        ok, w = point_space_predicate_witness(point_space, "stablyCompactlyBased")
-        if not ok:
-            return ok, w
-        return point_space_predicate_witness(point_space, "compact")
     if name == "zeroDimensional":
         clopens = point_space.clopen_sets()
         for o in opens:
@@ -642,21 +581,13 @@ def point_space_predicate_witness(point_space, name):
             if union != o:
                 return False, {"open": o}
         return True, None
-    if name == "hausdorff":
-        for x in range(n):
-            for y in range(x + 1, n):
-                if not any(
-                    (u >> x) & 1 and (v >> y) & 1 and u & v == 0
-                    for u in opens
-                    for v in opens
-                ):
-                    return False, {"points": (x, y)}
-        return True, None
-    # stoneSpace: zero-dimensional compact Hausdorff
-    ok, w = point_space_predicate_witness(point_space, "zeroDimensional")
-    if not ok:
-        return ok, w
-    ok, w = point_space_predicate_witness(point_space, "compact")
-    if not ok:
-        return ok, w
-    return point_space_predicate_witness(point_space, "hausdorff")
+    # hausdorff
+    for x in range(n):
+        for y in range(x + 1, n):
+            if not any(
+                (u >> x) & 1 and (v >> y) & 1 and u & v == 0
+                for u in opens
+                for v in opens
+            ):
+                return False, {"points": (x, y)}
+    return True, None

@@ -1,5 +1,6 @@
 """Lattice-side operators: Birkhoff construction, way-below, predicates, homs."""
 
+import gc
 import itertools
 
 import pytest
@@ -38,7 +39,7 @@ from framelab.lattices import (
     way_below_rows_oracle,
     well_inside,
 )
-from framelab.posets import bits
+from framelab.posets import bits, iter_monotone_image_tuples
 
 
 def b2():
@@ -118,8 +119,11 @@ def test_birkhoff_is_distributive_and_recovers_points(lat):
 
 
 def test_birkhoff_capacity():
-    with pytest.raises(CapacityError):
-        birkhoff_lattice(Poset.antichain(6), family_bound=32)
+    cached = Poset.antichain(6)
+    birkhoff_lattice(cached)  # a default call fills the poset's upset cache
+    for p in (Poset.antichain(6), cached):
+        with pytest.raises(CapacityError):
+            birkhoff_lattice(p, family_bound=32)
 
 
 # -- explicit construction and the distributivity error path -------------------
@@ -395,6 +399,22 @@ def test_enumerate_homs_capacity():
     big = birkhoff_lattice(Poset.antichain(4))
     with pytest.raises(CapacityError):
         enumerate_homs(big, big, "frameHom", search_bound=100)
+
+
+def test_searches_leave_no_reference_cycles():
+    source, target = b2(), FinDLat.chain(2)
+    p, q = Poset.chain(2), Poset.antichain(2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_homs(source, target, "frameHom")
+        assert list(iter_monotone_image_tuples(p, q))
+        search = iter_monotone_image_tuples(p, q)
+        next(search)
+        search.close()  # an abandoned search must free its state too
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_hom_composition():

@@ -174,8 +174,11 @@ def test_upsets_canonical_order_is_card_then_members():
 
 
 def test_all_upsets_capacity():
-    with pytest.raises(CapacityError):
-        all_upsets(Poset.antichain(5), family_bound=16)
+    cached = Poset.antichain(5)
+    all_upsets(cached)  # a default call fills the poset's upset cache
+    for p in (Poset.antichain(5), cached):
+        with pytest.raises(CapacityError):
+            all_upsets(p, family_bound=16)
 
 
 # -- min/max ------------------------------------------------------------------

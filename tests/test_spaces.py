@@ -19,8 +19,6 @@ from framelab.spaces import (
     compose_space_maps,
     core,
     has_priestley_separation,
-    is_esakia,
-    is_extremally_order_disconnected,
     is_scott_upset,
     kernel,
     lspace_predicate,
@@ -226,8 +224,6 @@ def test_lspace_structural_relations(x):
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_vacuous_structure_predicates_hold(x):
     assert has_priestley_separation(x)
-    assert is_esakia(x)
-    assert is_extremally_order_disconnected(x)
 
 
 # -- maps ---------------------------------------------------------------------------
