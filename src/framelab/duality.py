@@ -429,10 +429,13 @@ def _v_proper_coherent(lattice, corpus, cap):
             m for m in corpus if len(join_irreducibles(m)) <= limit
         ]
     for partner in partners:
-        for src, tgt in ((lattice, partner), (partner, lattice)):
+        pairs = [(lattice, partner)]
+        if partner is not lattice:
+            pairs.append((partner, lattice))
+        for src, tgt in pairs:
             for hom in enumerate_homs(src, tgt, "frameHom"):
-                coherent = hom_predicate(hom, "coherentHom")
-                proper = hom_predicate(hom, "properHom")
+                coherent = hom.is_coherent
+                proper = hom.is_proper
                 if coherent != proper:
                     return {
                         "hom": list(hom.image),

@@ -646,33 +646,37 @@ def compose_homs(outer, inner):
 
 
 def hom_predicate(hom, name):
-    """Literal evaluation of a homomorphism property."""
+    """Literal evaluation of a homomorphism property.
+
+    Each predicate adds its own condition to the one below it and reads
+    that one through the hom's cached flags: latticeHom is the join/meet
+    scan, frameHom checks the two bounds and then latticeHom, and
+    coherentHom and properHom start from frameHom. So, asked through the
+    flags (``hom.is_proper`` and the rest), the O(|L|²) scan runs at most
+    once per hom.
+    """
     src, tgt, img = hom.source, hom.target, hom.image
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
-    preserves_ops = all(
-        img[src.join[a][b]] == tgt.join[img[a]][img[b]]
-        and img[src.meet[a][b]] == tgt.meet[img[a]][img[b]]
-        for a in range(src.size)
-        for b in range(a, src.size)
-    )
     if name == "latticeHom":
-        return preserves_ops
-    frame = (
-        preserves_ops
-        and img[src.bottom] == tgt.bottom
-        and img[src.top] == tgt.top
-    )
+        return all(
+            img[src.join[a][b]] == tgt.join[img[a]][img[b]]
+            and img[src.meet[a][b]] == tgt.meet[img[a]][img[b]]
+            for a in range(src.size)
+            for b in range(a, src.size)
+        )
     if name == "frameHom":
-        return frame
+        return (
+            img[src.bottom] == tgt.bottom
+            and img[src.top] == tgt.top
+            and hom._flag("latticeHom")
+        )
+    if not hom._flag("frameHom"):
+        return False
     if name == "coherentHom":
-        if not frame:
-            return False
         tgt_compact = set(compact_elements(tgt))
         return all(img[a] in tgt_compact for a in compact_elements(src))
     # properHom: a << b implies h(a) << h(b), both sides by the ideal oracle
-    if not frame:
-        return False
     src_rows = way_below_rows_oracle(src)
     tgt_rows = way_below_rows_oracle(tgt)
     for a in range(src.size):
@@ -689,8 +693,10 @@ def enumerate_homs(source, target, kind, search_bound=None):
     Search: a lattice map is determined by its values on the join
     irreducibles (plus the bottom's image when bounds need not be
     preserved); candidates are generated by backtracking with monotonicity
-    and pairwise meet-consistency pruning, then every candidate is checked
-    against the literal predicate.
+    and pairwise meet-consistency pruning. The bounded kinds (all but
+    latticeHom) also drop a complete assignment whose join, the top's image,
+    is not the target's top. Every surviving candidate is checked against
+    the literal predicate, through the hom's cached flags.
     """
     if kind not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {kind!r}")
@@ -719,6 +725,7 @@ def enumerate_homs(source, target, kind, search_bound=None):
 
     results = []
     assigned = [0] * k
+    bounded = kind != "latticeHom"
 
     def extend(base):
         image = []
@@ -731,9 +738,14 @@ def enumerate_homs(source, target, kind, search_bound=None):
 
     def backtrack(s, base):
         if s == k:
-            candidate = extend(base)
-            hom = LatticeHom(source, target, candidate)
-            if hom_predicate(hom, kind):
+            if bounded:
+                top_image = base
+                for c in assigned:
+                    top_image = target.join[top_image][c]
+                if top_image != target.top:
+                    return
+            hom = LatticeHom(source, target, extend(base))
+            if hom._flag(kind):
                 results.append(hom)
             return
         lower = base

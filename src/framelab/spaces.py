@@ -163,14 +163,14 @@ def clop_way_below(space, v, u):
     """
     vm = _upset_mask_of(space, v)
     um = _upset_mask_of(space, u)
-    result = _clop_way_below_masks(space, vm, um)
+    result = _clop_way_below_masks(clop_upset_masks(space), vm, um)
     if result != (vm & ~um == 0):
         raise ConsistencyError("clopen way-below must collapse to inclusion finitely")
     return result
 
 
-def _clop_way_below_masks(space, vm, um):
-    for w in clop_upset_masks(space):
+def _clop_way_below_masks(ups, vm, um):
+    for w in ups:
         if um & ~w == 0 and vm & ~w:
             return False
     return True
@@ -188,8 +188,9 @@ def _kernel_mask(space, um):
         memo = space._ker = {}
     if um not in memo:
         out = 0
-        for vm in clop_upset_masks(space):
-            if _clop_way_below_masks(space, vm, um):
+        ups = clop_upset_masks(space)
+        for vm in ups:
+            if _clop_way_below_masks(ups, vm, um):
                 out |= vm
         memo[um] = out
     return memo[um]

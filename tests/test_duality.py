@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from framelab import ConsistencyError, NotFrameHom, Poset, enumerate_posets, isomorphic
-from framelab import duality
+from framelab import duality, lattices
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
@@ -249,6 +249,19 @@ def test_validators_pass_on_small_corpus(name):
         assert report.passed, (name, report.witness)
         assert report.validator == name
         assert report.micros >= 0
+
+
+def test_proper_coherent_reports_a_disagreement(monkeypatch):
+    # coherentHom reads compact_elements; properHom reads the way-below rows
+    original = lattices.compact_elements
+    monkeypatch.setattr(
+        lattices,
+        "compact_elements",
+        lambda lat: [a for a in original(lat) if a != lat.top],
+    )
+    report = validate("properCoherent", FinDLat.chain(3))
+    assert report.status == "fail"
+    assert report.witness["sides"] == [False, True]
 
 
 def test_validate_all_returns_every_validator():

@@ -15,6 +15,7 @@ from framelab import (
     enumerate_posets,
     isomorphic,
 )
+from framelab import lattices
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
@@ -393,6 +394,25 @@ def test_enumerate_homs_matches_bruteforce():
             for kind in ("latticeHom", "frameHom", "coherentHom", "properHom"):
                 got = [h.image for h in enumerate_homs(src, tgt, kind)]
                 assert got == homs_brute(src, tgt, kind), (src, tgt, kind)
+
+
+def test_enumerated_homs_scan_the_tables_once(monkeypatch):
+    calls = {}
+    original = lattices.hom_predicate
+
+    def counting(hom, name):
+        calls[name] = calls.get(name, 0) + 1
+        return original(hom, name)
+
+    monkeypatch.setattr(lattices, "hom_predicate", counting)
+    source = birkhoff_lattice(Poset.antichain(2))
+    target = birkhoff_lattice(Poset.chain(3))
+    homs = enumerate_homs(source, target, "frameHom")
+    assert homs
+    for h in homs:
+        assert h.is_coherent and h.is_proper
+    assert calls.get("latticeHom", 0) == len(homs)
+    assert calls["frameHom"] == len(homs)
 
 
 def test_enumerate_homs_capacity():
