@@ -65,6 +65,9 @@ class FinDLat:
         "_prime_filters",
         "_wb_rows",
         "_wb_checked",
+        "_wb_members",
+        "_compact",
+        "_pairs",
         "_join_irr",
         "_priestley_record",
     )
@@ -91,6 +94,9 @@ class FinDLat:
         self._prime_filters = None
         self._wb_rows = None
         self._wb_checked = False
+        self._wb_members = None
+        self._compact = None
+        self._pairs = None
         self._join_irr = None
         self._priestley_record = None
 
@@ -355,7 +361,7 @@ def _closure_family(lattice, seed, table, rows):
     full = lattice.full_mask
     while frontier:
         current = frontier.pop()
-        members = list(bits(current))
+        members = bits(current)
         for x in bits(full & ~current):
             row = table[x]
             grown = 0
@@ -395,7 +401,7 @@ def prime_filters(lattice):
             if f == lattice.full_mask:
                 continue
             complement = lattice.full_mask & ~f
-            members = list(bits(complement))
+            members = bits(complement)
             prime = True
             for i, a in enumerate(members):
                 row = lattice.join[a]
@@ -455,13 +461,22 @@ def way_below_fast(lattice, a, b):
     return lattice.leq(a, b)
 
 
+def _way_below_members(lattice):
+    """The oracle's way-below rows as index tuples: [a] = (b : a << b)."""
+    if lattice._wb_members is None:
+        lattice._wb_members = tuple(map(bits, way_below_rows_oracle(lattice)))
+    return lattice._wb_members
+
+
 def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
-    rows = way_below_rows_oracle(lattice)
-    out = [a for a in range(lattice.size) if (rows[a] >> a) & 1]
-    if len(out) != lattice.size:
-        raise ConsistencyError("a finite lattice must have all elements compact")
-    return out
+    if lattice._compact is None:
+        rows = way_below_rows_oracle(lattice)
+        out = tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
+        if len(out) != lattice.size:
+            raise ConsistencyError("a finite lattice must have all elements compact")
+        lattice._compact = out
+    return list(lattice._compact)
 
 
 # -- pseudocomplement and well inside ----------------------------------------------
@@ -532,7 +547,7 @@ def frame_predicate_witness(lattice, name):
         if not ok:
             return ok, w
         for a in range(n):
-            above = list(bits(rows[a]))
+            above = bits(rows[a])
             for b in above:
                 meet_b = lattice.meet[b]
                 for c in above:
@@ -645,6 +660,18 @@ def compose_homs(outer, inner):
     )
 
 
+def _pair_table(lattice):
+    """(a, b, a ∨ b, a ∧ b) for every index pair a <= b, flattened into one tuple."""
+    if lattice._pairs is None:
+        out = []
+        for a in range(lattice.size):
+            join_a, meet_a = lattice.join[a], lattice.meet[a]
+            for b in range(a, lattice.size):
+                out += (a, b, join_a[b], meet_a[b])
+        lattice._pairs = tuple(out)
+    return lattice._pairs
+
+
 def hom_predicate(hom, name):
     """Literal evaluation of a homomorphism property.
 
@@ -653,18 +680,20 @@ def hom_predicate(hom, name):
     scan, frameHom checks the two bounds and then latticeHom, and
     coherentHom and properHom start from frameHom. So, asked through the
     flags (``hom.is_proper`` and the rest), the O(|L|²) scan runs at most
-    once per hom.
+    once per hom. The scan reads the source's pair table (`_pair_table`),
+    built once per lattice, and still checks every pair a <= b.
     """
     src, tgt, img = hom.source, hom.target, hom.image
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
     if name == "latticeHom":
-        return all(
-            img[src.join[a][b]] == tgt.join[img[a]][img[b]]
-            and img[src.meet[a][b]] == tgt.meet[img[a]][img[b]]
-            for a in range(src.size)
-            for b in range(a, src.size)
-        )
+        tgt_join, tgt_meet = tgt.join, tgt.meet
+        pairs = iter(_pair_table(src))
+        for a, b, ab_join, ab_meet in zip(pairs, pairs, pairs, pairs):
+            ha, hb = img[a], img[b]
+            if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
+                return False
+        return True
     if name == "frameHom":
         return (
             img[src.bottom] == tgt.bottom
@@ -675,13 +704,12 @@ def hom_predicate(hom, name):
         return False
     if name == "coherentHom":
         tgt_compact = set(compact_elements(tgt))
-        return all(img[a] in tgt_compact for a in compact_elements(src))
+        return tgt_compact.issuperset(map(img.__getitem__, compact_elements(src)))
     # properHom: a << b implies h(a) << h(b), both sides by the ideal oracle
-    src_rows = way_below_rows_oracle(src)
     tgt_rows = way_below_rows_oracle(tgt)
-    for a in range(src.size):
+    for a, way_above in enumerate(_way_below_members(src)):
         ha_row = tgt_rows[img[a]]
-        for b in bits(src_rows[a]):
+        for b in way_above:
             if not (ha_row >> img[b]) & 1:
                 return False
     return True
@@ -693,10 +721,12 @@ def enumerate_homs(source, target, kind, search_bound=None):
     Search: a lattice map is determined by its values on the join
     irreducibles (plus the bottom's image when bounds need not be
     preserved); candidates are generated by backtracking with monotonicity
-    and pairwise meet-consistency pruning. The bounded kinds (all but
-    latticeHom) also drop a complete assignment whose join, the top's image,
-    is not the target's top. Every surviving candidate is checked against
-    the literal predicate, through the hom's cached flags.
+    and pairwise meet-consistency pruning. The meet-consistency targets of a
+    level do not depend on the value tried there, so they are built once per
+    level, before its candidates. The bounded kinds (all but latticeHom)
+    also drop a complete assignment whose join, the top's image, is not the
+    target's top. Every surviving candidate is checked against the literal
+    predicate, through the hom's cached flags.
     """
     if kind not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {kind!r}")
@@ -752,17 +782,21 @@ def enumerate_homs(source, target, kind, search_bound=None):
         for t in irr_below[s]:
             if t != s:
                 lower = target.join[lower][assigned[t]]
+        # (h(irr[t]), h(irr[s] ∧ irr[t])) for t < s: c ∧ h(irr[t]) must equal
+        # the second, and irr[s] ∧ irr[t] lies below irr[t], so neither reads c
+        meets = []
+        for t in range(s):
+            expected = base
+            for r in meet_irr[s][t]:
+                expected = target.join[expected][assigned[r]]
+            meets.append((assigned[t], expected))
         for c in bits(target.up[lower]):
-            assigned[s] = c
-            ok = True
-            for t in range(s):
-                expected = base
-                for r in meet_irr[s][t]:
-                    expected = target.join[expected][assigned[r]]
-                if target.meet[c][assigned[t]] != expected:
-                    ok = False
+            meet_c = target.meet[c]
+            for assigned_t, expected in meets:
+                if meet_c[assigned_t] != expected:
                     break
-            if ok:
+            else:
+                assigned[s] = c
                 backtrack(s + 1, base)
 
     try:

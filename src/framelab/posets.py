@@ -14,12 +14,48 @@ from . import config
 from .errors import BindingError, CapacityError, CycleError
 
 
+def _low_byte_bits():
+    """The set bits of each byte value 0..255, as index tuples."""
+    # the values with bit i set repeat the ones below 2**i, each with i added
+    table = [()]
+    for i in range(8):
+        table += [members + (i,) for members in table]
+    return tuple(table)
+
+
+# _BYTE_BITS[p][v]: the set bits of byte value v at byte position p. Only
+# position 0 is built at import; `bits` adds positions 1-7 on first use.
+_BYTE_BITS = [_low_byte_bits()]
+
+
 def bits(mask):
-    """Yield the indices of the set bits of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The indices of the set bits of ``mask``, increasing, as a tuple.
+
+    Masks of up to 64 bits are read a byte at a time from `_BYTE_BITS`,
+    wider ones bit by bit. A negative mask raises ValueError.
+    """
+    if not mask >> 8:
+        return _BYTE_BITS[0][mask]
+    if mask < 0:
+        raise ValueError("a mask must not be negative")
+    if mask >> 64:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return tuple(out)
+    tables = _BYTE_BITS
+    while len(tables) < 8 and mask >> (8 * len(tables)):
+        offset = 8 * len(tables)
+        tables.append(tuple(tuple(offset + i for i in v) for v in tables[0]))
+    out = ()
+    for table in tables:
+        if not mask:
+            break
+        out += table[mask & 255]
+        mask >>= 8
+    return out
 
 
 def popcount(mask):
@@ -28,7 +64,7 @@ def popcount(mask):
 
 def mask_order_key(mask):
     """Canonical order of masks: by cardinality, then by sorted members."""
-    return (popcount(mask), tuple(bits(mask)))
+    return (popcount(mask), bits(mask))
 
 
 class Poset:
@@ -377,7 +413,7 @@ class PointSet:
         return bool((self.mask >> point) & 1)
 
     def __iter__(self):
-        return bits(self.mask)
+        return iter(bits(self.mask))
 
     def __len__(self):
         return popcount(self.mask)
@@ -396,7 +432,7 @@ class PointSet:
         return hash((id(self.poset), self.mask))
 
     def points(self):
-        return tuple(bits(self.mask))
+        return bits(self.mask)
 
     def __repr__(self):
         return f"PointSet({{{', '.join(map(str, self.points()))}}})"

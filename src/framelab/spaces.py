@@ -48,7 +48,7 @@ class FinPriestley:
     """Finite Priestley space: a poset of points, topology implicitly discrete."""
 
     __slots__ = ("points", "_ker", "_core", "_reg", "_cen", "_scott", "_bisets",
-                 "_components")
+                 "_components", "_lspace")
 
     def __init__(self, points):
         if not isinstance(points, Poset):
@@ -60,6 +60,7 @@ class FinPriestley:
         self._scott = None
         self._bisets = None
         self._components = None
+        self._lspace = None
 
     @property
     def size(self):
@@ -392,9 +393,20 @@ def lspace_predicate_witness(space, name):
     """Evaluate an L-space condition; returns (bool, witness or None).
 
     Density of O in U means cl(O) = U, that is O = U on a finite space.
+    Each result is kept per space and name, so a condition shared by
+    several conjunctions (kernelStable, lCompact) is evaluated once.
     """
     if name not in LSPACE_PREDICATES:
         raise UnknownPredicate(f"unknown L-space predicate {name!r}")
+    memo = space._lspace
+    if memo is None:
+        memo = space._lspace = {}
+    if name not in memo:
+        memo[name] = _lspace_predicate_witness(space, name)
+    return memo[name]
+
+
+def _lspace_predicate_witness(space, name):
     if name in _CONJUNCTIONS:
         return _conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
     ups = clop_upset_masks(space)

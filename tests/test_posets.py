@@ -1,6 +1,7 @@
 """Poset substrate: construction, closures, upset families, enumeration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from framelab import (
     CapacityError,
     CycleError,
     MonotoneMap,
+    PointSet,
     Poset,
     all_upsets,
     down_closure,
@@ -351,3 +353,19 @@ def test_doc_rejects_garbage():
 def test_bits_and_popcount():
     assert list(bits(0b101001)) == [0, 3, 5]
     assert popcount(0b101001) == 3
+
+
+def test_bits_matches_a_reference_loop():
+    def reference(mask):
+        return tuple(i for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+    rng = random.Random(5)
+    masks = [0, 1, 255, 256, 2**64 - 1, 2**64, 2**300 - 1]
+    masks += [rng.getrandbits(rng.randrange(301)) for _ in range(500)]
+    for mask in masks:
+        assert bits(mask) == reference(mask), mask
+    with pytest.raises(ValueError):
+        bits(-1)
+    p = Poset.chain(3)
+    assert next(iter(PointSet(p, 0b110))) == 1
+    assert list(PointSet(p, 0b101)) == [0, 2]
