@@ -10,7 +10,10 @@ MAX_POSET_SIZE = 6
 # Upset families larger than this (i.e. 2**size) are refused.
 MAX_UPSET_FAMILY = 1 << 16
 
-# Map/hom enumerations whose raw search space exceeds this are refused.
+# Searches whose raw space exceeds this are refused: monotone maps p -> q
+# (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|, two
+# more source points for unbounded lattice homs), and the permutations a
+# poset's canonical form tries (the product of its colour-class factorials).
 MAX_SEARCH_SPACE = 1 << 20
 
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having

@@ -14,8 +14,6 @@ the two routes against each other once per lattice.
 
 from __future__ import annotations
 
-import itertools
-
 from . import config
 from .errors import (
     CapacityError,
@@ -24,7 +22,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, bits, popcount
+from .posets import Poset, bits, iter_monotone_image_tuples
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -718,94 +716,48 @@ def hom_predicate(hom, name):
 def enumerate_homs(source, target, kind, search_bound=None):
     """All maps satisfying hom_predicate(., kind), in image order.
 
-    Search: a lattice map is determined by its values on the join
-    irreducibles (plus the bottom's image when bounds need not be
-    preserved); candidates are generated by backtracking with monotonicity
-    and pairwise meet-consistency pruning. The meet-consistency targets of a
-    level do not depend on the value tried there, so they are built once per
-    level, before its candidates. The bounded kinds (all but latticeHom)
-    also drop a complete assignment whose join, the top's image, is not the
-    target's top. Every surviving candidate is checked against the literal
-    predicate, through the hom's cached flags.
+    Search through the dual: frame homs L → M between finite distributive
+    lattices correspond one to one to monotone maps f: X_M → X_L between
+    their join-irreducible posets (`join_irreducible_poset`), with
+    h(a) = ⋁{y ∈ J(M) : f(y) ≤ a}. A latticeHom need not preserve the
+    bounds, so it is a frame hom out of L with a new bottom and a new top
+    adjoined. Dually, X_L gains two points: the old bottom, which lies below
+    every a, so every y sent there lies under every h(a), and the new top,
+    which lies below none. The search space counted against the bound is
+    |X_L|^|J(M)|, the two extra points included. Both lattices must be
+    distributive, or the correspondence fails. Every built map is checked
+    against the literal predicate, through the hom's cached flags.
     """
     if kind not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {kind!r}")
+    source.require_distributive()
+    target.require_distributive()
     bound = config.MAX_SEARCH_SPACE if search_bound is None else search_bound
-    irr = join_irreducibles(source)
-    base_choices = 1 if kind != "latticeHom" else target.size
-    if target.size ** len(irr) * base_choices > bound:
+    points = join_irreducible_poset(source)
+    # above[x]: the source elements a with x <= a, for each dual point x
+    above = [source.up[j] for j in join_irreducibles(source)]
+    if kind == "latticeHom":
+        # point k (the old bottom) is the greatest in the reversed order of
+        # X_L, and point k + 1 (the new top) the least
+        k = points.size
+        points = Poset(
+            [m | 1 << k for m in points.up] + [1 << k, (1 << k + 2) - 1],
+            _trusted=True,
+        )
+        above += [source.full_mask, 0]
+    tgt_irr = join_irreducibles(target)
+    if len(above) ** len(tgt_irr) > bound:
         raise CapacityError("hom search space exceeds the configured bound")
-
-    # ascending in the source order so everything below a node is assigned
-    irr.sort(key=lambda j: (popcount(source.down[j]), j))
-    k = len(irr)
-    irr_below = [
-        [t for t in range(k) if source.leq(irr[t], irr[s])] for s in range(k)
-    ]
-    meet_irr = [
-        [
-            [t for t in range(k) if source.leq(irr[t], source.meet[irr[s1]][irr[s2]])]
-            for s2 in range(k)
-        ]
-        for s1 in range(k)
-    ]
-    elem_irr = [
-        [t for t in range(k) if source.leq(irr[t], a)] for a in range(source.size)
-    ]
-
+    irr_mask = _irr_mask(target)
+    element_of = {target.down[e] & irr_mask: e for e in range(target.size)}
     results = []
-    assigned = [0] * k
-    bounded = kind != "latticeHom"
-
-    def extend(base):
-        image = []
-        for a in range(source.size):
-            v = base
-            for t in elem_irr[a]:
-                v = target.join[v][assigned[t]]
-            image.append(v)
-        return tuple(image)
-
-    def backtrack(s, base):
-        if s == k:
-            if bounded:
-                top_image = base
-                for c in assigned:
-                    top_image = target.join[top_image][c]
-                if top_image != target.top:
-                    return
-            hom = LatticeHom(source, target, extend(base))
-            if hom._flag(kind):
-                results.append(hom)
-            return
-        lower = base
-        for t in irr_below[s]:
-            if t != s:
-                lower = target.join[lower][assigned[t]]
-        # (h(irr[t]), h(irr[s] ∧ irr[t])) for t < s: c ∧ h(irr[t]) must equal
-        # the second, and irr[s] ∧ irr[t] lies below irr[t], so neither reads c
-        meets = []
-        for t in range(s):
-            expected = base
-            for r in meet_irr[s][t]:
-                expected = target.join[expected][assigned[r]]
-            meets.append((assigned[t], expected))
-        for c in bits(target.up[lower]):
-            meet_c = target.meet[c]
-            for assigned_t, expected in meets:
-                if meet_c[assigned_t] != expected:
-                    break
-            else:
-                assigned[s] = c
-                backtrack(s + 1, base)
-
-    try:
-        if kind == "latticeHom":
-            for base in range(target.size):
-                backtrack(0, base)
-        else:
-            backtrack(0, target.bottom)
-    finally:
-        del backtrack  # it refers to itself; free the cycle without the collector
+    for f in iter_monotone_image_tuples(join_irreducible_poset(target), points):
+        down = [0] * source.size
+        for y, x in zip(tgt_irr, f):
+            for a in bits(above[x]):
+                down[a] |= 1 << y
+        hom = LatticeHom(source, target, [element_of[m] for m in down])
+        if hom._flag(kind):
+            results.append(hom)
     results.sort(key=lambda h: h.image)
     return results

@@ -9,6 +9,7 @@ operations. All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 
 from . import config
 from .errors import BindingError, CapacityError, CycleError
@@ -306,12 +307,15 @@ class Poset:
 
         Color refinement narrows the candidate orderings; ties are broken by
         brute force over permutations inside each color class, which is cheap
-        at the sizes this library targets.
+        at the sizes this library targets. A search over more orderings than
+        `config.MAX_SEARCH_SPACE` raises CapacityError.
         """
         if self._canon is not None:
             return self._canon
         n = self.size
         classes = self._color_classes()
+        if math.prod(math.factorial(len(c)) for c in classes) > config.MAX_SEARCH_SPACE:
+            raise CapacityError("canonical form search exceeds the configured bound")
         best_key = None
         best_order = None
         for perm_parts in itertools.product(

@@ -176,7 +176,7 @@ def test_functor_laws_small():
 def test_dualization_full_and_injective_small():
     from framelab.posets import monotone_maps
 
-    lats = corpus(3)
+    lats = corpus(4)
     for src in lats:
         for tgt in lats:
             homs = enumerate_homs(src, tgt, "frameHom")

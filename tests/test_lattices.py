@@ -424,6 +424,23 @@ def test_enumerate_homs_capacity():
     big = birkhoff_lattice(Poset.antichain(4))
     with pytest.raises(CapacityError):
         enumerate_homs(big, big, "frameHom", search_bound=100)
+    # the dual search counts |X_L|^|J(M)| maps: 4^4 here
+    assert enumerate_homs(big, big, "frameHom", search_bound=256)
+    with pytest.raises(CapacityError):
+        enumerate_homs(big, big, "frameHom", search_bound=255)
+    # 4^6 maps of the dual 6-antichain into the dual 4-chain, every one a hom
+    target = birkhoff_lattice(Poset.antichain(6))
+    assert len(enumerate_homs(FinDLat.chain(5), target, "frameHom")) == 4096
+
+
+def test_enumerate_homs_requires_distributive_lattices():
+    # the dual correspondence fails on M3 and N5: without the guard, B2 -> N5
+    # gives 4 frame homs where there are 6
+    for bad in (m3(), n5()):
+        for kind in ("latticeHom", "frameHom"):
+            for source, target in ((bad, b2()), (b2(), bad)):
+                with pytest.raises(DistributivityError):
+                    enumerate_homs(source, target, kind)
 
 
 def test_searches_leave_no_reference_cycles():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from framelab import (
     monotone_maps,
     up_closure,
 )
+from framelab import posets
 from framelab.posets import bits, compose_maps, iter_monotone_image_tuples, popcount
 
 
@@ -271,6 +273,23 @@ def test_relabel_preserves_canonical_key():
     p = Poset.from_covers([(0, 1), (0, 2), (2, 3)], 4)
     for perm in itertools.permutations(range(4)):
         assert p.relabel(list(perm)).canonical_key() == p.canonical_key()
+
+
+def test_canonical_key_capacity(monkeypatch):
+    # 10! orderings of one colour class exceed the default bound of 2**20, so
+    # the search must be refused before it starts
+    def no_search(*args):
+        raise AssertionError("the permutation search started")
+
+    monkeypatch.setattr(
+        posets,
+        "itertools",
+        SimpleNamespace(product=no_search, permutations=itertools.permutations),
+    )
+    with pytest.raises(CapacityError):
+        Poset.antichain(10).canonical_key()
+    monkeypatch.undo()
+    assert Poset.antichain(6).canonical_key() == (6, tuple(1 << i for i in range(6)))
 
 
 # -- monotone maps ------------------------------------------------------------
