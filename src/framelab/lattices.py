@@ -44,6 +44,11 @@ class FinDLat:
     Distributivity is not enforced at construction; call
     `require_distributive` (or check `is_distributive`) where it matters, so
     non-distributive input can be constructed and then rejected explicitly.
+
+    `join[a][b]` and `meet[a][b]` read the same at every size; each row is
+    `bytes` when size <= 256 (97 bytes for 64 elements, against a tuple's 552)
+    and a tuple otherwise. The underscored slots are caches filled on first
+    use, among them the `frame_predicate_witness` results per name.
     """
 
     __slots__ = (
@@ -65,9 +70,11 @@ class FinDLat:
         "_wb_checked",
         "_wb_members",
         "_compact",
+        "_compact_set",
         "_pairs",
         "_join_irr",
         "_priestley_record",
+        "_frame",
     )
 
     def __init__(self, up, join, meet, bottom, top, labels=None,
@@ -79,8 +86,9 @@ class FinDLat:
             for j in bits(self.up[i]):
                 down[j] |= 1 << i
         self.down = tuple(down)
-        self.join = tuple(tuple(row) for row in join)
-        self.meet = tuple(tuple(row) for row in meet)
+        row = bytes if self.size <= 256 else tuple
+        self.join = tuple(map(row, join))
+        self.meet = tuple(map(row, meet))
         self.bottom = bottom
         self.top = top
         self.labels = tuple(labels) if labels is not None else None
@@ -94,9 +102,11 @@ class FinDLat:
         self._wb_checked = False
         self._wb_members = None
         self._compact = None
+        self._compact_set = None
         self._pairs = None
         self._join_irr = None
         self._priestley_record = None
+        self._frame = None
 
     # -- constructors -----------------------------------------------------
 
@@ -477,6 +487,13 @@ def compact_elements(lattice):
     return list(lattice._compact)
 
 
+def _compact_set(lattice):
+    """compact_elements as a frozenset, built once per lattice through it."""
+    if lattice._compact_set is None:
+        lattice._compact_set = frozenset(compact_elements(lattice))
+    return lattice._compact_set
+
+
 # -- pseudocomplement and well inside ----------------------------------------------
 
 
@@ -525,7 +542,18 @@ def frame_predicate_witness(lattice, name):
     """Literal evaluation of a frame property; returns (bool, witness or None).
 
     Way-below always means the ideal oracle here, never the order shortcut.
+    Each result is kept per lattice and name, and the composites (coherent,
+    stone, arithmetic) read their parts through it: one evaluation each.
     """
+    memo = lattice._frame
+    if memo is None:
+        memo = lattice._frame = {}
+    if name not in memo:
+        memo[name] = _frame_predicate_witness(lattice, name)
+    return memo[name]
+
+
+def _frame_predicate_witness(lattice, name):
     n = lattice.size
     rows = way_below_rows_oracle(lattice)
     if name == "compactFrame":
@@ -576,14 +604,14 @@ def frame_predicate_witness(lattice, name):
             return ok, w
         return frame_predicate_witness(lattice, "zeroDimensional")
     if name == "spatial":
+        # key each element by its memberships in the prime filters; the
+        # witness is the first element that shares its key, with the next one
         primes = prime_filters(lattice)
+        classes = {}
         for a in range(n):
-            for b in range(n):
-                if a != b and all(
-                    ((f >> a) & 1) == ((f >> b) & 1) for f in primes
-                ):
-                    return False, {"pair": (a, b)}
-        return True, None
+            classes.setdefault(tuple((f >> a) & 1 for f in primes), []).append(a)
+        pairs = [tuple(c[:2]) for c in classes.values() if len(c) > 1]
+        return (False, {"pair": min(pairs)}) if pairs else (True, None)
     raise UnknownPredicate(f"unknown frame predicate {name!r}")
 
 
@@ -701,8 +729,7 @@ def hom_predicate(hom, name):
     if not hom._flag("frameHom"):
         return False
     if name == "coherentHom":
-        tgt_compact = set(compact_elements(tgt))
-        return tgt_compact.issuperset(map(img.__getitem__, compact_elements(src)))
+        return _compact_set(tgt).issuperset(map(img.__getitem__, _compact_set(src)))
     # properHom: a << b implies h(a) << h(b), both sides by the ideal oracle
     tgt_rows = way_below_rows_oracle(tgt)
     for a, way_above in enumerate(_way_below_members(src)):

@@ -48,7 +48,7 @@ class FinPriestley:
     """Finite Priestley space: a poset of points, topology implicitly discrete."""
 
     __slots__ = ("points", "_ker", "_core", "_reg", "_cen", "_scott", "_bisets",
-                 "_components", "_lspace")
+                 "_components", "_lspace", "_point_space")
 
     def __init__(self, points):
         if not isinstance(points, Poset):
@@ -61,6 +61,7 @@ class FinPriestley:
         self._bisets = None
         self._components = None
         self._lspace = None
+        self._point_space = None
 
     @property
     def size(self):
@@ -110,18 +111,22 @@ def _upset_mask_of(space, point_set):
 class PointSpace:
     """The spatial part with its space-of-points topology, opens listed."""
 
-    __slots__ = ("poset", "opens")
+    __slots__ = ("poset", "opens", "_closed", "_predicates")
 
     def __init__(self, poset, opens):
         self.poset = poset
         self.opens = tuple(sorted(set(opens), key=mask_order_key))
+        self._closed = None
+        self._predicates = {}
 
     @property
     def full_mask(self):
         return self.poset.full_mask
 
     def closed_sets(self):
-        return [self.full_mask & ~o for o in self.opens]
+        if self._closed is None:
+            self._closed = tuple(self.full_mask & ~o for o in self.opens)
+        return self._closed
 
     def clopen_sets(self):
         opens = set(self.opens)
@@ -148,10 +153,12 @@ def spatial_part(space):
     """The spatial part and its point-space topology {U ∩ Y : U clopen upset}.
 
     Y is the whole space, so the opens are the clopen upsets: the upset
-    (Alexandroff) topology of the order.
+    (Alexandroff) topology of the order. The `PointSpace` is built once per
+    space, so its predicate memo is shared by every caller.
     """
-    return (PointSet(space.points, spatial_mask(space)),
-            PointSpace(space.points, clop_upset_masks(space)))
+    if space._point_space is None:
+        space._point_space = PointSpace(space.points, clop_upset_masks(space))
+    return PointSet(space.points, spatial_mask(space)), space._point_space
 
 
 # -- way below / kernel ----------------------------------------------------------
@@ -559,8 +566,22 @@ def point_space_predicate(point_space, name):
 
 
 def point_space_predicate_witness(point_space, name):
+    """Evaluate a point-space condition; returns (bool, witness or None).
+
+    Each result is kept on the point space per name, so a condition that
+    several conjunctions or validators ask for (stablyCompactlyBased inside
+    spectral, zeroDimensional inside stoneSpace) is evaluated once. The
+    closed sets are cached too, for `point_closure`.
+    """
     if name not in POINT_SPACE_PREDICATES:
         raise UnknownPredicate(f"unknown point-space predicate {name!r}")
+    memo = point_space._predicates
+    if name not in memo:
+        memo[name] = _point_space_predicate_witness(point_space, name)
+    return memo[name]
+
+
+def _point_space_predicate_witness(point_space, name):
     if name in _CONJUNCTIONS:
         return _conjunction(point_space_predicate_witness, point_space,
                             _CONJUNCTIONS[name])

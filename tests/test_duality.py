@@ -1,11 +1,12 @@
 """Functors, Stone maps, round trips, hom dualization, theorem validators."""
 
 import itertools
+from collections import Counter
 
 import pytest
 
 from framelab import ConsistencyError, NotFrameHom, Poset, enumerate_posets, isomorphic
-from framelab import duality, lattices
+from framelab import duality, lattices, spaces
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
@@ -32,6 +33,7 @@ from framelab.spaces import (
     clop_upset_masks,
     compose_space_maps,
     map_predicate,
+    spatial_part,
 )
 
 _B2 = birkhoff_lattice(Poset.antichain(2))
@@ -262,6 +264,32 @@ def test_proper_coherent_reports_a_disagreement(monkeypatch):
     report = validate("properCoherent", FinDLat.chain(3))
     assert report.status == "fail"
     assert report.witness["sides"] == [False, True]
+
+
+def test_validate_all_evaluates_each_predicate_once(monkeypatch):
+    calls = Counter()
+    frame_body = lattices._frame_predicate_witness
+    point_body = spaces._point_space_predicate_witness
+
+    def count_frame(lat, name):
+        calls[lat, name] += 1
+        return frame_body(lat, name)
+
+    def count_point(point_space, name):
+        calls[point_space, name] += 1
+        return point_body(point_space, name)
+
+    monkeypatch.setattr(lattices, "_frame_predicate_witness", count_frame)
+    monkeypatch.setattr(spaces, "_point_space_predicate_witness", count_point)
+    lat = birkhoff_lattice(Poset.antichain(6))
+    assert all(r.passed for r in validate_all(lat))
+    names = {name for _, name in calls}
+    # every frame and point-space side of the four three-way validators ran
+    assert {"arithmetic", "coherent", "spatial", "stone", "stoneSpace",
+            "spectral", "zeroDimensional"} <= names
+    assert max(calls.values()) == 1, calls.most_common(3)
+    space = priestley_space_of(lat).space
+    assert spatial_part(space)[1] is spatial_part(space)[1]
 
 
 def test_validate_all_returns_every_validator():

@@ -142,6 +142,28 @@ def n5():
     return FinDLat.from_leq_pairs(5, pairs)
 
 
+@pytest.mark.parametrize("n", [256, 257])
+def test_chain_tables_at_the_row_width_boundary(n):
+    lat = FinDLat.chain(n)
+    assert isinstance(lat.join[0], bytes) == isinstance(lat.meet[0], bytes) == (n <= 256)
+    corners = (0, 1, n - 2, n - 1)
+    for a in corners:
+        for b in corners:
+            assert lat.join[a][b] == max(a, b)
+            assert lat.meet[a][b] == min(a, b)
+
+
+def test_birkhoff_tables_at_256_elements():
+    lat = birkhoff_lattice(Poset.antichain(8))
+    assert lat.size == 256 and isinstance(lat.join[0], bytes)
+    masks = lat.element_upsets
+    corners = (0, 1, 2, 127, 128, 253, 254, 255)
+    for a in corners:
+        for b in corners:
+            assert masks[lat.join[a][b]] == masks[a] | masks[b]
+            assert masks[lat.meet[a][b]] == masks[a] & masks[b]
+
+
 def test_non_distributive_input_is_constructible_then_rejected():
     for lat in (m3(), n5()):
         assert not lat.is_distributive()
@@ -320,6 +342,28 @@ def test_finite_collapse_of_frame_predicates(lat):
     assert frame_predicate(lat, "coherent") == frame_predicate(lat, "compactFrame")
     assert frame_predicate(lat, "compactFrame")
     assert frame_predicate(lat, "spatial")
+
+
+def spatial_pairwise(lat):
+    """Reference scan: the first a, then the first b != a, in the same prime filters."""
+    primes = prime_filters(lat)
+    for a in range(lat.size):
+        for b in range(lat.size):
+            if a != b and all((f >> a) & 1 == (f >> b) & 1 for f in primes):
+                return False, {"pair": (a, b)}
+    return True, None
+
+
+def test_spatial_fails_where_prime_filters_do_not_separate():
+    # M3 has no prime filter at all; in N5 the elements a and c lie in the
+    # same prime filters (up-a and up-b)
+    assert frame_predicate_witness(m3(), "spatial") == (False, {"pair": (0, 1)})
+    assert frame_predicate_witness(n5(), "spatial") == (False, {"pair": (1, 3)})
+
+
+def test_spatial_agrees_with_a_pairwise_scan():
+    for lat in corpus_lattices() + [m3(), n5()]:
+        assert frame_predicate_witness(lat, "spatial") == spatial_pairwise(lat)
 
 
 @pytest.mark.parametrize("lat", corpus_lattices(), ids=lambda l: f"m{l.size}")
