@@ -393,22 +393,19 @@ def _v_scott_extensions(lattice, corpus, cap):
     ups = clop_upset_masks(space)
     scott = clop_scott_upset_masks(space)
     y_mask = spatial_mask(space)
-    all_scott_upsets = [
-        m for m in ups if is_scott_upset(space, PointSet(space.points, m))
-    ]
     for um in ups:
         ker_m = _kernel_mask(space, um)
         core_m = _core_mask(space, um)
+        inside = [v for v in scott if v & ~um == 0]
+        covered = 0
+        for v in inside:
+            covered |= v
         s1 = ker_m == core_m
         s2 = core_m == um
-        s3 = all(
-            any((v >> y) & 1 and v & ~um == 0 for v in scott)
-            for y in bits(um & y_mask)
-        )
+        # every spatial point of U lies in a Scott upset inside U
+        s3 = um & y_mask & ~covered == 0
         s4 = all(
-            any(f & ~v == 0 and v & ~um == 0 for v in scott)
-            for f in all_scott_upsets
-            if f & ~ker_m == 0
+            any(f & ~v == 0 for v in inside) for f in scott if f & ~ker_m == 0
         )
         if not s1 == s2 == s3 == s4:
             return {"upset": um, "sides": [s1, s2, s3, s4]}

@@ -167,12 +167,6 @@ class FinDLat:
             out = self.join[out][a]
         return out
 
-    def meet_of(self, elements):
-        out = self.top
-        for a in elements:
-            out = self.meet[out][a]
-        return out
-
     def carrier_poset(self):
         if self._carrier is None:
             self._carrier = Poset(self.up, _trusted=True)
@@ -243,8 +237,13 @@ class FinDLat:
         if "birkhoff" in doc:
             return birkhoff_lattice(Poset.from_doc(doc["birkhoff"]))
         if "elements" in doc:
+            size = int(doc["elements"])
+            # refused before anything is allocated: the largest lattice the
+            # upset-family bound admits, a Birkhoff lattice, has that many elements
+            if size > config.MAX_UPSET_FAMILY:
+                raise CapacityError(f"lattice size {size} exceeds the upset-family bound")
             return cls.from_leq_pairs(
-                int(doc["elements"]),
+                size,
                 [tuple(p) for p in doc.get("leq", [])],
                 bottom=doc.get("bottom"),
                 top=doc.get("top"),
@@ -646,10 +645,6 @@ class LatticeHom:
         if name not in self._flags:
             self._flags[name] = hom_predicate(self, name)
         return self._flags[name]
-
-    @property
-    def is_lattice_hom(self):
-        return self._flag("latticeHom")
 
     @property
     def is_frame_hom(self):

@@ -194,12 +194,6 @@ class Poset:
             out |= self.down[i]
         return out
 
-    def is_upset_mask(self, mask):
-        return self.up_mask(mask) == mask
-
-    def is_downset_mask(self, mask):
-        return self.down_mask(mask) == mask
-
     def covers(self):
         """Cover pairs (i, j) meaning j covers i, sorted lexicographically."""
         if self._covers is None:
@@ -357,10 +351,12 @@ class Poset:
     def from_doc(cls, doc):
         if not isinstance(doc, dict) or "size" not in doc:
             raise ValueError("not a poset document")
+        size = int(doc["size"])
+        # refused before anything is allocated: 2^size upsets must fit the bound
+        if size >= config.MAX_UPSET_FAMILY.bit_length():
+            raise CapacityError(f"poset size {size} exceeds the upset-family bound")
         return cls.from_covers(
-            [tuple(c) for c in doc.get("covers", [])],
-            int(doc["size"]),
-            labels=doc.get("labels"),
+            [tuple(c) for c in doc.get("covers", [])], size, labels=doc.get("labels")
         )
 
     def __repr__(self):
@@ -467,12 +463,6 @@ class MonotoneMap:
 
     def __call__(self, point):
         return self.image[point]
-
-    def image_mask(self, mask):
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.image[i]
-        return out
 
     def preimage_mask(self, mask):
         out = 0

@@ -47,8 +47,8 @@ POINT_SPACE_PREDICATES = (
 class FinPriestley:
     """Finite Priestley space: a poset of points, topology implicitly discrete."""
 
-    __slots__ = ("points", "_ker", "_core", "_reg", "_cen", "_scott", "_bisets",
-                 "_components", "_lspace", "_point_space")
+    __slots__ = ("points", "_ker", "_core", "_reg", "_downsets", "_cen", "_scott",
+                 "_bisets", "_components", "_lspace", "_point_space")
 
     def __init__(self, points):
         if not isinstance(points, Poset):
@@ -57,6 +57,7 @@ class FinPriestley:
         # per-operator memo dicts, created on first use: a corpus that is
         # only built never runs an operator, and each empty dict is 64 bytes
         self._ker = self._core = self._reg = self._cen = None
+        self._downsets = None
         self._scott = None
         self._bisets = None
         self._components = None
@@ -165,29 +166,35 @@ def spatial_part(space):
 
 
 def clop_way_below(space, v, u):
-    """V ≪ U: every upset W with U ⊆ W (= cl W) already contains V.
+    """V ≪ U: every upset W with U ⊆ W (= cl W) already contains V, that is
+    V ⊆ ⋂{W : U ⊆ W}.
 
     Checked against the finite collapse (V ≪ U iff V ⊆ U).
     """
     vm = _upset_mask_of(space, v)
     um = _upset_mask_of(space, u)
-    result = _clop_way_below_masks(clop_upset_masks(space), vm, um)
+    result = vm & ~_upsets_above_meet(space, um) == 0
     if result != (vm & ~um == 0):
         raise ConsistencyError("clopen way-below must collapse to inclusion finitely")
     return result
 
 
-def _clop_way_below_masks(ups, vm, um):
-    for w in ups:
-        if um & ~w == 0 and vm & ~w:
-            return False
-    return True
+def _upsets_above_meet(space, um):
+    """⋂{W clopen upset : U ⊆ W}; V ≪ U iff V lies inside it."""
+    out = space.full_mask
+    for w in clop_upset_masks(space):
+        if um & ~w == 0:
+            out &= w
+    return out
 
 
 def kernel(space, u):
-    """ker U: union of the clopen upsets way below U."""
-    um = _upset_mask_of(space, u)
-    return PointSet(space.points, _kernel_mask(space, um))
+    """ker U: union of the clopen upsets way below U.
+
+    V ≪ U iff V ⊆ ⋂{W clopen upset : U ⊆ W}, so the intersection is formed
+    once per U and ker U is the union of the clopen upsets inside it.
+    """
+    return PointSet(space.points, _kernel_mask(space, _upset_mask_of(space, u)))
 
 
 def _kernel_mask(space, um):
@@ -195,13 +202,17 @@ def _kernel_mask(space, um):
     if memo is None:
         memo = space._ker = {}
     if um not in memo:
-        out = 0
-        ups = clop_upset_masks(space)
-        for vm in ups:
-            if _clop_way_below_masks(ups, vm, um):
-                out |= vm
-        memo[um] = out
+        memo[um] = _union_inside(clop_upset_masks(space), _upsets_above_meet(space, um))
     return memo[um]
+
+
+def _union_inside(family, bound):
+    """Union of the members of `family` contained in `bound`."""
+    out = 0
+    for vm in family:
+        if vm & ~bound == 0:
+            out |= vm
+    return out
 
 
 # -- Scott upsets and the core ------------------------------------------------------
@@ -249,8 +260,7 @@ def clop_scott_upsets(space):
 
 def core(space, u):
     """core U: union of the clopen Scott upsets contained in U."""
-    um = _upset_mask_of(space, u)
-    return PointSet(space.points, _core_mask(space, um))
+    return PointSet(space.points, _core_mask(space, _upset_mask_of(space, u)))
 
 
 def _core_mask(space, um):
@@ -258,11 +268,7 @@ def _core_mask(space, um):
     if memo is None:
         memo = space._core = {}
     if um not in memo:
-        out = 0
-        for vm in clop_scott_upset_masks(space):
-            if vm & ~um == 0:
-                out |= vm
-        memo[um] = out
+        memo[um] = _union_inside(clop_scott_upset_masks(space), um)
     return memo[um]
 
 
@@ -277,15 +283,19 @@ def clop_well_inside(space, v, u):
 
 
 def reg_part(space, u):
-    """reg U: union of the clopen upsets well inside U."""
+    """reg U: union of the clopen upsets V well inside U, that is with ↓V ⊆ U.
+
+    The downset of each clopen upset is computed once per space.
+    """
     um = _upset_mask_of(space, u)
     memo = space._reg
     if memo is None:
         memo = space._reg = {}
+        space._downsets = tuple(map(space.points.down_mask, clop_upset_masks(space)))
     if um not in memo:
         out = 0
-        for vm in clop_upset_masks(space):
-            if space.points.down_mask(vm) & ~um == 0:
+        for vm, dm in zip(clop_upset_masks(space), space._downsets):
+            if dm & ~um == 0:
                 out |= vm
         memo[um] = out
     return PointSet(space.points, memo[um])
@@ -343,11 +353,7 @@ def center(space, u):
     if memo is None:
         memo = space._cen = {}
     if um not in memo:
-        out = 0
-        for vm in clopen_biset_masks(space):
-            if vm & ~um == 0:
-                out |= vm
-        memo[um] = out
+        memo[um] = _union_inside(clopen_biset_masks(space), um)
     return PointSet(space.points, memo[um])
 
 
@@ -428,11 +434,14 @@ def _lspace_predicate_witness(space, name):
         return _density_sweep(space, ups, lambda s, m: center(
             s, PointSet(s.points, m)).mask)
     if name == "kernelStable":
-        for um in ups:
-            for vm in ups:
-                lhs = _kernel_mask(space, um & vm)
-                rhs = _kernel_mask(space, um) & _kernel_mask(space, vm)
-                if lhs != rhs:
+        # ker(U ∩ V) = ker U ∩ ker V, with each kernel read once from
+        # _kernel_mask (V ≪ U iff V ⊆ ⋂{W : U ⊆ W}). The condition is symmetric
+        # in U and V, so the first failing pair in row-major order has V at
+        # or after U.
+        ker = {um: _kernel_mask(space, um) for um in ups}
+        for i, um in enumerate(ups):
+            for vm in ups[i:]:
+                if ker[um & vm] != ker[um] & ker[vm]:
                     return False, {"upsets": (um, vm)}
         return True, None
     # lCompact

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from framelab import CapacityError
 from framelab.corpus import (
     corpus_from_json,
     corpus_to_json,
@@ -35,4 +36,13 @@ def test_tampered_manifest_hash_is_rejected():
     doc = json.loads(corpus_to_json(_CORPUS))
     doc["manifest"]["hash"] = "0" * 16
     with pytest.raises(ValueError, match="manifest hash"):
+        corpus_from_json(json.dumps(doc))
+
+
+def test_oversized_poset_is_refused_before_allocation():
+    doc = {
+        "manifest": {"max_size": 0, "count": 1, "hash": ""},
+        "entries": [{"id": "0" * 12, "poset": {"size": 10**12, "covers": []}}],
+    }
+    with pytest.raises(CapacityError):
         corpus_from_json(json.dumps(doc))

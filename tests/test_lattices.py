@@ -15,7 +15,7 @@ from framelab import (
     enumerate_posets,
     isomorphic,
 )
-from framelab import lattices
+from framelab import config, lattices
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
@@ -553,3 +553,16 @@ def test_lattice_doc_round_trip_explicit():
     assert again.up == lat.up
     with pytest.raises(ValueError):
         FinDLat.from_doc({"nope": 1})
+
+
+def test_lattice_doc_size_is_bounded_by_the_upset_family(monkeypatch):
+    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 4)
+    square = birkhoff_lattice(Poset.antichain(2))
+    explicit = FinDLat.from_leq_pairs(4, [(a, b) for a in range(4) for b in range(4)
+                                          if square.leq(a, b)]).to_doc()
+    assert FinDLat.from_doc(explicit).size == 4
+    assert FinDLat.from_doc(square.to_doc()).size == 4
+    with pytest.raises(CapacityError):
+        FinDLat.from_doc(m3().to_doc())
+    with pytest.raises(CapacityError):
+        FinDLat.from_doc(birkhoff_lattice(Poset.chain(4)).to_doc())

@@ -22,7 +22,7 @@ from framelab import (
     monotone_maps,
     up_closure,
 )
-from framelab import posets
+from framelab import config, posets
 from framelab.posets import bits, compose_maps, iter_monotone_image_tuples, popcount
 
 
@@ -364,6 +364,17 @@ def test_doc_round_trip():
 def test_doc_rejects_garbage():
     with pytest.raises(ValueError):
         Poset.from_doc({"covers": []})
+
+
+def test_doc_size_is_bounded_by_the_upset_family(monkeypatch):
+    # 2^16 upsets fit the default bound, 2^17 do not
+    assert Poset.from_doc({"size": 16}).size == 16
+    with pytest.raises(CapacityError):
+        Poset.from_doc({"size": 17})
+    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 5)
+    assert Poset.from_doc({"size": 2}).size == 2
+    with pytest.raises(CapacityError):
+        Poset.from_doc({"size": 3, "covers": [[0, 1]]})
 
 
 # -- low-level helpers ----------------------------------------------------------

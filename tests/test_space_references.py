@@ -1,0 +1,137 @@
+"""Kernel, regular part and kernel stability against their literal definitions.
+
+The references below are the pairwise quantifiers written out directly from
+the relation of the points: way-below scans every clopen upset W above U,
+well-inside takes the downset of V point by point, and kernel stability
+scans every ordered pair in row-major order. They use no helper of
+`framelab.spaces`.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framelab import Poset
+from framelab import spaces
+from framelab.corpus import gen_corpus
+from framelab.spaces import (
+    FinPriestley,
+    PointSet,
+    clop_upset_masks,
+    clop_way_below,
+    lspace_predicate_witness,
+    reg_part,
+)
+
+
+def _members(mask, n):
+    return [i for i in range(n) if (mask >> i) & 1]
+
+
+def _ref_upsets(poset):
+    """Every upset of the points, by size and then by sorted members."""
+    n = poset.size
+    ups = [
+        m
+        for m in range(1 << n)
+        if all(poset.up[i] & ~m == 0 for i in _members(m, n))
+    ]
+    return sorted(ups, key=lambda m: (len(_members(m, n)), _members(m, n)))
+
+
+def _ref_way_below(above, vm):
+    return all(vm & ~w == 0 for w in above)
+
+
+def _ref_kernels(ups):
+    kernels = {}
+    for um in ups:
+        above = [w for w in ups if um & ~w == 0]
+        out = 0
+        for vm in ups:
+            if _ref_way_below(above, vm):
+                out |= vm
+        kernels[um] = out
+    return kernels
+
+
+def _ref_downset(poset, vm):
+    n = poset.size
+    out = 0
+    for x in range(n):
+        if any((poset.up[x] >> y) & 1 for y in _members(vm, n)):
+            out |= 1 << x
+    return out
+
+
+def _ref_reg(ups, downsets, um):
+    out = 0
+    for vm in ups:
+        if downsets[vm] & ~um == 0:
+            out |= vm
+    return out
+
+
+def _ref_kernel_stable(ups, ker):
+    for um in ups:
+        for vm in ups:
+            if ker(um & vm) != ker(um) & ker(vm):
+                return False, {"upsets": (um, vm)}
+    return True, None
+
+
+def _check_against_references(space, full_pairs=False):
+    poset = space.points
+    ups = _ref_upsets(poset)
+    assert list(clop_upset_masks(space)) == ups
+    kernels = _ref_kernels(ups)
+    downsets = {vm: _ref_downset(poset, vm) for vm in ups}
+    for um in ups:
+        assert spaces._kernel_mask(space, um) == kernels[um]
+        assert reg_part(space, PointSet(poset, um)).mask == _ref_reg(ups, downsets, um)
+    assert lspace_predicate_witness(space, "kernelStable") == _ref_kernel_stable(
+        ups, kernels.__getitem__
+    )
+    if full_pairs:
+        for um in ups:
+            above = [w for w in ups if um & ~w == 0]
+            for vm in ups:
+                assert clop_way_below(
+                    space, PointSet(poset, vm), PointSet(poset, um)
+                ) == _ref_way_below(above, vm)
+
+
+def test_operators_match_references_on_the_corpus():
+    for entry in gen_corpus(4).entries:
+        _check_against_references(entry.space, full_pairs=True)
+
+
+@st.composite
+def posets_of_7_or_8_points(draw):
+    n = draw(st.integers(7, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset.from_covers([p for p, k in zip(pairs, keep) if k], n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(posets_of_7_or_8_points())
+def test_operators_match_references_on_random_posets(poset):
+    _check_against_references(FinPriestley(poset))
+
+
+def test_kernel_stable_witness_is_the_first_failing_pair(monkeypatch):
+    # a kernel that is wrong only at {0} fails only for the two orders of
+    # ({0, 1}, {0, 2}), the one pair of upsets meeting in {0}
+    space = FinPriestley(Poset.antichain(3))
+    ups = clop_upset_masks(space)
+    monkeypatch.setattr(spaces, "_kernel_mask", lambda s, m: 0 if m == 0b001 else m)
+    failing = [
+        (um, vm) for um in ups for vm in ups
+        if spaces._kernel_mask(space, um & vm)
+        != spaces._kernel_mask(space, um) & spaces._kernel_mask(space, vm)
+    ]
+    assert failing == [(0b011, 0b101), (0b101, 0b011)]
+    assert lspace_predicate_witness(space, "kernelStable") == (
+        False, {"upsets": failing[0]}
+    )
+
