@@ -386,16 +386,22 @@ def materialize(chain):
     return FinDLat.chain(size)
 
 
-def sample_elements(chain, omega_depth=3, dense_samples=(Fraction(1, 4), Fraction(1, 2), Fraction(2, 3))):
-    """A representative finite sample: bounds, block coordinates, retained sups."""
+def sample_elements(chain):
+    """A representative finite sample: bounds, block coordinates, retained sups.
+
+    An omega block contributes its first three coordinates and a dense block
+    the rationals 1/4, 1/2 and 2/3.
+    """
     out = [chain.bottom(), chain.top()]
     for i, b in enumerate(chain.blocks):
         if b[0] == FIN:
             out.extend(chain.coord(i, c) for c in range(b[1]))
         elif b[0] == OMEGA:
-            out.extend(chain.coord(i, c) for c in range(omega_depth))
+            out.extend(chain.coord(i, c) for c in range(3))
         else:
-            out.extend(chain.coord(i, q) for q in dense_samples)
+            out.extend(
+                chain.coord(i, q) for q in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3))
+            )
         if b[0] in (OMEGA, DENSE):
             out.append(chain.block_sup(i))
     seen = []

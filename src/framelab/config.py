@@ -1,7 +1,10 @@
 """Capacity bounds.
 
-All bounds are configuration, not hard constants: callers may override them
-per call, and these module attributes can be adjusted for a whole session.
+All bounds are configuration, not hard constants: these module attributes
+can be adjusted for a whole process. The searches that tests drive past a
+bound also take it per call: `family_bound` (`upset_masks`, `all_upsets`,
+`birkhoff_lattice`), `search_bound` (`monotone_maps`, `enumerate_homs`,
+`monotone_space_maps`) and `enumerate_posets(max_size)`.
 """
 
 # Largest poset size enumerate_posets / gen_corpus accept by default.
@@ -12,8 +15,9 @@ MAX_UPSET_FAMILY = 1 << 16
 
 # Searches whose raw space exceeds this are refused: monotone maps p -> q
 # (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|, two
-# more source points for unbounded lattice homs), and the permutations a
-# poset's canonical form tries (the product of its colour-class factorials).
+# more source points for unbounded lattice homs), the permutations a
+# poset's canonical form tries (the product of its colour-class factorials),
+# and the size² join/meet pairs of an explicit lattice document.
 MAX_SEARCH_SPACE = 1 << 20
 
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having

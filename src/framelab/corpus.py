@@ -43,9 +43,9 @@ class Corpus:
         return len(self.entries)
 
 
-def gen_corpus(max_size=5, size_cap=None):
+def gen_corpus(max_size=5):
     """One entry per isomorphism class of posets of size 0..max_size."""
-    cap = config.MAX_POSET_SIZE if size_cap is None else size_cap
+    cap = config.MAX_POSET_SIZE
     if max_size > cap:
         raise CapacityError(f"corpus size {max_size} exceeds the configured cap {cap}")
     entries = []

@@ -43,7 +43,7 @@ from .lattices import (
     prime_filters,
     way_below_rows_oracle,
 )
-from .posets import MonotoneMap, PointSet, Poset, bits
+from .posets import MonotoneMap, PointSet, bits
 from .spaces import (
     FinPriestley,
     SpaceMap,
@@ -53,7 +53,6 @@ from .spaces import (
     clop_scott_upset_masks,
     clop_upset_masks,
     clopen_biset_masks,
-    is_scott_upset,
     lspace_predicate_witness,
     point_space_predicate_witness,
     reg_part,
@@ -90,9 +89,6 @@ class StoneMapRecord:
     phi: tuple
     point_filters: tuple
 
-    def phi_mask(self, a):
-        return self.phi[a]
-
 
 def poset_content_id(poset):
     """Stable content hash of the canonical poset serialization."""
@@ -115,28 +111,22 @@ def lattice_content_id(lattice):
 def priestley_space_of(lattice):
     """Dual space with its Stone map, cached on the lattice.
 
-    Fast path: points are the join irreducibles, each carrying its principal
-    filter, ordered by filter inclusion. On every lattice the prime filters
+    Fast path: the points are `join_irreducible_poset(lattice)`, each
+    carrying its principal filter, so p <= q iff that filter of p lies inside
+    that of q, and φ(a) = {p : j_p <= a}. On every lattice the prime filters
     of `lattices.prime_filters`, which never consults join irreducibles,
     must produce the same space up to the unique filter-preserving
-    bijection, phi included; a mismatch raises ConsistencyError.
+    bijection, φ included; a mismatch raises ConsistencyError.
     """
     if lattice._priestley_record is not None:
         return lattice._priestley_record
-    irr = join_irreducibles(lattice)
-    filters = [lattice.up[j] for j in irr]
-    k = len(irr)
-    point_up = [0] * k
-    for p in range(k):
-        for q in range(k):
-            if filters[p] & ~filters[q] == 0:
-                point_up[p] |= 1 << q
-    points = Poset(point_up, _trusted=True)
+    points = join_irreducible_poset(lattice)
+    filters = [lattice.up[j] for j in join_irreducibles(lattice)]
     phi = []
     for a in range(lattice.size):
         mask = 0
-        for p in range(k):
-            if (filters[p] >> a) & 1:
+        for p, f in enumerate(filters):
+            if (f >> a) & 1:
                 mask |= 1 << p
         phi.append(mask)
     record = StoneMapRecord(lattice, FinPriestley(points), tuple(phi), tuple(filters))
@@ -165,7 +155,7 @@ def _check_against_oracle(record, oracle_filters):
         for f in oracle_filters:
             if (f >> a) & 1:
                 oracle_mask |= 1 << index[f]
-        if oracle_mask != record.phi_mask(a):
+        if oracle_mask != record.phi[a]:
             raise ConsistencyError("oracle and fast-path Stone maps disagree")
 
 
@@ -212,7 +202,7 @@ def round_trip_frame(lattice):
     record = priestley_space_of(lattice)
     space = record.space
     family = clop_upset_masks(space)
-    images = [record.phi_mask(a) for a in range(lattice.size)]
+    images = [record.phi[a] for a in range(lattice.size)]
     if sorted(images) != sorted(family):
         raise IsoFailure(
             "Stone map is not onto the clopen upsets",
@@ -268,10 +258,10 @@ def phi_join_law(lattice, elements):
     """
     record = priestley_space_of(lattice)
     elements = list(elements)
-    lhs = record.phi_mask(lattice.join_of(elements))
+    lhs = record.phi[lattice.join_of(elements)]
     union = 0
     for a in elements:
-        union |= record.phi_mask(a)
+        union |= record.phi[a]
     return lhs == union
 
 
@@ -303,7 +293,7 @@ class ValidationReport:
         return doc
 
 
-def validate(name, lattice, corpus=None, lattice_id=None, proper_coherent_cap=None):
+def validate(name, lattice, corpus=None, lattice_id=None):
     """Run one named validator; returns a structured report.
 
     `corpus` supplies the partner lattices for the hom sweep; `lattice` alone
@@ -315,7 +305,8 @@ def validate(name, lattice, corpus=None, lattice_id=None, proper_coherent_cap=No
     if lattice_id is None:
         lattice_id = lattice_content_id(lattice)
     started = time.perf_counter_ns()
-    witness = _VALIDATORS[name](lattice, corpus, proper_coherent_cap)
+    # every validator takes (lattice, corpus, cap); only properCoherent reads the cap
+    witness = _VALIDATORS[name](lattice, corpus, config.PROPER_COHERENT_IRREDUCIBLE_CAP)
     micros = (time.perf_counter_ns() - started) // 1000
     return ValidationReport(
         validator=name,
@@ -326,11 +317,8 @@ def validate(name, lattice, corpus=None, lattice_id=None, proper_coherent_cap=No
     )
 
 
-def validate_all(lattice, corpus=None, lattice_id=None, proper_coherent_cap=None):
-    return [
-        validate(name, lattice, corpus, lattice_id, proper_coherent_cap)
-        for name in VALIDATOR_NAMES
-    ]
+def validate_all(lattice, corpus=None, lattice_id=None):
+    return [validate(name, lattice, corpus, lattice_id) for name in VALIDATOR_NAMES]
 
 
 def _v_core_chain(lattice, corpus, cap):
@@ -348,15 +336,16 @@ def _v_compact_characterization(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
     rows = way_below_rows_oracle(lattice)
+    scott = clop_scott_upset_masks(space)
     for a in range(lattice.size):
-        phi_a = record.phi_mask(a)
+        phi_a = record.phi[a]
         s1 = bool((rows[a] >> a) & 1)
         s2 = _kernel_mask(space, phi_a) == phi_a
-        s3 = is_scott_upset(space, PointSet(space.points, phi_a))
+        s3 = phi_a in scott
         if not s1 == s2 == s3:
             return {"element": a, "sides": [s1, s2, s3]}
-    frame_compact = bool((rows[lattice.top] >> lattice.top) & 1)
-    space_compact = _kernel_mask(space, space.full_mask) == space.full_mask
+    frame_compact = frame_predicate(lattice, "compactFrame")
+    space_compact, _ = lspace_predicate_witness(space, "lCompact")
     if frame_compact != space_compact:
         return {"coda": [frame_compact, space_compact]}
     return None
@@ -373,7 +362,7 @@ def _v_algebraic_equivalence(lattice, corpus, cap):
     frame_side = True
     for a in range(lattice.size):
         lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
-        phi_a = record.phi_mask(a)
+        phi_a = record.phi[a]
         rhs = _core_mask(space, phi_a) == phi_a
         if lhs != rhs:
             return {"element": a, "sides": [lhs, rhs]}
@@ -413,8 +402,6 @@ def _v_scott_extensions(lattice, corpus, cap):
 
 
 def _v_proper_coherent(lattice, corpus, cap):
-    if cap is None:
-        cap = config.PROPER_COHERENT_IRREDUCIBLE_CAP
     own = len(join_irreducibles(lattice))
     limit = min(own, cap)
     partners = []

@@ -239,9 +239,15 @@ class FinDLat:
         if "elements" in doc:
             size = int(doc["elements"])
             # refused before anything is allocated: the largest lattice the
-            # upset-family bound admits, a Birkhoff lattice, has that many elements
+            # upset-family bound admits, a Birkhoff lattice, has that many
+            # elements, and the join/meet search visits size² pairs
             if size > config.MAX_UPSET_FAMILY:
                 raise CapacityError(f"lattice size {size} exceeds the upset-family bound")
+            if size > 0 and size * size > config.MAX_SEARCH_SPACE:
+                raise CapacityError(
+                    f"lattice size {size} needs {size * size} join/meet pairs, "
+                    "over the search bound"
+                )
             return cls.from_leq_pairs(
                 size,
                 [tuple(p) for p in doc.get("leq", [])],
@@ -302,25 +308,18 @@ def birkhoff_lattice(points, family_bound=None):
 
 
 def join_irreducibles(lattice):
-    """Elements j != 0 admitting no decomposition j = a ∨ b with a, b < j."""
+    """Elements j that are not the join of the elements strictly below them.
+
+    Any join of elements below j stays below j, so j = a ∨ b with a, b < j
+    exactly when everything strictly below j joins to j. The bottom is the
+    empty join, so it is excluded with no special case. One join per element
+    below j: O(n²), and valid on any finite lattice, distributive or not.
+    """
     if lattice._join_irr is None:
-        n = lattice.size
-        out = []
-        for j in range(n):
-            if j == lattice.bottom:
-                continue
-            reducible = False
-            for a in range(n):
-                row = lattice.join[a]
-                for b in range(a, n):
-                    if row[b] == j and a != j and b != j:
-                        reducible = True
-                        break
-                if reducible:
-                    break
-            if not reducible:
-                out.append(j)
-        lattice._join_irr = tuple(out)
+        lattice._join_irr = tuple(
+            j for j in range(lattice.size)
+            if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j
+        )
     return list(lattice._join_irr)
 
 
@@ -330,23 +329,16 @@ def join_irreducible_poset(lattice):
     With the project-wide upset convention the recovered point order is the
     reverse of the lattice order on irreducibles (the inclusion order of the
     principal filters they generate): birkhoff_lattice(join_irreducible_poset(L))
-    is isomorphic to L, and the poset is isomorphic to the dual space's points.
+    is isomorphic to L, and the poset is the dual space's point order.
     """
     irr = join_irreducibles(lattice)
     pos = {j: k for k, j in enumerate(irr)}
+    irr_mask = sum(1 << j for j in irr)
     up = [0] * len(irr)
-    irr_mask = _irr_mask(lattice)
     for j in irr:
-        for j2 in bits(lattice.down[j] & irr_mask):
-            up[pos[j]] |= 1 << pos[j2]
+        for i in bits(lattice.down[j] & irr_mask):
+            up[pos[j]] |= 1 << pos[i]
     return Poset(up, _trusted=True)
-
-
-def _irr_mask(lattice):
-    m = 0
-    for j in join_irreducibles(lattice):
-        m |= 1 << j
-    return m
 
 
 # -- ideals, filters, prime filters --------------------------------------------
@@ -740,45 +732,50 @@ def enumerate_homs(source, target, kind, search_bound=None):
 
     Search through the dual: frame homs L → M between finite distributive
     lattices correspond one to one to monotone maps f: X_M → X_L between
-    their join-irreducible posets (`join_irreducible_poset`), with
-    h(a) = ⋁{y ∈ J(M) : f(y) ≤ a}. A latticeHom need not preserve the
-    bounds, so it is a frame hom out of L with a new bottom and a new top
-    adjoined. Dually, X_L gains two points: the old bottom, which lies below
-    every a, so every y sent there lies under every h(a), and the new top,
-    which lies below none. The search space counted against the bound is
-    |X_L|^|J(M)|, the two extra points included. Both lattices must be
-    distributive, or the correspondence fails. Every built map is checked
-    against the literal predicate, through the hom's cached flags.
+    their dual spaces, read from the cached `priestley_space_of` records,
+    with h(a) = φ_M⁻¹({y ∈ X_M : f(y) ∈ φ_L(a)}). A latticeHom need not
+    preserve the bounds, so it is a frame hom out of L with a new bottom and
+    a new top adjoined. Dually, X_L gains two points: the old bottom, which
+    lies below every a, so every y sent there lies in every φ_M(h(a)), and
+    the new top, which lies below none. The search space counted against the
+    bound is |X_L|^|X_M|, the two extra points included, and it is counted
+    from `join_irreducibles` before either record is built. Both lattices
+    must be distributive, or the correspondence fails. Every built map is
+    checked against the literal predicate, through the hom's cached flags.
     """
+    from .duality import priestley_space_of
+
     if kind not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {kind!r}")
     source.require_distributive()
     target.require_distributive()
     bound = config.MAX_SEARCH_SPACE if search_bound is None else search_bound
-    points = join_irreducible_poset(source)
-    # above[x]: the source elements a with x <= a, for each dual point x
-    above = [source.up[j] for j in join_irreducibles(source)]
+    extra = 2 if kind == "latticeHom" else 0
+    if (len(join_irreducibles(source)) + extra) ** len(join_irreducibles(target)) > bound:
+        raise CapacityError("hom search space exceeds the configured bound")
+    src_rec = priestley_space_of(source)
+    tgt_rec = priestley_space_of(target)
+    points = src_rec.space.points
+    # above[x]: the source elements a with x ∈ φ_L(a), for each dual point x
+    above = list(src_rec.point_filters)
     if kind == "latticeHom":
-        # point k (the old bottom) is the greatest in the reversed order of
-        # X_L, and point k + 1 (the new top) the least
+        # point k (the old bottom) is the greatest dual point, and point
+        # k + 1 (the new top) the least
         k = points.size
         points = Poset(
             [m | 1 << k for m in points.up] + [1 << k, (1 << k + 2) - 1],
             _trusted=True,
         )
         above += [source.full_mask, 0]
-    tgt_irr = join_irreducibles(target)
-    if len(above) ** len(tgt_irr) > bound:
-        raise CapacityError("hom search space exceeds the configured bound")
-    irr_mask = _irr_mask(target)
-    element_of = {target.down[e] & irr_mask: e for e in range(target.size)}
+    element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
     results = []
-    for f in iter_monotone_image_tuples(join_irreducible_poset(target), points):
-        down = [0] * source.size
-        for y, x in zip(tgt_irr, f):
+    for f in iter_monotone_image_tuples(tgt_rec.space.points, points):
+        # phi_h[a] = φ_M(h(a)) = {y : f(y) ∈ φ_L(a)}
+        phi_h = [0] * source.size
+        for y, x in enumerate(f):
             for a in bits(above[x]):
-                down[a] |= 1 << y
-        hom = LatticeHom(source, target, [element_of[m] for m in down])
+                phi_h[a] |= 1 << y
+        hom = LatticeHom(source, target, [element_of[m] for m in phi_h])
         if hom._flag(kind):
             results.append(hom)
     results.sort(key=lambda h: h.image)

@@ -58,23 +58,23 @@ def test_priestley_space_of_b2():
     assert record.space.size == 2
     assert not record.space.points.leq(0, 1)
     assert not record.space.points.leq(1, 0)
-    atoms = sorted(record.phi_mask(a) for a in (1, 2))
+    atoms = sorted(record.phi[a] for a in (1, 2))
     assert atoms == [0b01, 0b10]
-    assert record.phi_mask(0) == 0
-    assert record.phi_mask(3) == 0b11
+    assert record.phi[0] == 0
+    assert record.phi[3] == 0b11
 
 
 def test_priestley_space_of_chains():
     two = FinDLat.chain(2)
     rec = priestley_space_of(two)
     assert rec.space.size == 1
-    assert rec.phi_mask(1) == 1 and rec.phi_mask(0) == 0
+    assert rec.phi[1] == 1 and rec.phi[0] == 0
     three = FinDLat.chain(3)
     rec3 = priestley_space_of(three)
     assert rec3.space.size == 2
     # prime filters up(1) strictly contains up(2); phi(m) is the top singleton
     assert sorted(rec3.point_filters) == [0b100, 0b110]
-    (m_point,) = bits(rec3.phi_mask(1))
+    (m_point,) = bits(rec3.phi[1])
     assert rec3.space.points.up[m_point] == 1 << m_point
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,7 @@ from framelab import (
     enumerate_posets,
     isomorphic,
 )
-from framelab import config, lattices
+from framelab import config, duality, lattices
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
@@ -204,7 +205,30 @@ def test_join_irreducibles_examples():
     assert join_irreducibles(FinDLat.chain(2)) == [1]
 
 
-@pytest.mark.parametrize("lat", corpus_lattices(), ids=lambda l: f"m{l.size}")
+def hexagon():
+    # 0 < a < b < 1 and 0 < c < d < 1: contains N5, so not distributive
+    pairs = [(0, i) for i in range(1, 6)] + [(i, 5) for i in range(1, 5)] + [(1, 2), (3, 4)]
+    return FinDLat.from_leq_pairs(6, pairs)
+
+
+def square_with_a_tail():
+    # 0 < a, b < c < 1 and 0 < d < 1: c ∧ (a ∨ d) = c but (c ∧ a) ∨ (c ∧ d) = a
+    pairs = [(0, i) for i in range(1, 6)] + [(i, 5) for i in range(1, 5)] + [(1, 3), (2, 3)]
+    return FinDLat.from_leq_pairs(6, pairs)
+
+
+# the definition must hold on any finite lattice, not only on Birkhoff ones:
+# on M3 "↑j is a prime filter" would miss the three atoms
+@pytest.mark.parametrize(
+    "lat",
+    corpus_lattices()
+    + [
+        pytest.param(lat(), id=f"nd-{lat.__name__}")
+        for lat in (m3, n5, hexagon, square_with_a_tail)
+    ]
+    + [pytest.param(FinDLat.chain(n), id=f"chain{n}") for n in range(1, 10)],
+    ids=lambda l: f"m{l.size}",
+)
 def test_join_irreducibles_have_unique_lower_cover(lat):
     carrier = lat.carrier_poset()
     expected = [
@@ -477,6 +501,17 @@ def test_enumerate_homs_capacity():
     assert len(enumerate_homs(FinDLat.chain(5), target, "frameHom")) == 4096
 
 
+def test_enumerate_homs_checks_the_bound_before_building_the_dual(monkeypatch):
+    def unbuilt(lattice):
+        raise AssertionError("dual space built before the bound check")
+
+    monkeypatch.setattr(duality, "priestley_space_of", unbuilt)
+    big = birkhoff_lattice(Poset.antichain(4))
+    for kind in ("latticeHom", "frameHom"):
+        with pytest.raises(CapacityError):
+            enumerate_homs(big, big, kind, search_bound=255)
+
+
 def test_enumerate_homs_requires_distributive_lattices():
     # the dual correspondence fails on M3 and N5: without the guard, B2 -> N5
     # gives 4 frame homs where there are 6
@@ -566,3 +601,21 @@ def test_lattice_doc_size_is_bounded_by_the_upset_family(monkeypatch):
         FinDLat.from_doc(m3().to_doc())
     with pytest.raises(CapacityError):
         FinDLat.from_doc(birkhoff_lattice(Poset.chain(4)).to_doc())
+
+
+def test_lattice_doc_size_is_bounded_by_the_search_space(monkeypatch):
+    # the lub/glb search visits size² pairs, so the size is refused before
+    # the order or the join/meet tables are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            FinDLat.from_doc({"elements": 1025, "leq": []})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 16)
+    square = {"elements": 4, "leq": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]}
+    assert FinDLat.from_doc(square).size == 4
+    with pytest.raises(CapacityError):
+        FinDLat.from_doc(m3().to_doc())
