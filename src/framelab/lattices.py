@@ -14,6 +14,9 @@ the two routes against each other once per lattice.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import getitem
+
 from . import config
 from .errors import (
     CapacityError,
@@ -68,10 +71,11 @@ class FinDLat:
         "_prime_filters",
         "_wb_rows",
         "_wb_checked",
-        "_wb_members",
+        "_wb_pairs",
         "_compact",
         "_compact_set",
         "_pairs",
+        "_byte_tables",
         "_join_irr",
         "_priestley_record",
         "_frame",
@@ -100,10 +104,11 @@ class FinDLat:
         self._prime_filters = None
         self._wb_rows = None
         self._wb_checked = False
-        self._wb_members = None
+        self._wb_pairs = None
         self._compact = None
         self._compact_set = None
         self._pairs = None
+        self._byte_tables = None
         self._join_irr = None
         self._priestley_record = None
         self._frame = None
@@ -179,24 +184,9 @@ class FinDLat:
     # -- distributivity -----------------------------------------------------
 
     def distributivity_witness(self):
-        """A triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None."""
+        """The first triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None."""
         if self._distributive_witness == -1:
-            witness = None
-            join, meet = self.join, self.meet
-            for a in range(self.size):
-                meet_a = meet[a]
-                for b in range(self.size):
-                    ab = meet_a[b]
-                    join_b = self.join[b]
-                    for c in range(self.size):
-                        if meet_a[join_b[c]] != join[ab][meet_a[c]]:
-                            witness = (a, b, c)
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            self._distributive_witness = witness
+            self._distributive_witness = _distributivity_witness(self)
         return self._distributive_witness
 
     def is_distributive(self):
@@ -258,6 +248,32 @@ class FinDLat:
 
     def __repr__(self):
         return f"FinDLat(size={self.size})"
+
+
+def _distributivity_witness(lattice):
+    n, join, meet = lattice.size, lattice.join, lattice.meet
+    if n <= 256:
+        # with bytes rows, one pair (a, b) is two translates over every c:
+        # join[b] through meet[a] gives a ∧ (b ∨ c), and meet[a] through
+        # join[a ∧ b] gives (a ∧ b) ∨ (a ∧ c); c is located only on a mismatch
+        join_tables = [row.ljust(256, b"\0") for row in join]
+        for a in range(n):
+            meet_a = meet[a]
+            meet_table = meet_a.ljust(256, b"\0")
+            for b in range(n):
+                lhs = join[b].translate(meet_table)
+                rhs = meet_a.translate(join_tables[meet_a[b]])
+                if lhs != rhs:
+                    return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
+        return None
+    for a in range(n):
+        meet_a = meet[a]
+        for b in range(n):
+            ab, join_b = meet_a[b], join[b]
+            for c in range(n):
+                if meet_a[join_b[c]] != join[ab][meet_a[c]]:
+                    return a, b, c
+    return None
 
 
 def _least_of(mask, up):
@@ -460,11 +476,19 @@ def way_below_fast(lattice, a, b):
     return lattice.leq(a, b)
 
 
-def _way_below_members(lattice):
-    """The oracle's way-below rows as index tuples: [a] = (b : a << b)."""
-    if lattice._wb_members is None:
-        lattice._wb_members = tuple(map(bits, way_below_rows_oracle(lattice)))
-    return lattice._wb_members
+def _way_below_pairs(lattice):
+    """The oracle's way-below pairs a << b as two sequences: the a's and the b's.
+
+    Each is `bytes` when size <= 256 and a tuple otherwise, like `_pair_table`.
+    """
+    if lattice._wb_pairs is None:
+        seq = bytes if lattice.size <= 256 else tuple
+        rows = tuple(map(bits, way_below_rows_oracle(lattice)))
+        lattice._wb_pairs = (
+            seq(a for a, row in enumerate(rows) for _ in row),
+            seq(chain.from_iterable(rows)),
+        )
+    return lattice._wb_pairs
 
 
 def compact_elements(lattice):
@@ -674,35 +698,85 @@ def compose_homs(outer, inner):
 
 
 def _pair_table(lattice):
-    """(a, b, a ∨ b, a ∧ b) for every index pair a <= b, flattened into one tuple."""
+    """Every index pair a <= b as four sequences: a, b, a ∨ b and a ∧ b.
+
+    Each is `bytes` when size <= 256 and a tuple otherwise, the convention
+    of the join/meet rows, so the byte-code kernel of `hom_predicate` can
+    `translate` them.
+    """
     if lattice._pairs is None:
-        out = []
-        for a in range(lattice.size):
-            join_a, meet_a = lattice.join[a], lattice.meet[a]
-            for b in range(a, lattice.size):
-                out += (a, b, join_a[b], meet_a[b])
-        lattice._pairs = tuple(out)
+        n = lattice.size
+        seq = bytes if n <= 256 else tuple
+        lattice._pairs = (
+            seq(chain.from_iterable(repeat(a, n - a) for a in range(n))),
+            seq(chain.from_iterable(range(a, n) for a in range(n))),
+            seq(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
+            seq(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
+        )
     return lattice._pairs
+
+
+def _byte_tables(lattice):
+    """For at most 16 elements: x ∨ y, x ∧ y and 1 iff x << y (by the ideal
+    oracle), each a 256-byte `translate` table at index 16x + y."""
+    if lattice._byte_tables is None:
+        rows = way_below_rows_oracle(lattice)
+        join, meet, wb = bytearray(256), bytearray(256), bytearray(256)
+        for x in range(lattice.size):
+            for y in range(lattice.size):
+                join[16 * x + y] = lattice.join[x][y]
+                meet[16 * x + y] = lattice.meet[x][y]
+                wb[16 * x + y] = (rows[x] >> y) & 1
+        lattice._byte_tables = (bytes(join), bytes(meet), bytes(wb))
+    return lattice._byte_tables
+
+
+_TIMES16 = bytes(16 * x & 255 for x in range(256))
+
+
+def _pair_codes(a_col, b_col, t):
+    """16·h(a) + h(b) for each pair (a, b), where t is the image h padded to
+    256 bytes: every h(b) < 16, so OR-ing the two big integers adds them
+    byte by byte without a carry."""
+    high = int.from_bytes(a_col.translate(t.translate(_TIMES16)), "big")
+    low = int.from_bytes(b_col.translate(t), "big")
+    return (high | low).to_bytes(len(a_col), "big")
 
 
 def hom_predicate(hom, name):
     """Literal evaluation of a homomorphism property.
 
     Each predicate adds its own condition to the one below it and reads
-    that one through the hom's cached flags: latticeHom is the join/meet
-    scan, frameHom checks the two bounds and then latticeHom, and
-    coherentHom and properHom start from frameHom. So, asked through the
-    flags (``hom.is_proper`` and the rest), the O(|L|²) scan runs at most
-    once per hom. The scan reads the source's pair table (`_pair_table`),
-    built once per lattice, and still checks every pair a <= b.
+    that one through the hom's cached flags: latticeHom checks
+    h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every index pair
+    a <= b of the source's `_pair_table`, frameHom checks the two bounds and
+    then latticeHom, and coherentHom and properHom start from frameHom;
+    properHom checks h(a) << h(b) on every pair a << b of the source, both
+    sides by the ideal oracle. So, asked through the flags (``hom.is_proper``
+    and the rest), the O(|L|²) scan runs at most once per hom.
+
+    When the target has at most 16 elements (one nibble each) and the source
+    at most 256 (one byte), both scans are byte code: each pair becomes the
+    byte 16·h(a) + h(b) (`_pair_codes`), which the target's `_byte_tables`
+    translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]. Larger lattices
+    are scanned pair by pair.
     """
     src, tgt, img = hom.source, hom.target, hom.image
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
+    small = tgt.size <= 16 and src.size <= 256
     if name == "latticeHom":
+        a_col, b_col, join_col, meet_col = _pair_table(src)
+        if small:
+            tgt_join, tgt_meet, _ = _byte_tables(tgt)
+            t = bytes(img).ljust(256, b"\0")
+            codes = _pair_codes(a_col, b_col, t)
+            return (
+                codes.translate(tgt_join) == join_col.translate(t)
+                and codes.translate(tgt_meet) == meet_col.translate(t)
+            )
         tgt_join, tgt_meet = tgt.join, tgt.meet
-        pairs = iter(_pair_table(src))
-        for a, b, ab_join, ab_meet in zip(pairs, pairs, pairs, pairs):
+        for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
             ha, hb = img[a], img[b]
             if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
                 return False
@@ -717,13 +791,15 @@ def hom_predicate(hom, name):
         return False
     if name == "coherentHom":
         return _compact_set(tgt).issuperset(map(img.__getitem__, _compact_set(src)))
-    # properHom: a << b implies h(a) << h(b), both sides by the ideal oracle
+    # properHom
+    wb_a, wb_b = _way_below_pairs(src)
+    if small:
+        t = bytes(img).ljust(256, b"\0")
+        return 0 not in _pair_codes(wb_a, wb_b, t).translate(_byte_tables(tgt)[2])
     tgt_rows = way_below_rows_oracle(tgt)
-    for a, way_above in enumerate(_way_below_members(src)):
-        ha_row = tgt_rows[img[a]]
-        for b in way_above:
-            if not (ha_row >> img[b]) & 1:
-                return False
+    for a, b in zip(wb_a, wb_b):
+        if not (tgt_rows[img[a]] >> img[b]) & 1:
+            return False
     return True
 
 
@@ -740,8 +816,10 @@ def enumerate_homs(source, target, kind, search_bound=None):
     the new top, which lies below none. The search space counted against the
     bound is |X_L|^|X_M|, the two extra points included, and it is counted
     from `join_irreducibles` before either record is built. Both lattices
-    must be distributive, or the correspondence fails. Every built map is
-    checked against the literal predicate, through the hom's cached flags.
+    must be distributive, or the correspondence fails. Each image is read
+    from one packed integer, the sum of one precomputed term per dual point
+    of M, and every built map is checked against the literal predicate
+    `hom_predicate`, once, through the hom's cached flags.
     """
     from .duality import priestley_space_of
 
@@ -768,14 +846,17 @@ def enumerate_homs(source, target, kind, search_bound=None):
         )
         above += [source.full_mask, 0]
     element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
+    # the images are packed into one integer, w bits per source element:
+    # bit y of field a is set iff f(y) ∈ φ_L(a), so field a is φ_M(h(a)), and
+    # lift[y][x] is what f(y) = x contributes to every field
+    w = tgt_rec.space.points.size
+    lift = [[sum(1 << (w * a + y) for a in bits(m)) for m in above] for y in range(w)]
+    shifts = [w * a for a in range(source.size)]
+    field = (1 << w) - 1
     results = []
     for f in iter_monotone_image_tuples(tgt_rec.space.points, points):
-        # phi_h[a] = φ_M(h(a)) = {y : f(y) ∈ φ_L(a)}
-        phi_h = [0] * source.size
-        for y, x in enumerate(f):
-            for a in bits(above[x]):
-                phi_h[a] |= 1 << y
-        hom = LatticeHom(source, target, [element_of[m] for m in phi_h])
+        packed = sum(map(getitem, lift, f))
+        hom = LatticeHom(source, target, [element_of[packed >> s & field] for s in shifts])
         if hom._flag(kind):
             results.append(hom)
     results.sort(key=lambda h: h.image)

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -165,15 +166,35 @@ def test_birkhoff_tables_at_256_elements():
             assert masks[lat.meet[a][b]] == masks[a] & masks[b]
 
 
+def m3_below_chain(n):
+    """M3 on elements 0..4, under a chain 5 < ... < n-1: tuple rows past 256."""
+    small = m3()
+    up = [small.up[x] | ((1 << n) - 1) >> 5 << 5 for x in range(5)]
+    up += [((1 << n) - 1) >> x << x for x in range(5, n)]
+    join = [[small.join[x][y] if max(x, y) < 5 else max(x, y) for y in range(n)]
+            for x in range(n)]
+    meet = [[small.meet[x][y] if max(x, y) < 5 else min(x, y) for y in range(n)]
+            for x in range(n)]
+    return FinDLat(up, join, meet, 0, n - 1)
+
+
+def first_distributivity_failure(lat):
+    for a, b, c in itertools.product(range(lat.size), repeat=3):
+        if lat.meet[a][lat.join[b][c]] != lat.join[lat.meet[a][b]][lat.meet[a][c]]:
+            return a, b, c
+    return None
+
+
 def test_non_distributive_input_is_constructible_then_rejected():
-    for lat in (m3(), n5()):
+    # M4's first failing (a, b) = (1, 2) fails at c = 3 and at c = 4
+    m4 = FinDLat.from_leq_pairs(6, [(0, i) for i in range(6)] + [(i, 5) for i in range(6)])
+    for lat in (m3(), n5(), m4, m3_below_chain(257)):
         assert not lat.is_distributive()
         with pytest.raises(DistributivityError) as err:
             lat.require_distributive()
-        a, b, c = err.value.witness
-        lhs = lat.meet[a][lat.join[b][c]]
-        rhs = lat.join[lat.meet[a][b]][lat.meet[a][c]]
-        assert lhs != rhs
+        # the row kernel (bytes rows) and the scan (tuple rows) both report
+        # the first failing triple in (a, b, c) order
+        assert err.value.witness == first_distributivity_failure(lat)
 
 
 def test_pseudocomplement_consistency_guard_fires_on_m3():
@@ -425,6 +446,90 @@ def test_meet_breaking_map_is_not_frame_hom():
     assert not h.is_frame_hom
 
 
+def preserves(hom, op):
+    """h(a op b) = h(a) op h(b) for every pair, op the name of a table."""
+    src, tgt, h = hom.source, hom.target, hom.image
+    src_op, tgt_op = getattr(src, op), getattr(tgt, op)
+    return all(
+        h[src_op[a][b]] == tgt_op[h[a]][h[b]]
+        for a in range(src.size) for b in range(src.size)
+    )
+
+
+def hom_predicates_pairwise(hom):
+    """The four hom predicates, pair by pair from the tables and the oracle."""
+    src, tgt, h = hom.source, hom.target, hom.image
+    lattice_hom = preserves(hom, "join") and preserves(hom, "meet")
+    frame_hom = lattice_hom and h[src.bottom] == tgt.bottom and h[src.top] == tgt.top
+    src_wb, tgt_wb = way_below_rows_oracle(src), way_below_rows_oracle(tgt)
+    return [
+        lattice_hom,
+        frame_hom,
+        frame_hom and all(
+            (tgt_wb[h[a]] >> h[a]) & 1 for a in range(src.size) if (src_wb[a] >> a) & 1
+        ),
+        frame_hom and all(
+            (tgt_wb[h[a]] >> h[b]) & 1 for a in range(src.size) for b in bits(src_wb[a])
+        ),
+    ]
+
+
+def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold():
+    rng = random.Random(20)
+    lats = corpus_lattices(3)
+    chain16, chain17 = FinDLat.chain(16), FinDLat.chain(17)
+    maps = []
+    for src in lats:
+        for tgt in lats:
+            for hom in enumerate_homs(src, tgt, "latticeHom"):
+                maps.append(hom)
+                image = list(hom.image)
+                image[rng.randrange(src.size)] = rng.randrange(tgt.size)
+                maps.append(LatticeHom(src, tgt, image))
+            for _ in range(3):
+                maps.append(LatticeHom(src, tgt, [rng.randrange(tgt.size) for _ in range(src.size)]))
+        # targets on both sides of the 16-element kernel threshold, with
+        # images through their top elements: homs into the 3-chain stretched
+        # onto (0, 14, 15) and (0, 15, 16), perturbed, and random images
+        for tgt in (chain16, chain17):
+            stretch = (0, tgt.size - 2, tgt.size - 1)
+            for hom in enumerate_homs(src, FinDLat.chain(3), "latticeHom"):
+                image = [stretch[v] for v in hom.image]
+                maps.append(LatticeHom(src, tgt, image))
+                image[rng.randrange(src.size)] = rng.choice(stretch[1:])
+                maps.append(LatticeHom(src, tgt, image))
+            for _ in range(5):
+                maps.append(LatticeHom(src, tgt, [rng.randrange(tgt.size) for _ in range(src.size)]))
+    kinds = ("latticeHom", "frameHom", "coherentHom", "properHom")
+    for hom in maps:
+        got = [hom_predicate(hom, name) for name in kinds]
+        assert got == hom_predicates_pairwise(hom), (hom.source, hom.target, hom.image)
+    # both sides of the threshold ran, and the inputs reach every branch:
+    # joins kept but meets broken, and lattice homs into both chains that
+    # are frame homs and that are not
+    assert chain16._byte_tables is not None and chain17._byte_tables is None
+    assert any(preserves(h, "join") and not preserves(h, "meet") for h in maps)
+    for tgt in (chain16, chain17):
+        flags = {tuple(hom_predicates_pairwise(h)[:2]) for h in maps if h.target is tgt}
+        assert {(True, True), (True, False), (False, False)} <= flags
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_proper_hom_fails_when_the_target_loses_a_way_below_pair(size):
+    # replace the target's cached oracle rows so that 0 << top disappears;
+    # compactness (a << a) is untouched, so coherentHom does not change
+    intact, target = FinDLat.chain(size), FinDLat.chain(size)
+    rows = list(way_below_rows_oracle(target))
+    rows[0] &= ~(1 << size - 1)
+    target._wb_rows = tuple(rows)
+    for source, image in ((FinDLat.chain(2), (0, size - 1)), (FinDLat.chain(3), (0, size - 2, size - 1))):
+        hom = LatticeHom(source, target, image)
+        reference = LatticeHom(source, intact, image)
+        assert hom.is_frame_hom and reference.is_frame_hom
+        assert hom.is_coherent == reference.is_coherent
+        assert reference.is_proper and not hom.is_proper
+
+
 def test_unknown_hom_predicate():
     with pytest.raises(UnknownPredicate):
         hom_predicate(LatticeHom.identity(b2()), "nonsense")
@@ -593,8 +698,7 @@ def test_lattice_doc_round_trip_explicit():
 def test_lattice_doc_size_is_bounded_by_the_upset_family(monkeypatch):
     monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 4)
     square = birkhoff_lattice(Poset.antichain(2))
-    explicit = FinDLat.from_leq_pairs(4, [(a, b) for a in range(4) for b in range(4)
-                                          if square.leq(a, b)]).to_doc()
+    explicit = {"elements": 4, "leq": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]}
     assert FinDLat.from_doc(explicit).size == 4
     assert FinDLat.from_doc(square.to_doc()).size == 4
     with pytest.raises(CapacityError):
