@@ -83,10 +83,16 @@ def corpus_to_json(corpus):
 
 def corpus_from_json(text):
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "entries" not in doc or "manifest" not in doc:
+    if not (
+        isinstance(doc, dict)
+        and isinstance(doc.get("entries"), list)
+        and isinstance(doc.get("manifest"), dict)
+    ):
         raise ValueError("not a corpus document")
     entries = []
     for item in doc["entries"]:
+        if not isinstance(item, dict) or "id" not in item or "poset" not in item:
+            raise ValueError("a corpus entry must be an object with an id and a poset")
         poset = Poset.from_doc(item["poset"])
         lattice = birkhoff_lattice(poset)
         record = priestley_space_of(lattice)

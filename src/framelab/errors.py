@@ -52,8 +52,7 @@ class IsoFailure(FrameLabError):
 class ConsistencyError(FrameLabError):
     """Two implementations of the same operation disagreed.
 
-    Raised by the internal dual-route assertions (way-below oracle vs fast
-    path, prime-filter oracle vs join-irreducible construction, the two
-    Scott-upset formulations, finite-collapse checks). Must never fire on
-    well-formed inputs; firing indicates an implementation bug.
+    Raised by the internal dual-route assertions (prime-filter oracle vs
+    join-irreducible construction, finite-collapse checks). Must never fire
+    on well-formed inputs; firing indicates an implementation bug.
     """

@@ -6,10 +6,8 @@ the full join/meet tables are stored (the corpus keeps lattices at or below
 from a poset by the upset construction retain that poset as the compressed
 Birkhoff representation.
 
-The way-below relation has two routes: the definitional oracle quantifying
-over all ideals, and the fast path `a <= b` valid on finite carriers. The
-oracle is the designated brute-force authority; the public predicate checks
-the two routes against each other once per lattice.
+Way-below is read from one route, the definitional oracle quantifying over
+all ideals, never from the finite shortcut `a <= b`.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ class FinDLat:
         "_ideals",
         "_prime_filters",
         "_wb_rows",
-        "_wb_checked",
         "_wb_pairs",
         "_compact",
         "_compact_set",
@@ -103,7 +100,6 @@ class FinDLat:
         self._ideals = None
         self._prime_filters = None
         self._wb_rows = None
-        self._wb_checked = False
         self._wb_pairs = None
         self._compact = None
         self._compact_set = None
@@ -456,26 +452,6 @@ def way_below_rows_oracle(lattice):
     return lattice._wb_rows
 
 
-def _check_wb_collapse(lattice):
-    if not lattice._wb_checked:
-        if way_below_rows_oracle(lattice) != lattice.up:
-            raise ConsistencyError(
-                "ideal-based way-below disagrees with the order on a finite lattice"
-            )
-        lattice._wb_checked = True
-
-
-def way_below(lattice, a, b):
-    """a << b, via the ideal oracle, checked once against the fast path."""
-    _check_wb_collapse(lattice)
-    return bool((way_below_rows_oracle(lattice)[a] >> b) & 1)
-
-
-def way_below_fast(lattice, a, b):
-    """Fast path: on a finite lattice every element is compact, so a << b iff a <= b."""
-    return lattice.leq(a, b)
-
-
 def _way_below_pairs(lattice):
     """The oracle's way-below pairs a << b as two sequences: the a's and the b's.
 
@@ -804,47 +780,38 @@ def hom_predicate(hom, name):
 
 
 def enumerate_homs(source, target, kind, search_bound=None):
-    """All maps satisfying hom_predicate(., kind), in image order.
+    """All frame homs satisfying hom_predicate(., kind), in image order.
+
+    `kind` is frameHom, coherentHom or properHom. Lattice homs that need
+    not preserve the bounds are not enumerated, so latticeHom raises
+    ValueError; `hom_predicate` still decides it for any given map.
 
     Search through the dual: frame homs L → M between finite distributive
     lattices correspond one to one to monotone maps f: X_M → X_L between
     their dual spaces, read from the cached `priestley_space_of` records,
-    with h(a) = φ_M⁻¹({y ∈ X_M : f(y) ∈ φ_L(a)}). A latticeHom need not
-    preserve the bounds, so it is a frame hom out of L with a new bottom and
-    a new top adjoined. Dually, X_L gains two points: the old bottom, which
-    lies below every a, so every y sent there lies in every φ_M(h(a)), and
-    the new top, which lies below none. The search space counted against the
-    bound is |X_L|^|X_M|, the two extra points included, and it is counted
-    from `join_irreducibles` before either record is built. Both lattices
-    must be distributive, or the correspondence fails. Each image is read
+    with h(a) = φ_M⁻¹({y ∈ X_M : f(y) ∈ φ_L(a)}). The search space counted
+    against the bound is |X_L|^|X_M|, and it is counted from
+    `join_irreducibles` before either record is built. Both lattices must
+    be distributive, or the correspondence fails. Each image is read
     from one packed integer, the sum of one precomputed term per dual point
     of M, and every built map is checked against the literal predicate
     `hom_predicate`, once, through the hom's cached flags.
     """
     from .duality import priestley_space_of
 
+    if kind == "latticeHom":
+        raise ValueError("enumerate_homs searches frame homs only, not latticeHom")
     if kind not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {kind!r}")
     source.require_distributive()
     target.require_distributive()
     bound = config.MAX_SEARCH_SPACE if search_bound is None else search_bound
-    extra = 2 if kind == "latticeHom" else 0
-    if (len(join_irreducibles(source)) + extra) ** len(join_irreducibles(target)) > bound:
+    if len(join_irreducibles(source)) ** len(join_irreducibles(target)) > bound:
         raise CapacityError("hom search space exceeds the configured bound")
     src_rec = priestley_space_of(source)
     tgt_rec = priestley_space_of(target)
-    points = src_rec.space.points
     # above[x]: the source elements a with x ∈ φ_L(a), for each dual point x
-    above = list(src_rec.point_filters)
-    if kind == "latticeHom":
-        # point k (the old bottom) is the greatest dual point, and point
-        # k + 1 (the new top) the least
-        k = points.size
-        points = Poset(
-            [m | 1 << k for m in points.up] + [1 << k, (1 << k + 2) - 1],
-            _trusted=True,
-        )
-        above += [source.full_mask, 0]
+    above = src_rec.point_filters
     element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
     # the images are packed into one integer, w bits per source element:
     # bit y of field a is set iff f(y) ∈ φ_L(a), so field a is φ_M(h(a)), and
@@ -854,7 +821,7 @@ def enumerate_homs(source, target, kind, search_bound=None):
     shifts = [w * a for a in range(source.size)]
     field = (1 << w) - 1
     results = []
-    for f in iter_monotone_image_tuples(tgt_rec.space.points, points):
+    for f in iter_monotone_image_tuples(tgt_rec.space.points, src_rec.space.points):
         packed = sum(map(getitem, lift, f))
         hom = LatticeHom(source, target, [element_of[packed >> s & field] for s in shifts])
         if hom._flag(kind):

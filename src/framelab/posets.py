@@ -297,7 +297,7 @@ class Poset:
         return [classes[c] for c in sorted(classes)]
 
     def _canonicalize(self):
-        """Canonical (key, permutation) pair.
+        """Canonical key: the up rows under the least relabelling.
 
         Color refinement narrows the candidate orderings; ties are broken by
         brute force over permutations inside each color class, which is cheap
@@ -311,7 +311,6 @@ class Poset:
         if math.prod(math.factorial(len(c)) for c in classes) > config.MAX_SEARCH_SPACE:
             raise CapacityError("canonical form search exceeds the configured bound")
         best_key = None
-        best_order = None
         for perm_parts in itertools.product(
             *(itertools.permutations(cls_) for cls_ in classes)
         ):
@@ -328,16 +327,15 @@ class Poset:
             key = tuple(key)
             if best_key is None or key < best_key:
                 best_key = key
-                best_order = pos
-        self._canon = (best_key, tuple(best_order))
-        return self._canon
+        self._canon = best_key
+        return best_key
 
     def canonical_key(self):
-        return (self.size, self._canonicalize()[0])
+        return (self.size, self._canonicalize())
 
     def canonical(self):
         """Canonically relabeled copy (labels are dropped)."""
-        return Poset(self._canonicalize()[0], _trusted=True)
+        return Poset(self._canonicalize(), _trusted=True)
 
     # -- serialization ----------------------------------------------------
 
@@ -355,9 +353,10 @@ class Poset:
         # refused before anything is allocated: 2^size upsets must fit the bound
         if size >= config.MAX_UPSET_FAMILY.bit_length():
             raise CapacityError(f"poset size {size} exceeds the upset-family bound")
-        return cls.from_covers(
-            [tuple(c) for c in doc.get("covers", [])], size, labels=doc.get("labels")
-        )
+        covers = doc.get("covers", [])
+        if not isinstance(covers, list):
+            raise ValueError("poset covers must be a list")
+        return cls.from_covers([tuple(c) for c in covers], size, labels=doc.get("labels"))
 
     def __repr__(self):
         return f"Poset(size={self.size}, covers={list(self.covers())})"

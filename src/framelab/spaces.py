@@ -4,7 +4,7 @@ A finite Priestley space is a finite poset carrying the discrete topology.
 Every subset is clopen, so closure is the identity and the clopen upsets are
 exactly the upsets; the formulas below are written with that built in, and
 the topology is not stored. Infinite (chain) duals, where closure is not the
-identity, are meant to get their own closed-form backend (ROADMAP item 4)
+identity, are meant to get their own closed-form backend (ROADMAP item 1)
 rather than a topology layer here.
 
 Operators on clopen upsets: kernel (union of clopen upsets way below U),
@@ -30,7 +30,7 @@ LSPACE_PREDICATES = (
     "stoneL",
 )
 
-MAP_PREDICATES = ("lMorphism", "properL", "coherentL")
+MAP_PREDICATES = ("properL", "coherentL")
 
 POINT_SPACE_PREDICATES = (
     "sober",
@@ -221,27 +221,19 @@ def _union_inside(family, bound):
 def is_scott_upset(space, subset):
     """Closed upsets (= upsets) whose minimal points lie in the spatial part.
 
-    Also evaluates the closure-reflection formulation (F ⊆ cl W implies
-    F ⊆ W for open upsets W, with cl W = W) and insists the two routes agree.
-    """
+    That is every upset of a finite space. The closure-reflection route
+    (F ⊆ cl W implies F ⊆ W) holds by construction while cl W = W."""
     if subset.poset is not space.points:
         raise BindingError("point set is not bound to this space")
     mask = subset.mask
     points = space.points
-    if points.up_mask(mask) == mask:
-        min_mask = 0
-        for i in bits(mask):
-            if points.down[i] & mask == 1 << i:
-                min_mask |= 1 << i
-        route_min = min_mask & ~spatial_mask(space) == 0
-        route_reflect = all(
-            mask & ~w == 0 for w in clop_upset_masks(space) if mask & ~w == 0
-        )
-    else:
-        route_min = route_reflect = False
-    if route_min != route_reflect:
-        raise ConsistencyError("the two Scott-upset formulations disagree")
-    return route_min
+    if points.up_mask(mask) != mask:
+        return False
+    min_mask = 0
+    for i in bits(mask):
+        if points.down[i] & mask == 1 << i:
+            min_mask |= 1 << i
+    return min_mask & ~spatial_mask(space) == 0
 
 
 def clop_scott_upset_masks(space):
@@ -355,21 +347,6 @@ def center(space, u):
     if um not in memo:
         memo[um] = _union_inside(clopen_biset_masks(space), um)
     return PointSet(space.points, memo[um])
-
-
-# -- structural sanity predicates ----------------------------------------------------
-
-
-def has_priestley_separation(space):
-    """x not<= y implies a clopen upset contains x and misses y."""
-    points = space.points
-    ups = clop_upset_masks(space)
-    for x in range(points.size):
-        for y in range(points.size):
-            if x != y and not points.leq(x, y):
-                if not any((u >> x) & 1 and not (u >> y) & 1 for u in ups):
-                    return False
-    return True
 
 
 # -- space predicates ---------------------------------------------------------------
@@ -490,10 +467,6 @@ class SpaceMap:
         return self._flags[name]
 
     @property
-    def is_l_morphism(self):
-        return self._flag("lMorphism")
-
-    @property
     def is_proper(self):
         return self._flag("properL")
 
@@ -514,12 +487,11 @@ def compose_space_maps(outer, inner):
 
 
 def map_predicate(space_map, name):
-    """Literal evaluation over the clopen upsets of the target."""
+    """Literal evaluation over the clopen upsets of the target.
+
+    lMorphism is not one: f⁻¹(cl U) = cl f⁻¹(U) holds on every finite map."""
     if name not in MAP_PREDICATES:
         raise UnknownPredicate(f"unknown space-map predicate {name!r}")
-    # f⁻¹(cl U) = cl f⁻¹(U) holds outright: closure is the identity on both sides
-    if name == "lMorphism":
-        return True
     src, tgt = space_map.source, space_map.target
     f = space_map.mapping
     if name == "properL":

@@ -46,3 +46,46 @@ def test_oversized_poset_is_refused_before_allocation():
     }
     with pytest.raises(CapacityError):
         corpus_from_json(json.dumps(doc))
+
+
+def _entries_not_a_list(doc):
+    doc["entries"] = 5
+
+
+def _entry_not_an_object(doc):
+    doc["entries"][1] = [doc["entries"][1]["id"]]
+
+
+def _entry_without_poset(doc):
+    del doc["entries"][1]["poset"]
+
+
+def _entry_without_id(doc):
+    del doc["entries"][1]["id"]
+
+
+def _manifest_not_an_object(doc):
+    doc["manifest"] = [doc["manifest"]["hash"]]
+
+
+def _covers_not_a_list(doc):
+    doc["entries"][2]["poset"]["covers"] = 5
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        _entries_not_a_list,
+        _entry_not_an_object,
+        _entry_without_poset,
+        _entry_without_id,
+        _manifest_not_an_object,
+        _covers_not_a_list,
+    ],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_malformed_document_is_refused_with_value_error(malform):
+    doc = json.loads(corpus_to_json(_CORPUS))
+    malform(doc)
+    with pytest.raises(ValueError):
+        corpus_from_json(json.dumps(doc))

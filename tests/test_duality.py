@@ -32,7 +32,6 @@ from framelab.spaces import (
     FinPriestley,
     clop_upset_masks,
     compose_space_maps,
-    map_predicate,
     spatial_part,
 )
 
@@ -188,13 +187,6 @@ def test_dualization_full_and_injective_small():
             xt = priestley_space_of(tgt).space
             monos = {m.image for m in monotone_maps(xt.points, xs.points)}
             assert duals == monos  # full: every monotone map arises
-
-
-def test_dualized_maps_are_l_morphisms():
-    for src in corpus(3):
-        for tgt in corpus(2):
-            for h in enumerate_homs(src, tgt, "frameHom"):
-                assert map_predicate(dualize_hom(h), "lMorphism")
 
 
 # -- round trips ------------------------------------------------------------------

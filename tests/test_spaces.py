@@ -10,6 +10,7 @@ from framelab.spaces import (
     SpaceMap,
     center,
     clop_scott_upsets,
+    clop_upset_masks,
     clop_upsets,
     clop_way_below,
     clop_well_inside,
@@ -18,7 +19,6 @@ from framelab.spaces import (
     comparability_components,
     compose_space_maps,
     core,
-    has_priestley_separation,
     is_scott_upset,
     kernel,
     lspace_predicate,
@@ -223,7 +223,10 @@ def test_lspace_structural_relations(x):
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_vacuous_structure_predicates_hold(x):
-    assert has_priestley_separation(x)
+    # Priestley separation: where p is not below q, the principal upset of p
+    # is a clopen upset that contains p and misses q
+    ups = set(clop_upset_masks(x))
+    assert all(up in ups for up in x.points.up)
 
 
 # -- maps ---------------------------------------------------------------------------
@@ -232,9 +235,9 @@ def test_vacuous_structure_predicates_hold(x):
 def test_map_predicate_identity():
     x = chain_space(2)
     ident = SpaceMap.identity(x)
-    for name in ("lMorphism", "properL", "coherentL"):
+    for name in ("properL", "coherentL"):
         assert map_predicate(ident, name)
-    assert ident.is_l_morphism and ident.is_proper and ident.is_coherent
+    assert ident.is_proper and ident.is_coherent
 
 
 def test_map_to_point_space_is_coherent():
@@ -262,7 +265,6 @@ def test_space_map_composition():
 def test_all_monotone_maps_are_proper_and_coherent(x):
     for y in spaces_up_to(3):
         for f in monotone_space_maps(x, y):
-            assert map_predicate(f, "lMorphism")
             assert map_predicate(f, "properL")
             assert map_predicate(f, "coherentL")
 

@@ -1,0 +1,178 @@
+"""Standing mutation score: run tier-1 against a fixed list of seeded bugs.
+
+Usage: python3 tools/mutation_score.py
+
+Each mutant is one exact source edit: an anchor text and its replacement in
+one file. The anchor must occur exactly once in the file, or the script
+exits 2 before running anything. Every mutant is applied to a fresh copy of
+`src/` and `tests/` (with `pyproject.toml`, which holds the pytest settings)
+in a temporary directory, and tier-1 runs there with `-x -q`. A mutant is
+killed when that run fails, and survives when it passes.
+
+Every mutant also records the outcome it is expected to have. The script
+prints each outcome, then how many mutants were killed and which survived,
+and exits 1 when any outcome differs from the expected one. A surviving
+mutant that is expected to survive is a known gap in the checks: on a
+finite space the kernel and the core of every clopen upset are the upset
+itself, so no finite test tells either operator from the identity.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    anchor: str
+    replacement: str
+    expected: str  # "killed" or "survived"
+
+
+MUTANTS = (
+    Mutant(
+        "core-identity",
+        "src/framelab/spaces.py",
+        "def _core_mask(space, um):\n",
+        "def _core_mask(space, um):\n    return um\n",
+        "survived",
+    ),
+    Mutant(
+        "kernel-identity",
+        "src/framelab/spaces.py",
+        "def _kernel_mask(space, um):\n",
+        "def _kernel_mask(space, um):\n    return um\n",
+        "survived",
+    ),
+    Mutant(
+        "properHom-true",
+        "src/framelab/lattices.py",
+        "    # properHom\n",
+        "    # properHom\n    return True\n",
+        "killed",
+    ),
+    Mutant(
+        "pair-codes-without-x16",
+        "src/framelab/lattices.py",
+        "a_col.translate(t.translate(_TIMES16))",
+        "a_col.translate(t)",
+        "killed",
+    ),
+    Mutant(
+        "byte-kernel-threshold-17",
+        "src/framelab/lattices.py",
+        "small = tgt.size <= 16 and",
+        "small = tgt.size <= 17 and",
+        "killed",
+    ),
+    Mutant(
+        "lattice-hom-skips-meets",
+        "src/framelab/lattices.py",
+        "\n                and codes.translate(tgt_meet) == meet_col.translate(t)",
+        "",
+        "killed",
+    ),
+    Mutant(
+        "join-irreducibles-via-prime-filters",
+        "src/framelab/lattices.py",
+        "if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j",
+        "if lattice.up[j] in prime_filters(lattice)",
+        "killed",
+    ),
+    Mutant(
+        "dual-space-without-oracle",
+        "src/framelab/duality.py",
+        "    _check_against_oracle(record, prime_filters(lattice))\n",
+        "",
+        "killed",
+    ),
+    Mutant(
+        "bits-tables-stop-at-7",
+        "src/framelab/posets.py",
+        "while len(tables) < 8 and",
+        "while len(tables) < 7 and",
+        "killed",
+    ),
+    Mutant(
+        "corpus-entry-shape-unchecked",
+        "src/framelab/corpus.py",
+        'if not isinstance(item, dict) or "id" not in item or "poset" not in item:',
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "poset-covers-unchecked",
+        "src/framelab/posets.py",
+        "if not isinstance(covers, list):",
+        "if False:",
+        "killed",
+    ),
+)
+
+
+def check_anchors(mutants, root):
+    """Raise ValueError unless every anchor occurs exactly once in its file."""
+    for m in mutants:
+        count = (root / m.path).read_text(encoding="utf-8").count(m.anchor)
+        if count != 1:
+            raise ValueError(f"{m.name}: anchor found {count} times in {m.path}, not once")
+
+
+def run_mutant(mutant, root):
+    """Apply the edit to a temporary copy of the tree and run tier-1 there."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(root / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(root / "pyproject.toml", copy / "pyproject.toml")
+        target = copy / mutant.path
+        text = target.read_text(encoding="utf-8")
+        target.write_text(text.replace(mutant.anchor, mutant.replacement, 1),
+                          encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            done = subprocess.run(command, cwd=copy, env=env, capture_output=True,
+                                  text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "killed", f"timed out after {TIMEOUT_S} s"
+    summary = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    return ("survived" if done.returncode == 0 else "killed"), summary
+
+
+def main():
+    try:
+        check_anchors(MUTANTS, ROOT)
+    except ValueError as err:
+        print(f"mutation_score: {err}", file=sys.stderr)
+        return 2
+    survivors, mismatches = [], []
+    for m in MUTANTS:
+        outcome, summary = run_mutant(m, ROOT)
+        if outcome == "survived":
+            survivors.append(m.name)
+        if outcome != m.expected:
+            mismatches.append(m.name)
+        flag = "" if outcome == m.expected else f"  UNEXPECTED (expected {m.expected})"
+        print(f"{m.name}: {outcome} [{summary}]{flag}", flush=True)
+    print(f"killed {len(MUTANTS) - len(survivors)} of {len(MUTANTS)}; "
+          f"survived: {', '.join(survivors) or 'none'}")
+    if mismatches:
+        print(f"unexpected outcomes: {', '.join(mismatches)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
