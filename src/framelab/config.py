@@ -1,10 +1,9 @@
 """Capacity bounds.
 
 All bounds are configuration, not hard constants: these module attributes
-can be adjusted for a whole process. The searches that tests drive past a
-bound also take it per call: `family_bound` (`upset_masks`, `all_upsets`,
-`birkhoff_lattice`), `search_bound` (`monotone_maps`, `enumerate_homs`,
-`monotone_space_maps`) and `enumerate_posets(max_size)`.
+can be adjusted for a whole process, and each is read at its one check, so
+tests that drive a search past a bound patch the attribute. No function
+takes a bound per call.
 """
 
 # Largest poset size enumerate_posets / gen_corpus accept by default.
@@ -17,7 +16,7 @@ MAX_UPSET_FAMILY = 1 << 16
 # (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|),
 # the permutations a poset's canonical form tries (the product of its
 # colour-class factorials), and the size² join/meet pairs of an explicit
-# lattice document.
+# lattice document or of a Birkhoff lattice.
 MAX_SEARCH_SPACE = 1 << 20
 
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having

@@ -1,4 +1,4 @@
-"""Corpus generation and persistence.
+"""Corpus generation and its JSON form.
 
 A corpus holds one entry per isomorphism class of posets up to a size bound,
 each with its upset lattice and dual space precomputed. Entry ids are content
@@ -94,23 +94,13 @@ def corpus_from_json(text):
         if not isinstance(item, dict) or "id" not in item or "poset" not in item:
             raise ValueError("a corpus entry must be an object with an id and a poset")
         poset = Poset.from_doc(item["poset"])
+        # a forged entry is refused before its lattice and dual space are built
+        if poset_content_id(poset) != item["id"]:
+            raise ValueError(f"corpus entry {item['id']} fails its content hash")
         lattice = birkhoff_lattice(poset)
         record = priestley_space_of(lattice)
-        entry = CorpusEntry(item["id"], poset, lattice, record)
-        if poset_content_id(poset) != entry.entry_id:
-            raise ValueError(f"corpus entry {entry.entry_id} fails its content hash")
-        entries.append(entry)
+        entries.append(CorpusEntry(item["id"], poset, lattice, record))
     manifest = doc["manifest"]
     if manifest.get("hash") != _corpus_hash(entries):
         raise ValueError("corpus manifest hash does not match the entries")
     return Corpus(manifest.get("max_size", -1), tuple(entries), manifest)
-
-
-def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(corpus_to_json(corpus))
-
-
-def load_corpus(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return corpus_from_json(fh.read())

@@ -98,8 +98,8 @@ def poset_content_id(poset):
 
 
 def lattice_content_id(lattice):
-    if lattice.base_poset is not None:
-        return poset_content_id(lattice.base_poset)
+    """`poset_content_id` of the join-irreducible poset, so of P for
+    birkhoff_lattice(P); of the carrier order when L is not distributive."""
     if lattice.is_distributive():
         return poset_content_id(join_irreducible_poset(lattice))
     return poset_content_id(lattice.carrier_poset())
@@ -417,7 +417,7 @@ def _v_proper_coherent(lattice, corpus, cap):
         if partner is not lattice:
             pairs.append((partner, lattice))
         for src, tgt in pairs:
-            for hom in enumerate_homs(src, tgt, "frameHom"):
+            for hom in enumerate_homs(src, tgt):
                 coherent = hom.is_coherent
                 proper = hom.is_proper
                 if coherent != proper:

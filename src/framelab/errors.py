@@ -52,7 +52,9 @@ class IsoFailure(FrameLabError):
 class ConsistencyError(FrameLabError):
     """Two implementations of the same operation disagreed.
 
-    Raised by the internal dual-route assertions (prime-filter oracle vs
-    join-irreducible construction, finite-collapse checks). Must never fire
-    on well-formed inputs; firing indicates an implementation bug.
+    Raised when the join-irreducible dual space disagrees with the
+    prime-filter oracle, when `dualize_hom` meets a preimage that is not a
+    prime filter, and when a pseudocomplement fails a ∧ a* = 0 (a lattice
+    that is not distributive). On distributive input, firing indicates an
+    implementation bug.
     """

@@ -2,9 +2,7 @@
 
 Elements are integers 0..size-1; the order is bitmask rows like `Poset`, and
 the full join/meet tables are stored (the corpus keeps lattices at or below
-2^6 elements, so memory is traded for constant-time algebra). Lattices built
-from a poset by the upset construction retain that poset as the compressed
-Birkhoff representation.
+2^6 elements, so memory is traded for constant-time algebra).
 
 Way-below is read from one route, the definitional oracle quantifying over
 all ideals, never from the finite shortcut `a <= b`.
@@ -60,9 +58,6 @@ class FinDLat:
         "meet",
         "bottom",
         "top",
-        "labels",
-        "base_poset",
-        "element_upsets",
         "_carrier",
         "_distributive_witness",
         "_ideals",
@@ -78,8 +73,7 @@ class FinDLat:
         "_frame",
     )
 
-    def __init__(self, up, join, meet, bottom, top, labels=None,
-                 base_poset=None, element_upsets=None):
+    def __init__(self, up, join, meet, bottom, top):
         self.size = len(up)
         self.up = tuple(up)
         down = [0] * self.size
@@ -92,9 +86,6 @@ class FinDLat:
         self.meet = tuple(map(row, meet))
         self.bottom = bottom
         self.top = top
-        self.labels = tuple(labels) if labels is not None else None
-        self.base_poset = base_poset
-        self.element_upsets = tuple(element_upsets) if element_upsets is not None else None
         self._carrier = None
         self._distributive_witness = -1
         self._ideals = None
@@ -112,15 +103,14 @@ class FinDLat:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_leq_pairs(cls, size, pairs, bottom=None, top=None, labels=None):
+    def from_leq_pairs(cls, size, pairs, bottom=None, top=None):
         """Build from an explicit order; joins/meets are computed and must exist."""
         if size < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
-        carrier = Poset.from_leq_pairs(pairs, size, labels=labels)
-        return cls._from_carrier(carrier, bottom, top, labels)
+        return cls._from_carrier(Poset.from_leq_pairs(pairs, size), bottom, top)
 
     @classmethod
-    def _from_carrier(cls, carrier, bottom=None, top=None, labels=None):
+    def _from_carrier(cls, carrier, bottom=None, top=None):
         n = carrier.size
         up, down = carrier.up, carrier.down
         join = [[0] * n for _ in range(n)]
@@ -144,7 +134,7 @@ class FinDLat:
             raise NotLatticeError(f"declared bottom {bottom} is not the least element")
         if top is not None and top != tp:
             raise NotLatticeError(f"declared top {top} is not the greatest element")
-        return cls(up, join, meet, bot, tp, labels=labels)
+        return cls(up, join, meet, bot, tp)
 
     @classmethod
     def chain(cls, n):
@@ -289,17 +279,25 @@ def _greatest_of(mask, down):
 # -- Birkhoff construction ----------------------------------------------------
 
 
-def birkhoff_lattice(points, family_bound=None):
+def birkhoff_lattice(points):
     """Lattice of upsets of a poset; join is union, meet is intersection.
 
     Project-wide convention: upsets, not downsets, so the dual space of
-    birkhoff_lattice(P) comes out order-isomorphic to P itself.
+    birkhoff_lattice(P) comes out order-isomorphic to P itself, and element
+    i is the i-th mask of `upset_masks(points)`. The upset family is bounded
+    by `config.MAX_UPSET_FAMILY`, and a lattice whose size² join/meet tables
+    exceed `config.MAX_SEARCH_SPACE` raises CapacityError before they are
+    allocated.
     """
     from .posets import upset_masks
 
-    masks = upset_masks(points, family_bound)
-    index = {m: i for i, m in enumerate(masks)}
+    masks = upset_masks(points)
     n = len(masks)
+    if n * n > config.MAX_SEARCH_SPACE:
+        raise CapacityError(
+            f"{n} upsets need {n * n} join/meet pairs, over the search bound"
+        )
+    index = {m: i for i, m in enumerate(masks)}
     up = [0] * n
     for i, mi in enumerate(masks):
         for j, mj in enumerate(masks):
@@ -307,16 +305,7 @@ def birkhoff_lattice(points, family_bound=None):
                 up[i] |= 1 << j
     join = [[index[mi | mj] for mj in masks] for mi in masks]
     meet = [[index[mi & mj] for mj in masks] for mi in masks]
-    lat = FinDLat(
-        up,
-        join,
-        meet,
-        index[0],
-        index[points.full_mask],
-        base_poset=points,
-        element_upsets=masks,
-    )
-    return lat
+    return FinDLat(up, join, meet, index[0], index[points.full_mask])
 
 
 def join_irreducibles(lattice):
@@ -471,10 +460,7 @@ def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
     if lattice._compact is None:
         rows = way_below_rows_oracle(lattice)
-        out = tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
-        if len(out) != lattice.size:
-            raise ConsistencyError("a finite lattice must have all elements compact")
-        lattice._compact = out
+        lattice._compact = tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
     return list(lattice._compact)
 
 
@@ -779,34 +765,30 @@ def hom_predicate(hom, name):
     return True
 
 
-def enumerate_homs(source, target, kind, search_bound=None):
-    """All frame homs satisfying hom_predicate(., kind), in image order.
+def enumerate_homs(source, target):
+    """All frame homs source → target, in image order.
 
-    `kind` is frameHom, coherentHom or properHom. Lattice homs that need
-    not preserve the bounds are not enumerated, so latticeHom raises
-    ValueError; `hom_predicate` still decides it for any given map.
+    Callers that want coherent or proper homs filter by the `is_coherent` or
+    `is_proper` flag; lattice homs that need not preserve the bounds are not
+    enumerated, but `hom_predicate` still decides latticeHom for any map.
 
     Search through the dual: frame homs L → M between finite distributive
     lattices correspond one to one to monotone maps f: X_M → X_L between
     their dual spaces, read from the cached `priestley_space_of` records,
     with h(a) = φ_M⁻¹({y ∈ X_M : f(y) ∈ φ_L(a)}). The search space counted
-    against the bound is |X_L|^|X_M|, and it is counted from
+    against `config.MAX_SEARCH_SPACE` is |X_L|^|X_M|, and it is counted from
     `join_irreducibles` before either record is built. Both lattices must
     be distributive, or the correspondence fails. Each image is read
     from one packed integer, the sum of one precomputed term per dual point
     of M, and every built map is checked against the literal predicate
-    `hom_predicate`, once, through the hom's cached flags.
+    `hom_predicate`, once, through the hom's cached `is_frame_hom` flag.
     """
     from .duality import priestley_space_of
 
-    if kind == "latticeHom":
-        raise ValueError("enumerate_homs searches frame homs only, not latticeHom")
-    if kind not in HOM_PREDICATES:
-        raise UnknownPredicate(f"unknown hom predicate {kind!r}")
     source.require_distributive()
     target.require_distributive()
-    bound = config.MAX_SEARCH_SPACE if search_bound is None else search_bound
-    if len(join_irreducibles(source)) ** len(join_irreducibles(target)) > bound:
+    space = len(join_irreducibles(source)) ** len(join_irreducibles(target))
+    if space > config.MAX_SEARCH_SPACE:
         raise CapacityError("hom search space exceeds the configured bound")
     src_rec = priestley_space_of(source)
     tgt_rec = priestley_space_of(target)
@@ -824,7 +806,7 @@ def enumerate_homs(source, target, kind, search_bound=None):
     for f in iter_monotone_image_tuples(tgt_rec.space.points, src_rec.space.points):
         packed = sum(map(getitem, lift, f))
         hom = LatticeHom(source, target, [element_of[packed >> s & field] for s in shifts])
-        if hom._flag(kind):
+        if hom.is_frame_hom:
             results.append(hom)
     results.sort(key=lambda h: h.image)
     return results

@@ -75,23 +75,17 @@ class Poset:
         "size",
         "up",
         "down",
-        "labels",
         "_covers",
         "_heights",
         "_canon",
         "_upset_masks",
     )
 
-    def __init__(self, up, labels=None, _trusted=False):
+    def __init__(self, up, _trusted=False):
         up = tuple(up)
         n = len(up)
         self.size = n
         self.up = up
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError("labels length does not match size")
-        self.labels = labels
         if not _trusted:
             self._validate()
         down = [0] * n
@@ -122,7 +116,7 @@ class Poset:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def from_covers(cls, covers, size, labels=None):
+    def from_covers(cls, covers, size):
         """Build a poset as the reflexive-transitive closure of cover pairs.
 
         Raises CycleError if the closure would violate antisymmetry and
@@ -147,30 +141,30 @@ class Poset:
             if (strict[i] >> i) & 1:
                 raise CycleError(f"cover relation closes into a cycle through point {i}")
         up = tuple(strict[i] | (1 << i) for i in range(size))
-        return cls(up, labels=labels, _trusted=True)
+        return cls(up, _trusted=True)
 
     @classmethod
-    def from_leq_pairs(cls, pairs, size, labels=None):
+    def from_leq_pairs(cls, pairs, size):
         """Build a poset from an explicit (already closed) order relation."""
         up = [1 << i for i in range(size)]
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
                 raise IndexError(f"pair ({a}, {b}) references points outside 0..{size - 1}")
             up[a] |= 1 << b
-        return cls(up, labels=labels)
+        return cls(up)
 
     @classmethod
     def empty(cls):
         return cls((), _trusted=True)
 
     @classmethod
-    def chain(cls, n, labels=None):
+    def chain(cls, n):
         full = (1 << n) - 1
-        return cls(tuple((full >> i) << i for i in range(n)), labels=labels, _trusted=True)
+        return cls(tuple((full >> i) << i for i in range(n)), _trusted=True)
 
     @classmethod
-    def antichain(cls, n, labels=None):
-        return cls(tuple(1 << i for i in range(n)), labels=labels, _trusted=True)
+    def antichain(cls, n):
+        return cls(tuple(1 << i for i in range(n)), _trusted=True)
 
     # -- basic queries ---------------------------------------------------
 
@@ -260,12 +254,7 @@ class Poset:
             for j in bits(self.up[i]):
                 m |= 1 << perm[j]
             new_up[perm[i]] = m
-        labels = None
-        if self.labels is not None:
-            labels = [None] * n
-            for i in range(n):
-                labels[perm[i]] = self.labels[i]
-        return Poset(tuple(new_up), labels=labels, _trusted=True)
+        return Poset(tuple(new_up), _trusted=True)
 
     def _color_classes(self):
         """Iteratively refined structural colors; returns vertex lists per color."""
@@ -334,29 +323,35 @@ class Poset:
         return (self.size, self._canonicalize())
 
     def canonical(self):
-        """Canonically relabeled copy (labels are dropped)."""
+        """Canonically relabeled copy."""
         return Poset(self._canonicalize(), _trusted=True)
 
     # -- serialization ----------------------------------------------------
 
     def to_doc(self):
-        doc = {"size": self.size, "covers": [list(c) for c in self.covers()]}
-        if self.labels is not None:
-            doc["labels"] = list(self.labels)
-        return doc
+        return {"size": self.size, "covers": [list(c) for c in self.covers()]}
 
     @classmethod
     def from_doc(cls, doc):
+        """Inverse of `to_doc`. A malformed document raises ValueError, and
+        one whose upsets could exceed `config.MAX_UPSET_FAMILY` raises
+        CapacityError."""
         if not isinstance(doc, dict) or "size" not in doc:
             raise ValueError("not a poset document")
-        size = int(doc["size"])
+        size = doc["size"]
+        if not isinstance(size, int) or size < 0:
+            raise ValueError(f"poset size {size!r} is not a non-negative int")
         # refused before anything is allocated: 2^size upsets must fit the bound
         if size >= config.MAX_UPSET_FAMILY.bit_length():
             raise CapacityError(f"poset size {size} exceeds the upset-family bound")
         covers = doc.get("covers", [])
         if not isinstance(covers, list):
             raise ValueError("poset covers must be a list")
-        return cls.from_covers([tuple(c) for c in covers], size, labels=doc.get("labels"))
+        for c in covers:
+            if not (isinstance(c, (list, tuple)) and len(c) == 2
+                    and all(isinstance(x, int) and 0 <= x < size for x in c)):
+                raise ValueError(f"cover {c!r} is not a pair of points in 0..{size - 1}")
+        return cls.from_covers(covers, size)
 
     def __repr__(self):
         return f"Poset(size={self.size}, covers={list(self.covers())})"
@@ -540,13 +535,15 @@ def max_elements(poset, point_set):
     return PointSet(poset, out)
 
 
-def upset_masks(poset, family_bound=None):
-    """All upsets of the poset as masks, in canonical order.
+def upset_masks(poset):
+    """All upsets of the poset as masks, in canonical order, cached on it.
 
     Canonical order: by cardinality, then by the sorted tuple of members.
     Everything downstream that enumerates clopen upsets inherits this order.
+    A poset with more than `config.MAX_UPSET_FAMILY` subsets raises
+    CapacityError, even when its upsets are already cached.
     """
-    bound = config.MAX_UPSET_FAMILY if family_bound is None else family_bound
+    bound = config.MAX_UPSET_FAMILY
     n = poset.size
     if (1 << n) > bound:
         raise CapacityError(f"2^{n} upsets exceed the configured bound {bound}")
@@ -559,15 +556,15 @@ def upset_masks(poset, family_bound=None):
     return poset._upset_masks
 
 
-def all_upsets(poset, family_bound=None):
+def all_upsets(poset):
     """Every upset exactly once, as PointSets, in canonical order."""
-    return [PointSet(poset, m) for m in upset_masks(poset, family_bound)]
+    return [PointSet(poset, m) for m in upset_masks(poset)]
 
 
 # -- enumeration up to isomorphism ----------------------------------------
 
 
-def enumerate_posets(n, max_size=None):
+def enumerate_posets(n):
     """One representative per isomorphism class of posets on n points.
 
     Works by enumerating all strict orders contained in the numeric order
@@ -575,7 +572,7 @@ def enumerate_posets(n, max_size=None):
     deduplicating by canonical form. Representatives are canonical and the
     output order is deterministic.
     """
-    cap = config.MAX_POSET_SIZE if max_size is None else max_size
+    cap = config.MAX_POSET_SIZE
     if n > cap:
         raise CapacityError(f"poset size {n} exceeds the configured bound {cap}")
     if n == 0:
@@ -661,9 +658,9 @@ def iter_monotone_image_tuples(p, q):
         del backtrack  # it refers to itself; free the cycle without the collector
 
 
-def monotone_maps(p, q, search_bound=None):
+def monotone_maps(p, q):
     """All monotone maps p -> q in deterministic (image-lexicographic) order."""
-    bound = config.MAX_SEARCH_SPACE if search_bound is None else search_bound
+    bound = config.MAX_SEARCH_SPACE
     if p.size and q.size and q.size ** p.size > bound:
         raise CapacityError(
             f"{q.size}^{p.size} candidate maps exceed the configured bound {bound}"

@@ -15,7 +15,7 @@ map, and point-space predicates evaluate the defining conditions literally.
 
 from __future__ import annotations
 
-from .errors import BindingError, ConsistencyError, UnknownPredicate
+from .errors import BindingError, UnknownPredicate
 from .posets import MonotoneMap, PointSet, Poset, bits, mask_order_key, upset_masks
 
 LSPACE_PREDICATES = (
@@ -169,14 +169,11 @@ def clop_way_below(space, v, u):
     """V ≪ U: every upset W with U ⊆ W (= cl W) already contains V, that is
     V ⊆ ⋂{W : U ⊆ W}.
 
-    Checked against the finite collapse (V ≪ U iff V ⊆ U).
+    On a finite space this is V ⊆ U; the tests compare the two pairwise.
     """
     vm = _upset_mask_of(space, v)
     um = _upset_mask_of(space, u)
-    result = vm & ~_upsets_above_meet(space, um) == 0
-    if result != (vm & ~um == 0):
-        raise ConsistencyError("clopen way-below must collapse to inclusion finitely")
-    return result
+    return vm & ~_upsets_above_meet(space, um) == 0
 
 
 def _upsets_above_meet(space, um):
@@ -510,12 +507,12 @@ def map_predicate(space_map, name):
     return True
 
 
-def monotone_space_maps(source, target, search_bound=None):
+def monotone_space_maps(source, target):
     from .posets import monotone_maps
 
     return [
         SpaceMap(source, target, m)
-        for m in monotone_maps(source.points, target.points, search_bound)
+        for m in monotone_maps(source.points, target.points)
     ]
 
 

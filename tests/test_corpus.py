@@ -1,25 +1,17 @@
-"""Corpus persistence: the JSON round trip and its tamper checks."""
+"""Corpus JSON: the round trip and its tamper checks."""
 
 import json
 
 import pytest
 
-from framelab import CapacityError
-from framelab.corpus import (
-    corpus_from_json,
-    corpus_to_json,
-    gen_corpus,
-    load_corpus,
-    save_corpus,
-)
+from framelab import CapacityError, corpus
+from framelab.corpus import corpus_from_json, corpus_to_json, gen_corpus
 
 _CORPUS = gen_corpus(3)
 
 
-def test_save_and_load_keep_ids_and_manifest(tmp_path):
-    path = tmp_path / "corpus.json"
-    save_corpus(_CORPUS, path)
-    loaded = load_corpus(path)
+def test_json_round_trip_keeps_ids_and_manifest():
+    loaded = corpus_from_json(corpus_to_json(_CORPUS))
     assert [e.entry_id for e in loaded.entries] == [e.entry_id for e in _CORPUS.entries]
     assert loaded.manifest == _CORPUS.manifest
     assert loaded.max_size == _CORPUS.max_size
@@ -28,6 +20,17 @@ def test_save_and_load_keep_ids_and_manifest(tmp_path):
 def test_tampered_entry_id_is_rejected():
     doc = json.loads(corpus_to_json(_CORPUS))
     doc["entries"][1]["id"] = "0" * 12
+    with pytest.raises(ValueError, match="fails its content hash"):
+        corpus_from_json(json.dumps(doc))
+
+
+def test_tampered_entry_id_is_rejected_before_its_lattice_is_built(monkeypatch):
+    def unbuilt(poset):
+        raise AssertionError("lattice built before the content hash was checked")
+
+    doc = json.loads(corpus_to_json(_CORPUS))
+    doc["entries"] = [{"id": "0" * 12, "poset": {"size": 3, "covers": []}}]
+    monkeypatch.setattr(corpus, "birkhoff_lattice", unbuilt)
     with pytest.raises(ValueError, match="fails its content hash"):
         corpus_from_json(json.dumps(doc))
 

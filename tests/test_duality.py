@@ -27,6 +27,7 @@ from framelab.duality import (
     validate,
     validate_all,
 )
+from framelab.corpus import gen_corpus
 from framelab.posets import bits
 from framelab.spaces import (
     FinPriestley,
@@ -165,9 +166,9 @@ def test_functor_laws_small():
         ident = dualize_hom(LatticeHom.identity(src))
         assert ident.mapping.image == tuple(range(ident.source.size))
     for a, b, c in itertools.product(lats, repeat=3):
-        for h in enumerate_homs(a, b, "frameHom"):
+        for h in enumerate_homs(a, b):
             fh = dualize_hom(h)
-            for g in enumerate_homs(b, c, "frameHom"):
+            for g in enumerate_homs(b, c):
                 fg = dualize_hom(g)
                 composite = dualize_hom(compose_homs(g, h))
                 chained = compose_space_maps(fh, fg)  # dualization reverses order
@@ -180,7 +181,7 @@ def test_dualization_full_and_injective_small():
     lats = corpus(4)
     for src in lats:
         for tgt in lats:
-            homs = enumerate_homs(src, tgt, "frameHom")
+            homs = enumerate_homs(src, tgt)
             duals = {dualize_hom(h).mapping.image for h in homs}
             assert len(duals) == len(homs)  # injective
             xs = priestley_space_of(src).space
@@ -308,3 +309,11 @@ def test_content_ids_stable_and_distinct():
     a = lattice_content_id(b2())
     assert a == lattice_content_id(birkhoff_lattice(Poset.antichain(2)))
     assert a != lattice_content_id(FinDLat.chain(3))
+
+
+def test_lattice_content_id_is_the_entry_id_on_the_corpus():
+    # entry ids hash the poset; lattice_content_id recovers it from J(L)
+    entries = gen_corpus(5).entries
+    assert len(entries) == 88
+    for entry in entries:
+        assert lattice_content_id(entry.lattice) == entry.entry_id

@@ -40,7 +40,7 @@ from framelab.lattices import (
     way_below_rows_oracle,
     well_inside,
 )
-from framelab.posets import bits, iter_monotone_image_tuples
+from framelab.posets import bits, iter_monotone_image_tuples, upset_masks
 
 
 def b2():
@@ -48,10 +48,12 @@ def b2():
     return birkhoff_lattice(Poset.antichain(2))
 
 
+def corpus_posets(max_size=4):
+    return [p for n in range(max_size + 1) for p in enumerate_posets(n)]
+
+
 def corpus_lattices(max_size=4):
-    return [
-        birkhoff_lattice(p) for n in range(max_size + 1) for p in enumerate_posets(n)
-    ]
+    return [birkhoff_lattice(p) for p in corpus_posets(max_size)]
 
 
 # -- independent brute-force oracles (subset filtering) -----------------------
@@ -106,25 +108,38 @@ def test_birkhoff_examples():
 
 
 def test_birkhoff_join_meet_are_union_intersection():
-    lat = birkhoff_lattice(Poset.from_covers([(0, 1), (0, 2)], 3))
-    for i, mi in enumerate(lat.element_upsets):
-        for j, mj in enumerate(lat.element_upsets):
-            assert lat.element_upsets[lat.join[i][j]] == mi | mj
-            assert lat.element_upsets[lat.meet[i][j]] == mi & mj
+    p = Poset.from_covers([(0, 1), (0, 2)], 3)
+    lat, masks = birkhoff_lattice(p), upset_masks(p)
+    for i, mi in enumerate(masks):
+        for j, mj in enumerate(masks):
+            assert masks[lat.join[i][j]] == mi | mj
+            assert masks[lat.meet[i][j]] == mi & mj
 
 
-@pytest.mark.parametrize("lat", corpus_lattices(), ids=lambda l: f"m{l.size}")
-def test_birkhoff_is_distributive_and_recovers_points(lat):
+@pytest.mark.parametrize("p", corpus_posets(), ids=lambda p: f"m{len(upset_masks(p))}")
+def test_birkhoff_is_distributive_and_recovers_points(p):
+    lat = birkhoff_lattice(p)
     assert lat.is_distributive()
-    assert isomorphic(join_irreducible_poset(lat), lat.base_poset)
+    assert isomorphic(join_irreducible_poset(lat), p)
 
 
-def test_birkhoff_capacity():
+def test_birkhoff_capacity(monkeypatch):
     cached = Poset.antichain(6)
     birkhoff_lattice(cached)  # a default call fills the poset's upset cache
+    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 32)
     for p in (Poset.antichain(6), cached):
         with pytest.raises(CapacityError):
-            birkhoff_lattice(p, family_bound=32)
+            birkhoff_lattice(p)
+
+
+def test_birkhoff_refuses_tables_over_the_search_bound(monkeypatch):
+    # 2^n upsets need 4^n join/meet pairs: 64² fits a bound of 4,096, 128² not
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 4096)
+    assert birkhoff_lattice(Poset.antichain(6)).size == 64
+    with pytest.raises(CapacityError):
+        birkhoff_lattice(Poset.antichain(7))
+    with pytest.raises(CapacityError):
+        FinDLat.from_doc({"birkhoff": Poset.antichain(7).to_doc()})
 
 
 # -- explicit construction and the distributivity error path -------------------
@@ -154,9 +169,9 @@ def test_chain_tables_at_the_row_width_boundary(n):
 
 
 def test_birkhoff_tables_at_256_elements():
-    lat = birkhoff_lattice(Poset.antichain(8))
+    p = Poset.antichain(8)
+    lat, masks = birkhoff_lattice(p), upset_masks(p)
     assert lat.size == 256 and isinstance(lat.join[0], bytes)
-    masks = lat.element_upsets
     corners = (0, 1, 2, 127, 128, 253, 254, 255)
     for a in corners:
         for b in corners:
@@ -262,7 +277,7 @@ def test_join_irreducibles_have_unique_lower_cover(lat):
 def _closure_case_id(lat):
     # lattices of 4-point posets get their own prefix, so the ids of the
     # smaller cases do not depend on how many larger ones there are
-    prefix = "n4-" if lat.base_poset.size == 4 else ""
+    prefix = "n4-" if len(join_irreducibles(lat)) == 4 else ""
     return f"{prefix}m{lat.size}"
 
 
@@ -583,9 +598,9 @@ def homs_brute(src, tgt, kind):
 
 def test_enumerate_homs_counts():
     two = FinDLat.chain(2)
-    assert len(enumerate_homs(two, two, "frameHom")) == 1
-    assert len(enumerate_homs(FinDLat.chain(3), two, "frameHom")) == 2
-    assert len(enumerate_homs(b2(), two, "frameHom")) == 2
+    assert len(enumerate_homs(two, two)) == 1
+    assert len(enumerate_homs(FinDLat.chain(3), two)) == 2
+    assert len(enumerate_homs(b2(), two)) == 2
 
 
 def test_enumerate_homs_matches_bruteforce():
@@ -597,8 +612,10 @@ def test_enumerate_homs_matches_bruteforce():
     ]
     assert len(pairs) == 71
     for src, tgt in pairs:
-        for kind in ("frameHom", "coherentHom", "properHom"):
-            got = [h.image for h in enumerate_homs(src, tgt, kind)]
+        homs = enumerate_homs(src, tgt)
+        assert [h.image for h in homs] == homs_brute(src, tgt, "frameHom"), (src, tgt)
+        for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
+            got = [h.image for h in homs if getattr(h, flag)]
             assert got == homs_brute(src, tgt, kind), (src, tgt, kind)
 
 
@@ -613,7 +630,7 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
     monkeypatch.setattr(lattices, "hom_predicate", counting)
     source = birkhoff_lattice(Poset.antichain(2))
     target = birkhoff_lattice(Poset.chain(3))
-    homs = enumerate_homs(source, target, "frameHom")
+    homs = enumerate_homs(source, target)
     assert homs
     for h in homs:
         assert h.is_coherent and h.is_proper
@@ -621,27 +638,31 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
     assert calls["frameHom"] == len(homs)
 
 
-def test_enumerate_homs_capacity():
+def test_enumerate_homs_capacity(monkeypatch):
     big = birkhoff_lattice(Poset.antichain(4))
-    with pytest.raises(CapacityError):
-        enumerate_homs(big, big, "frameHom", search_bound=100)
-    # the dual search counts |X_L|^|J(M)| maps: 4^4 here
-    assert enumerate_homs(big, big, "frameHom", search_bound=256)
-    with pytest.raises(CapacityError):
-        enumerate_homs(big, big, "frameHom", search_bound=255)
     # 4^6 maps of the dual 6-antichain into the dual 4-chain, every one a hom
     target = birkhoff_lattice(Poset.antichain(6))
-    assert len(enumerate_homs(FinDLat.chain(5), target, "frameHom")) == 4096
+    assert len(enumerate_homs(FinDLat.chain(5), target)) == 4096
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 100)
+    with pytest.raises(CapacityError):
+        enumerate_homs(big, big)
+    # the dual search counts |X_L|^|J(M)| maps: 4^4 here
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 256)
+    assert enumerate_homs(big, big)
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 255)
+    with pytest.raises(CapacityError):
+        enumerate_homs(big, big)
 
 
 def test_enumerate_homs_checks_the_bound_before_building_the_dual(monkeypatch):
     def unbuilt(lattice):
         raise AssertionError("dual space built before the bound check")
 
-    monkeypatch.setattr(duality, "priestley_space_of", unbuilt)
     big = birkhoff_lattice(Poset.antichain(4))
+    monkeypatch.setattr(duality, "priestley_space_of", unbuilt)
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 255)
     with pytest.raises(CapacityError):
-        enumerate_homs(big, big, "frameHom", search_bound=255)
+        enumerate_homs(big, big)
 
 
 def test_enumerate_homs_requires_distributive_lattices():
@@ -650,17 +671,14 @@ def test_enumerate_homs_requires_distributive_lattices():
     for bad in (m3(), n5()):
         for source, target in ((bad, b2()), (b2(), bad)):
             with pytest.raises(DistributivityError):
-                enumerate_homs(source, target, "frameHom")
+                enumerate_homs(source, target)
 
 
 def test_enumerate_homs_refuses_lattice_homs():
     # bound-free lattice homs are decided by hom_predicate, never enumerated
     two = FinDLat.chain(2)
-    with pytest.raises(ValueError):
-        enumerate_homs(two, two, "latticeHom")
     assert hom_predicate(LatticeHom(two, two, (1, 1)), "latticeHom")
-    with pytest.raises(UnknownPredicate):
-        enumerate_homs(two, two, "nonsense")
+    assert [h.image for h in enumerate_homs(two, two)] == [(0, 1)]
 
 
 def test_searches_leave_no_reference_cycles():
@@ -669,7 +687,7 @@ def test_searches_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        assert enumerate_homs(source, target, "frameHom")
+        assert enumerate_homs(source, target)
         assert list(iter_monotone_image_tuples(p, q))
         search = iter_monotone_image_tuples(p, q)
         next(search)
@@ -693,7 +711,7 @@ def test_frame_homs_preserve_arbitrary_joins_on_small_lattices(lat):
     # the finite reduction: binary + empty joins give all joins
     if lat.size > 8:
         pytest.skip("subset sweep kept to small carriers")
-    for hom in enumerate_homs(lat, FinDLat.chain(2), "frameHom"):
+    for hom in enumerate_homs(lat, FinDLat.chain(2)):
         for mask in range(1 << lat.size):
             subset = list(bits(mask))
             lhs = hom(lat.join_of(subset))
@@ -705,7 +723,7 @@ def test_coherent_iff_proper_on_small_corpus():
     lats = corpus_lattices(3)
     for src in lats:
         for tgt in lats:
-            for h in enumerate_homs(src, tgt, "frameHom"):
+            for h in enumerate_homs(src, tgt):
                 assert hom_predicate(h, "coherentHom") == hom_predicate(h, "properHom")
 
 

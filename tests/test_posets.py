@@ -177,12 +177,13 @@ def test_upsets_canonical_order_is_card_then_members():
     assert order == sorted(order, key=lambda t: (len(t), t))
 
 
-def test_all_upsets_capacity():
+def test_all_upsets_capacity(monkeypatch):
     cached = Poset.antichain(5)
     all_upsets(cached)  # a default call fills the poset's upset cache
+    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 16)
     for p in (Poset.antichain(5), cached):
         with pytest.raises(CapacityError):
-            all_upsets(p, family_bound=16)
+            all_upsets(p)
 
 
 # -- min/max ------------------------------------------------------------------
@@ -215,10 +216,13 @@ def test_enumeration_counts():
     assert [len(enumerate_posets(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
 
 
-def test_enumeration_capacity():
+def test_enumeration_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_posets(7)
-    assert len(enumerate_posets(3, max_size=3)) == 5
+    monkeypatch.setattr(config, "MAX_POSET_SIZE", 3)
+    assert len(enumerate_posets(3)) == 5
+    with pytest.raises(CapacityError):
+        enumerate_posets(4)
 
 
 def test_no_two_representatives_isomorphic_bruteforce():
@@ -339,9 +343,10 @@ def test_monotone_map_composition_and_preimage():
         f.preimage(c2.subset([0]))
 
 
-def test_monotone_maps_capacity():
+def test_monotone_maps_capacity(monkeypatch):
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 100)
     with pytest.raises(CapacityError):
-        monotone_maps(Poset.antichain(4), Poset.antichain(4), search_bound=100)
+        monotone_maps(Poset.antichain(4), Poset.antichain(4))
 
 
 def test_empty_poset_maps():
@@ -354,16 +359,41 @@ def test_empty_poset_maps():
 
 
 def test_doc_round_trip():
-    p = Poset.from_covers([(2, 0), (1, 0)], 3, labels=["top", "l", "r"])
+    p = Poset.from_covers([(2, 0), (1, 0)], 3)
     doc = p.to_doc()
-    assert doc["covers"] == sorted(doc["covers"])
-    q = Poset.from_doc(doc)
-    assert q.up == p.up and q.labels == p.labels
+    assert doc == {"size": 3, "covers": [[1, 0], [2, 0]]}
+    assert Poset.from_doc(doc).up == p.up
 
 
 def test_doc_rejects_garbage():
     with pytest.raises(ValueError):
         Poset.from_doc({"covers": []})
+
+
+_NOT_A_SIZE = "poset size"
+_NOT_A_COVER = "is not a pair of points"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"size": None}, _NOT_A_SIZE),
+        ({"size": "3"}, _NOT_A_SIZE),
+        ({"size": -1}, _NOT_A_SIZE),
+        ({"size": 3, "covers": [5]}, _NOT_A_COVER),
+        ({"size": 3, "covers": [[0, 9]]}, _NOT_A_COVER),
+        ({"size": 3, "covers": [[0, -1]]}, _NOT_A_COVER),
+        ({"size": 3, "covers": [[0, 1, 2]]}, _NOT_A_COVER),
+        ({"size": 3, "covers": [[0, "1"]]}, _NOT_A_COVER),
+    ],
+    ids=["size-null", "size-string", "size-negative", "cover-not-a-pair",
+         "cover-out-of-range", "cover-negative", "cover-triple", "cover-string"],
+)
+def test_doc_refuses_malformed_input_with_value_error(doc, message):
+    # the message pins the refusal to from_doc's own checks, not to an
+    # exception raised further down
+    with pytest.raises(ValueError, match=message):
+        Poset.from_doc(doc)
 
 
 def test_doc_size_is_bounded_by_the_upset_family(monkeypatch):

@@ -117,6 +117,28 @@ MUTANTS = (
         "if False:",
         "killed",
     ),
+    Mutant(
+        "poset-cover-pairs-unchecked",
+        "src/framelab/posets.py",
+        "if not (isinstance(c, (list, tuple)) and len(c) == 2",
+        "if False and not (isinstance(c, (list, tuple)) and len(c) == 2",
+        "killed",
+    ),
+    Mutant(
+        "birkhoff-tables-unbounded",
+        "src/framelab/lattices.py",
+        "if n * n > config.MAX_SEARCH_SPACE:",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "content-id-hashes-the-carrier",
+        "src/framelab/duality.py",
+        "    if lattice.is_distributive():\n        return poset_content_id(join_irreducible_poset",
+        "    return poset_content_id(lattice.carrier_poset())\n"
+        "    if lattice.is_distributive():\n        return poset_content_id(join_irreducible_poset",
+        "killed",
+    ),
 )
 
 
