@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NormalizationError, UnknownPredicate
+from .lattices import FinDLat
 
 CHAIN_PREDICATES = (
     "compactFrame",
@@ -378,8 +379,6 @@ def all_elements(chain):
 
 def materialize(chain):
     """The finite chain lattice of an all-fin chain."""
-    from .lattices import FinDLat
-
     size = chain_size(chain)
     if size is None:
         raise NormalizationError("only all-fin chains materialize to a lattice")

@@ -94,6 +94,9 @@ def corpus_from_json(text):
         if not isinstance(item, dict) or "id" not in item or "poset" not in item:
             raise ValueError("a corpus entry must be an object with an id and a poset")
         poset = Poset.from_doc(item["poset"])
+        # refused before its canonical form is searched; gen_corpus writes none
+        if poset.size > config.MAX_POSET_SIZE:
+            raise CapacityError(f"corpus entry {item['id']} exceeds the poset size bound")
         # a forged entry is refused before its lattice and dual space are built
         if poset_content_id(poset) != item["id"]:
             raise ValueError(f"corpus entry {item['id']} fails its content hash")

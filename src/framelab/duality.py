@@ -43,7 +43,7 @@ from .lattices import (
     prime_filters,
     way_below_rows_oracle,
 )
-from .posets import MonotoneMap, PointSet, bits
+from .posets import MonotoneMap, PointSet, bits, cached
 from .spaces import (
     FinPriestley,
     SpaceMap,
@@ -108,6 +108,7 @@ def lattice_content_id(lattice):
 # -- the dual space ------------------------------------------------------------
 
 
+@cached
 def priestley_space_of(lattice):
     """Dual space with its Stone map, cached on the lattice.
 
@@ -118,8 +119,6 @@ def priestley_space_of(lattice):
     must produce the same space up to the unique filter-preserving
     bijection, φ included; a mismatch raises ConsistencyError.
     """
-    if lattice._priestley_record is not None:
-        return lattice._priestley_record
     points = join_irreducible_poset(lattice)
     filters = [lattice.up[j] for j in join_irreducibles(lattice)]
     phi = []
@@ -131,7 +130,6 @@ def priestley_space_of(lattice):
         phi.append(mask)
     record = StoneMapRecord(lattice, FinPriestley(points), tuple(phi), tuple(filters))
     _check_against_oracle(record, prime_filters(lattice))
-    lattice._priestley_record = record
     return record
 
 

@@ -21,7 +21,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, bits, iter_monotone_image_tuples
+from .posets import Poset, bits, cached, iter_monotone_image_tuples, upset_masks
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -46,32 +46,13 @@ class FinDLat:
 
     `join[a][b]` and `meet[a][b]` read the same at every size; each row is
     `bytes` when size <= 256 (97 bytes for 64 elements, against a tuple's 552)
-    and a tuple otherwise. The underscored slots are caches filled on first
-    use, among them the `frame_predicate_witness` results per name.
+    and a tuple otherwise. Everything derived from the tables (the carrier
+    poset, J(L), the ideals, the way-below rows, the dual space, the frame
+    predicates per name, ...) is computed on first use and kept in the one
+    `_memo` dict by `posets.cached`.
     """
 
-    __slots__ = (
-        "size",
-        "up",
-        "down",
-        "join",
-        "meet",
-        "bottom",
-        "top",
-        "_carrier",
-        "_distributive_witness",
-        "_ideals",
-        "_prime_filters",
-        "_wb_rows",
-        "_wb_pairs",
-        "_compact",
-        "_compact_set",
-        "_pairs",
-        "_byte_tables",
-        "_join_irr",
-        "_priestley_record",
-        "_frame",
-    )
+    __slots__ = ("size", "up", "down", "join", "meet", "bottom", "top", "_memo")
 
     def __init__(self, up, join, meet, bottom, top):
         self.size = len(up)
@@ -86,19 +67,7 @@ class FinDLat:
         self.meet = tuple(map(row, meet))
         self.bottom = bottom
         self.top = top
-        self._carrier = None
-        self._distributive_witness = -1
-        self._ideals = None
-        self._prime_filters = None
-        self._wb_rows = None
-        self._wb_pairs = None
-        self._compact = None
-        self._compact_set = None
-        self._pairs = None
-        self._byte_tables = None
-        self._join_irr = None
-        self._priestley_record = None
-        self._frame = None
+        self._memo = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -158,10 +127,9 @@ class FinDLat:
             out = self.join[out][a]
         return out
 
+    @cached
     def carrier_poset(self):
-        if self._carrier is None:
-            self._carrier = Poset(self.up, _trusted=True)
-        return self._carrier
+        return Poset(self.up, _trusted=True)
 
     @property
     def full_mask(self):
@@ -169,11 +137,32 @@ class FinDLat:
 
     # -- distributivity -----------------------------------------------------
 
+    @cached
     def distributivity_witness(self):
         """The first triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None."""
-        if self._distributive_witness == -1:
-            self._distributive_witness = _distributivity_witness(self)
-        return self._distributive_witness
+        n, join, meet = self.size, self.join, self.meet
+        if n <= 256:
+            # with bytes rows, one pair (a, b) is two translates over every c:
+            # join[b] through meet[a] gives a ∧ (b ∨ c), and meet[a] through
+            # join[a ∧ b] gives (a ∧ b) ∨ (a ∧ c); c is located only on a mismatch
+            join_tables = [row.ljust(256, b"\0") for row in join]
+            for a in range(n):
+                meet_a = meet[a]
+                meet_table = meet_a.ljust(256, b"\0")
+                for b in range(n):
+                    lhs = join[b].translate(meet_table)
+                    rhs = meet_a.translate(join_tables[meet_a[b]])
+                    if lhs != rhs:
+                        return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
+            return None
+        for a in range(n):
+            meet_a = meet[a]
+            for b in range(n):
+                ab, join_b = meet_a[b], join[b]
+                for c in range(n):
+                    if meet_a[join_b[c]] != join[ab][meet_a[c]]:
+                        return a, b, c
+        return None
 
     def is_distributive(self):
         return self.distributivity_witness() is None
@@ -236,32 +225,6 @@ class FinDLat:
         return f"FinDLat(size={self.size})"
 
 
-def _distributivity_witness(lattice):
-    n, join, meet = lattice.size, lattice.join, lattice.meet
-    if n <= 256:
-        # with bytes rows, one pair (a, b) is two translates over every c:
-        # join[b] through meet[a] gives a ∧ (b ∨ c), and meet[a] through
-        # join[a ∧ b] gives (a ∧ b) ∨ (a ∧ c); c is located only on a mismatch
-        join_tables = [row.ljust(256, b"\0") for row in join]
-        for a in range(n):
-            meet_a = meet[a]
-            meet_table = meet_a.ljust(256, b"\0")
-            for b in range(n):
-                lhs = join[b].translate(meet_table)
-                rhs = meet_a.translate(join_tables[meet_a[b]])
-                if lhs != rhs:
-                    return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
-        return None
-    for a in range(n):
-        meet_a = meet[a]
-        for b in range(n):
-            ab, join_b = meet_a[b], join[b]
-            for c in range(n):
-                if meet_a[join_b[c]] != join[ab][meet_a[c]]:
-                    return a, b, c
-    return None
-
-
 def _least_of(mask, up):
     for u in bits(mask):
         if mask & ~up[u] == 0:
@@ -289,8 +252,6 @@ def birkhoff_lattice(points):
     exceed `config.MAX_SEARCH_SPACE` raises CapacityError before they are
     allocated.
     """
-    from .posets import upset_masks
-
     masks = upset_masks(points)
     n = len(masks)
     if n * n > config.MAX_SEARCH_SPACE:
@@ -316,12 +277,15 @@ def join_irreducibles(lattice):
     empty join, so it is excluded with no special case. One join per element
     below j: O(n²), and valid on any finite lattice, distributive or not.
     """
-    if lattice._join_irr is None:
-        lattice._join_irr = tuple(
-            j for j in range(lattice.size)
-            if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j
-        )
-    return list(lattice._join_irr)
+    return list(_join_irreducibles(lattice))
+
+
+@cached
+def _join_irreducibles(lattice):
+    return tuple(
+        j for j in range(lattice.size)
+        if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j
+    )
 
 
 def join_irreducible_poset(lattice):
@@ -375,11 +339,14 @@ def _closure_family(lattice, seed, table, rows):
 
 def all_ideals(lattice):
     """All ideals: nonempty downsets closed under binary joins, as masks."""
-    if lattice._ideals is None:
-        lattice._ideals = tuple(_closure_family(
-            lattice, lattice.down[lattice.bottom], lattice.join, lattice.down
-        ))
-    return list(lattice._ideals)
+    return list(_ideals(lattice))
+
+
+@cached
+def _ideals(lattice):
+    return tuple(_closure_family(
+        lattice, lattice.down[lattice.bottom], lattice.join, lattice.down
+    ))
 
 
 def all_filters(lattice):
@@ -395,31 +362,35 @@ def prime_filters(lattice):
     filters. The search never consults join irreducibles, so the dual
     space's fast path can be checked against it.
     """
-    if lattice._prime_filters is None:
-        out = []
-        for f in all_filters(lattice):
-            if f == lattice.full_mask:
-                continue
-            complement = lattice.full_mask & ~f
-            members = bits(complement)
-            prime = True
-            for i, a in enumerate(members):
-                row = lattice.join[a]
-                for b in members[i:]:
-                    if (f >> row[b]) & 1:
-                        prime = False
-                        break
-                if not prime:
+    return list(_prime_filters(lattice))
+
+
+@cached
+def _prime_filters(lattice):
+    out = []
+    for f in all_filters(lattice):
+        if f == lattice.full_mask:
+            continue
+        complement = lattice.full_mask & ~f
+        members = bits(complement)
+        prime = True
+        for i, a in enumerate(members):
+            row = lattice.join[a]
+            for b in members[i:]:
+                if (f >> row[b]) & 1:
+                    prime = False
                     break
-            if prime:
-                out.append(f)
-        lattice._prime_filters = tuple(sorted(out))
-    return list(lattice._prime_filters)
+            if not prime:
+                break
+        if prime:
+            out.append(f)
+    return tuple(sorted(out))
 
 
 # -- way below ------------------------------------------------------------------
 
 
+@cached
 def way_below_rows_oracle(lattice):
     """Definitional way-below as bitmask rows: row[a] = {b : a << b}.
 
@@ -427,48 +398,42 @@ def way_below_rows_oracle(lattice):
     brute-force authority used by the predicates and validators; it never
     consults the order shortcut.
     """
-    if lattice._wb_rows is None:
-        n = lattice.size
-        full = lattice.full_mask
-        rows = [full for _ in range(n)]
-        for ideal in all_ideals(lattice):
-            sup = lattice.join_of(bits(ideal))
-            dominated = lattice.down[sup]
-            blocked = ~ideal & full
-            for a in bits(blocked):
-                rows[a] &= ~dominated
-        lattice._wb_rows = tuple(rows)
-    return lattice._wb_rows
+    n = lattice.size
+    full = lattice.full_mask
+    rows = [full for _ in range(n)]
+    for ideal in all_ideals(lattice):
+        sup = lattice.join_of(bits(ideal))
+        dominated = lattice.down[sup]
+        blocked = ~ideal & full
+        for a in bits(blocked):
+            rows[a] &= ~dominated
+    return tuple(rows)
 
 
+@cached
 def _way_below_pairs(lattice):
     """The oracle's way-below pairs a << b as two sequences: the a's and the b's.
 
     Each is `bytes` when size <= 256 and a tuple otherwise, like `_pair_table`.
     """
-    if lattice._wb_pairs is None:
-        seq = bytes if lattice.size <= 256 else tuple
-        rows = tuple(map(bits, way_below_rows_oracle(lattice)))
-        lattice._wb_pairs = (
-            seq(a for a, row in enumerate(rows) for _ in row),
-            seq(chain.from_iterable(rows)),
-        )
-    return lattice._wb_pairs
+    seq = bytes if lattice.size <= 256 else tuple
+    rows = tuple(map(bits, way_below_rows_oracle(lattice)))
+    return (
+        seq(a for a, row in enumerate(rows) for _ in row),
+        seq(chain.from_iterable(rows)),
+    )
 
 
 def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
-    if lattice._compact is None:
-        rows = way_below_rows_oracle(lattice)
-        lattice._compact = tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
-    return list(lattice._compact)
+    rows = way_below_rows_oracle(lattice)
+    return [a for a in range(lattice.size) if (rows[a] >> a) & 1]
 
 
+@cached
 def _compact_set(lattice):
     """compact_elements as a frozenset, built once per lattice through it."""
-    if lattice._compact_set is None:
-        lattice._compact_set = frozenset(compact_elements(lattice))
-    return lattice._compact_set
+    return frozenset(compact_elements(lattice))
 
 
 # -- pseudocomplement and well inside ----------------------------------------------
@@ -515,6 +480,7 @@ def frame_predicate(lattice, name):
     return ok
 
 
+@cached
 def frame_predicate_witness(lattice, name):
     """Literal evaluation of a frame property; returns (bool, witness or None).
 
@@ -522,12 +488,7 @@ def frame_predicate_witness(lattice, name):
     Each result is kept per lattice and name, and the composites (coherent,
     stone, arithmetic) read their parts through it: one evaluation each.
     """
-    memo = lattice._frame
-    if memo is None:
-        memo = lattice._frame = {}
-    if name not in memo:
-        memo[name] = _frame_predicate_witness(lattice, name)
-    return memo[name]
+    return _frame_predicate_witness(lattice, name)
 
 
 def _frame_predicate_witness(lattice, name):
@@ -659,6 +620,7 @@ def compose_homs(outer, inner):
     )
 
 
+@cached
 def _pair_table(lattice):
     """Every index pair a <= b as four sequences: a, b, a ∨ b and a ∧ b.
 
@@ -666,31 +628,28 @@ def _pair_table(lattice):
     of the join/meet rows, so the byte-code kernel of `hom_predicate` can
     `translate` them.
     """
-    if lattice._pairs is None:
-        n = lattice.size
-        seq = bytes if n <= 256 else tuple
-        lattice._pairs = (
-            seq(chain.from_iterable(repeat(a, n - a) for a in range(n))),
-            seq(chain.from_iterable(range(a, n) for a in range(n))),
-            seq(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
-            seq(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
-        )
-    return lattice._pairs
+    n = lattice.size
+    seq = bytes if n <= 256 else tuple
+    return (
+        seq(chain.from_iterable(repeat(a, n - a) for a in range(n))),
+        seq(chain.from_iterable(range(a, n) for a in range(n))),
+        seq(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
+        seq(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
+    )
 
 
+@cached
 def _byte_tables(lattice):
     """For at most 16 elements: x ∨ y, x ∧ y and 1 iff x << y (by the ideal
     oracle), each a 256-byte `translate` table at index 16x + y."""
-    if lattice._byte_tables is None:
-        rows = way_below_rows_oracle(lattice)
-        join, meet, wb = bytearray(256), bytearray(256), bytearray(256)
-        for x in range(lattice.size):
-            for y in range(lattice.size):
-                join[16 * x + y] = lattice.join[x][y]
-                meet[16 * x + y] = lattice.meet[x][y]
-                wb[16 * x + y] = (rows[x] >> y) & 1
-        lattice._byte_tables = (bytes(join), bytes(meet), bytes(wb))
-    return lattice._byte_tables
+    rows = way_below_rows_oracle(lattice)
+    join, meet, wb = bytearray(256), bytearray(256), bytearray(256)
+    for x in range(lattice.size):
+        for y in range(lattice.size):
+            join[16 * x + y] = lattice.join[x][y]
+            meet[16 * x + y] = lattice.meet[x][y]
+            wb[16 * x + y] = (rows[x] >> y) & 1
+    return bytes(join), bytes(meet), bytes(wb)
 
 
 _TIMES16 = bytes(16 * x & 255 for x in range(256))
@@ -783,7 +742,7 @@ def enumerate_homs(source, target):
     of M, and every built map is checked against the literal predicate
     `hom_predicate`, once, through the hom's cached `is_frame_hom` flag.
     """
-    from .duality import priestley_space_of
+    from .duality import priestley_space_of  # duality imports this module
 
     source.require_distributive()
     target.require_distributive()

@@ -8,6 +8,7 @@ operations. All values are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -59,6 +60,32 @@ def bits(mask):
     return out
 
 
+def cached(fn):
+    """Keep ``fn(obj)``, or ``fn(obj, arg)`` per argument, in ``obj._memo``.
+
+    Every derived fact of a `Poset`, `FinDLat`, `FinPriestley` or
+    `PointSpace` is computed once per object this way. The key is the
+    returned function: a one-argument fact is stored under it, a
+    two-argument one in a table under it keyed by the argument. A call that
+    raises stores nothing.
+    """
+    if fn.__code__.co_argcount == 1:
+        def memoized(obj):
+            memo = obj._memo
+            if memoized not in memo:
+                memo[memoized] = fn(obj)
+            return memo[memoized]
+    else:
+        def memoized(obj, arg):
+            table = obj._memo.get(memoized)
+            if table is None:
+                table = obj._memo[memoized] = {}
+            if arg not in table:
+                table[arg] = fn(obj, arg)
+            return table[arg]
+    return functools.wraps(fn)(memoized)
+
+
 def popcount(mask):
     return mask.bit_count()
 
@@ -71,15 +98,7 @@ def mask_order_key(mask):
 class Poset:
     """Finite partial order. The empty poset (size 0) is a first-class value."""
 
-    __slots__ = (
-        "size",
-        "up",
-        "down",
-        "_covers",
-        "_heights",
-        "_canon",
-        "_upset_masks",
-    )
+    __slots__ = ("size", "up", "down", "_memo")
 
     def __init__(self, up, _trusted=False):
         up = tuple(up)
@@ -94,10 +113,7 @@ class Poset:
             for j in bits(m):
                 down[j] |= 1 << i
         self.down = tuple(down)
-        self._covers = None
-        self._heights = None
-        self._canon = None
-        self._upset_masks = None
+        self._memo = {}
 
     def _validate(self):
         n = self.size
@@ -188,19 +204,18 @@ class Poset:
             out |= self.down[i]
         return out
 
+    @cached
     def covers(self):
         """Cover pairs (i, j) meaning j covers i, sorted lexicographically."""
-        if self._covers is None:
-            out = []
-            for i in range(self.size):
-                strict = self.up[i] & ~(1 << i)
-                reach = 0
-                for j in bits(strict):
-                    reach |= self.up[j] & ~(1 << j)
-                for j in bits(strict & ~reach):
-                    out.append((i, j))
-            self._covers = tuple(sorted(out))
-        return self._covers
+        out = []
+        for i in range(self.size):
+            strict = self.up[i] & ~(1 << i)
+            reach = 0
+            for j in bits(strict):
+                reach |= self.up[j] & ~(1 << j)
+            for j in bits(strict & ~reach):
+                out.append((i, j))
+        return tuple(sorted(out))
 
     def lower_covers(self, j):
         return [i for i, jj in self.covers() if jj == j]
@@ -208,17 +223,16 @@ class Poset:
     def upper_covers(self, i):
         return [j for ii, j in self.covers() if ii == i]
 
+    @cached
     def heights(self):
         """Length of the longest strictly increasing chain below each point."""
-        if self._heights is None:
-            n = self.size
-            h = [0] * n
-            order = sorted(range(n), key=lambda i: popcount(self.down[i]))
-            for i in order:
-                below = self.down[i] & ~(1 << i)
-                h[i] = max((h[j] + 1 for j in bits(below)), default=0)
-            self._heights = tuple(h)
-        return self._heights
+        n = self.size
+        h = [0] * n
+        order = sorted(range(n), key=lambda i: popcount(self.down[i]))
+        for i in order:
+            below = self.down[i] & ~(1 << i)
+            h[i] = max((h[j] + 1 for j in bits(below)), default=0)
+        return tuple(h)
 
     # -- subsets ---------------------------------------------------------
 
@@ -285,6 +299,7 @@ class Poset:
             classes.setdefault(c, []).append(i)
         return [classes[c] for c in sorted(classes)]
 
+    @cached
     def _canonicalize(self):
         """Canonical key: the up rows under the least relabelling.
 
@@ -293,8 +308,6 @@ class Poset:
         at the sizes this library targets. A search over more orderings than
         `config.MAX_SEARCH_SPACE` raises CapacityError.
         """
-        if self._canon is not None:
-            return self._canon
         n = self.size
         classes = self._color_classes()
         if math.prod(math.factorial(len(c)) for c in classes) > config.MAX_SEARCH_SPACE:
@@ -316,7 +329,6 @@ class Poset:
             key = tuple(key)
             if best_key is None or key < best_key:
                 best_key = key
-        self._canon = best_key
         return best_key
 
     def canonical_key(self):
@@ -547,13 +559,14 @@ def upset_masks(poset):
     n = poset.size
     if (1 << n) > bound:
         raise CapacityError(f"2^{n} upsets exceed the configured bound {bound}")
-    cached = poset._upset_masks
-    if cached is not None:
-        return cached
-    masks = [m for m in range(1 << n) if poset.up_mask(m) == m]
+    return _upset_masks(poset)
+
+
+@cached
+def _upset_masks(poset):
+    masks = [m for m in range(1 << poset.size) if poset.up_mask(m) == m]
     masks.sort(key=mask_order_key)
-    poset._upset_masks = tuple(masks)
-    return poset._upset_masks
+    return tuple(masks)
 
 
 def all_upsets(poset):

@@ -16,7 +16,17 @@ map, and point-space predicates evaluate the defining conditions literally.
 from __future__ import annotations
 
 from .errors import BindingError, UnknownPredicate
-from .posets import MonotoneMap, PointSet, Poset, bits, mask_order_key, upset_masks
+from .posets import (
+    MonotoneMap,
+    PointSet,
+    Poset,
+    bits,
+    cached,
+    compose_maps,
+    mask_order_key,
+    monotone_maps,
+    upset_masks,
+)
 
 LSPACE_PREDICATES = (
     "continuousL",
@@ -47,22 +57,16 @@ POINT_SPACE_PREDICATES = (
 class FinPriestley:
     """Finite Priestley space: a poset of points, topology implicitly discrete."""
 
-    __slots__ = ("points", "_ker", "_core", "_reg", "_downsets", "_cen", "_scott",
-                 "_bisets", "_components", "_lspace", "_point_space")
+    __slots__ = ("points", "_memo")
 
     def __init__(self, points):
         if not isinstance(points, Poset):
             raise TypeError("expected a Poset of points")
         self.points = points
-        # per-operator memo dicts, created on first use: a corpus that is
-        # only built never runs an operator, and each empty dict is 64 bytes
-        self._ker = self._core = self._reg = self._cen = None
-        self._downsets = None
-        self._scott = None
-        self._bisets = None
-        self._components = None
-        self._lspace = None
-        self._point_space = None
+        # every derived fact (the four operators per upset, the Scott
+        # upsets, the bisets, the spatial part, the L-space predicates per
+        # name) is kept in this one dict by `posets.cached` on first use
+        self._memo = {}
 
     @property
     def size(self):
@@ -112,22 +116,20 @@ def _upset_mask_of(space, point_set):
 class PointSpace:
     """The spatial part with its space-of-points topology, opens listed."""
 
-    __slots__ = ("poset", "opens", "_closed", "_predicates")
+    __slots__ = ("poset", "opens", "_memo")
 
     def __init__(self, poset, opens):
         self.poset = poset
         self.opens = tuple(sorted(set(opens), key=mask_order_key))
-        self._closed = None
-        self._predicates = {}
+        self._memo = {}
 
     @property
     def full_mask(self):
         return self.poset.full_mask
 
+    @cached
     def closed_sets(self):
-        if self._closed is None:
-            self._closed = tuple(self.full_mask & ~o for o in self.opens)
-        return self._closed
+        return tuple(self.full_mask & ~o for o in self.opens)
 
     def clopen_sets(self):
         opens = set(self.opens)
@@ -150,16 +152,16 @@ def spatial_mask(space):
     return space.full_mask
 
 
+@cached
 def spatial_part(space):
     """The spatial part and its point-space topology {U ∩ Y : U clopen upset}.
 
     Y is the whole space, so the opens are the clopen upsets: the upset
-    (Alexandroff) topology of the order. The `PointSpace` is built once per
-    space, so its predicate memo is shared by every caller.
+    (Alexandroff) topology of the order. The pair is built once per space,
+    so the `PointSpace`'s predicate memo is shared by every caller.
     """
-    if space._point_space is None:
-        space._point_space = PointSpace(space.points, clop_upset_masks(space))
-    return PointSet(space.points, spatial_mask(space)), space._point_space
+    point_space = PointSpace(space.points, clop_upset_masks(space))
+    return PointSet(space.points, spatial_mask(space)), point_space
 
 
 # -- way below / kernel ----------------------------------------------------------
@@ -194,13 +196,9 @@ def kernel(space, u):
     return PointSet(space.points, _kernel_mask(space, _upset_mask_of(space, u)))
 
 
+@cached
 def _kernel_mask(space, um):
-    memo = space._ker
-    if memo is None:
-        memo = space._ker = {}
-    if um not in memo:
-        memo[um] = _union_inside(clop_upset_masks(space), _upsets_above_meet(space, um))
-    return memo[um]
+    return _union_inside(clop_upset_masks(space), _upsets_above_meet(space, um))
 
 
 def _union_inside(family, bound):
@@ -233,14 +231,13 @@ def is_scott_upset(space, subset):
     return min_mask & ~spatial_mask(space) == 0
 
 
+@cached
 def clop_scott_upset_masks(space):
-    if space._scott is None:
-        space._scott = tuple(
-            m
-            for m in clop_upset_masks(space)
-            if is_scott_upset(space, PointSet(space.points, m))
-        )
-    return space._scott
+    return tuple(
+        m
+        for m in clop_upset_masks(space)
+        if is_scott_upset(space, PointSet(space.points, m))
+    )
 
 
 def clop_scott_upsets(space):
@@ -252,13 +249,9 @@ def core(space, u):
     return PointSet(space.points, _core_mask(space, _upset_mask_of(space, u)))
 
 
+@cached
 def _core_mask(space, um):
-    memo = space._core
-    if memo is None:
-        memo = space._core = {}
-    if um not in memo:
-        memo[um] = _union_inside(clop_scott_upset_masks(space), um)
-    return memo[um]
+    return _union_inside(clop_scott_upset_masks(space), um)
 
 
 # -- well inside / regular part ------------------------------------------------------
@@ -276,59 +269,59 @@ def reg_part(space, u):
 
     The downset of each clopen upset is computed once per space.
     """
-    um = _upset_mask_of(space, u)
-    memo = space._reg
-    if memo is None:
-        memo = space._reg = {}
-        space._downsets = tuple(map(space.points.down_mask, clop_upset_masks(space)))
-    if um not in memo:
-        out = 0
-        for vm, dm in zip(clop_upset_masks(space), space._downsets):
-            if dm & ~um == 0:
-                out |= vm
-        memo[um] = out
-    return PointSet(space.points, memo[um])
+    return PointSet(space.points, _reg_mask(space, _upset_mask_of(space, u)))
+
+
+@cached
+def _reg_mask(space, um):
+    out = 0
+    for vm, dm in zip(clop_upset_masks(space), _downsets(space)):
+        if dm & ~um == 0:
+            out |= vm
+    return out
+
+
+@cached
+def _downsets(space):
+    return tuple(map(space.points.down_mask, clop_upset_masks(space)))
 
 
 # -- bisets / center --------------------------------------------------------------------
 
 
+@cached
 def comparability_components(space):
     """Connected components of the comparability graph, as masks."""
-    if space._components is None:
-        points = space.points
-        n = points.size
-        seen = 0
-        comps = []
-        for start in range(n):
-            if (seen >> start) & 1:
-                continue
-            comp = 1 << start
-            while True:
-                grown = comp
-                for i in bits(comp):
-                    grown |= points.up[i] | points.down[i]
-                if grown == comp:
-                    break
-                comp = grown
-            comps.append(comp)
-            seen |= comp
-        space._components = tuple(comps)
-    return space._components
+    points = space.points
+    seen = 0
+    comps = []
+    for start in range(points.size):
+        if (seen >> start) & 1:
+            continue
+        comp = 1 << start
+        while True:
+            grown = comp
+            for i in bits(comp):
+                grown |= points.up[i] | points.down[i]
+            if grown == comp:
+                break
+            comp = grown
+        comps.append(comp)
+        seen |= comp
+    return tuple(comps)
 
 
+@cached
 def clopen_biset_masks(space):
     """Clopen bisets: exactly the unions of comparability components."""
-    if space._bisets is None:
-        comps = comparability_components(space)
-        masks = set()
-        for k in range(1 << len(comps)):
-            m = 0
-            for i in bits(k):
-                m |= comps[i]
-            masks.add(m)
-        space._bisets = tuple(sorted(masks, key=mask_order_key))
-    return space._bisets
+    comps = comparability_components(space)
+    masks = set()
+    for k in range(1 << len(comps)):
+        m = 0
+        for i in bits(k):
+            m |= comps[i]
+        masks.add(m)
+    return tuple(sorted(masks, key=mask_order_key))
 
 
 def clopen_bisets(space):
@@ -337,13 +330,12 @@ def clopen_bisets(space):
 
 def center(space, u):
     """cen U: union of the clopen bisets contained in U."""
-    um = _upset_mask_of(space, u)
-    memo = space._cen
-    if memo is None:
-        memo = space._cen = {}
-    if um not in memo:
-        memo[um] = _union_inside(clopen_biset_masks(space), um)
-    return PointSet(space.points, memo[um])
+    return PointSet(space.points, _center_mask(space, _upset_mask_of(space, u)))
+
+
+@cached
+def _center_mask(space, um):
+    return _union_inside(clopen_biset_masks(space), um)
 
 
 # -- space predicates ---------------------------------------------------------------
@@ -376,6 +368,7 @@ def lspace_predicate(space, name):
     return ok
 
 
+@cached
 def lspace_predicate_witness(space, name):
     """Evaluate an L-space condition; returns (bool, witness or None).
 
@@ -385,15 +378,6 @@ def lspace_predicate_witness(space, name):
     """
     if name not in LSPACE_PREDICATES:
         raise UnknownPredicate(f"unknown L-space predicate {name!r}")
-    memo = space._lspace
-    if memo is None:
-        memo = space._lspace = {}
-    if name not in memo:
-        memo[name] = _lspace_predicate_witness(space, name)
-    return memo[name]
-
-
-def _lspace_predicate_witness(space, name):
     if name in _CONJUNCTIONS:
         return _conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
     ups = clop_upset_masks(space)
@@ -402,11 +386,9 @@ def _lspace_predicate_witness(space, name):
     if name == "algebraicL":
         return _density_sweep(space, ups, _core_mask)
     if name == "regularL":
-        return _density_sweep(space, ups, lambda s, m: reg_part(
-            s, PointSet(s.points, m)).mask)
+        return _density_sweep(space, ups, _reg_mask)
     if name == "zeroDimL":
-        return _density_sweep(space, ups, lambda s, m: center(
-            s, PointSet(s.points, m)).mask)
+        return _density_sweep(space, ups, _center_mask)
     if name == "kernelStable":
         # ker(U ∩ V) = ker U ∩ ker V, with each kernel read once from
         # _kernel_mask (V ≪ U iff V ⊆ ⋂{W : U ⊆ W}). The condition is symmetric
@@ -476,8 +458,6 @@ class SpaceMap:
 
 
 def compose_space_maps(outer, inner):
-    from .posets import compose_maps
-
     if inner.target is not outer.source:
         raise BindingError("maps do not compose")
     return SpaceMap(inner.source, outer.target, compose_maps(outer.mapping, inner.mapping))
@@ -508,8 +488,6 @@ def map_predicate(space_map, name):
 
 
 def monotone_space_maps(source, target):
-    from .posets import monotone_maps
-
     return [
         SpaceMap(source, target, m)
         for m in monotone_maps(source.points, target.points)
@@ -543,6 +521,7 @@ def point_space_predicate(point_space, name):
     return ok
 
 
+@cached
 def point_space_predicate_witness(point_space, name):
     """Evaluate a point-space condition; returns (bool, witness or None).
 
@@ -553,10 +532,7 @@ def point_space_predicate_witness(point_space, name):
     """
     if name not in POINT_SPACE_PREDICATES:
         raise UnknownPredicate(f"unknown point-space predicate {name!r}")
-    memo = point_space._predicates
-    if name not in memo:
-        memo[name] = _point_space_predicate_witness(point_space, name)
-    return memo[name]
+    return _point_space_predicate_witness(point_space, name)
 
 
 def _point_space_predicate_witness(point_space, name):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from framelab import CapacityError, corpus
+from framelab import CapacityError, Poset, config, corpus
 from framelab.corpus import corpus_from_json, corpus_to_json, gen_corpus
 
 _CORPUS = gen_corpus(3)
@@ -49,6 +49,29 @@ def test_oversized_poset_is_refused_before_allocation():
     }
     with pytest.raises(CapacityError):
         corpus_from_json(json.dumps(doc))
+
+
+def test_oversized_entry_is_refused_before_its_content_hash(monkeypatch):
+    # the canonical form of a 9-point antichain searches 9! orderings
+    def unhashed(poset):
+        raise AssertionError("content hash computed for an oversized entry")
+
+    doc = {
+        "manifest": {"max_size": 9, "count": 1, "hash": ""},
+        "entries": [{"id": "0" * 12, "poset": Poset.antichain(9).to_doc()}],
+    }
+    monkeypatch.setattr(corpus, "poset_content_id", unhashed)
+    with pytest.raises(CapacityError):
+        corpus_from_json(json.dumps(doc))
+
+
+def test_entry_size_bound_is_the_configured_poset_size(monkeypatch):
+    text = corpus_to_json(_CORPUS)  # entries of up to 3 points
+    monkeypatch.setattr(config, "MAX_POSET_SIZE", 3)
+    assert len(corpus_from_json(text)) == len(_CORPUS)
+    monkeypatch.setattr(config, "MAX_POSET_SIZE", 2)
+    with pytest.raises(CapacityError):
+        corpus_from_json(text)
 
 
 def _entries_not_a_list(doc):

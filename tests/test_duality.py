@@ -4,6 +4,7 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from framelab import ConsistencyError, NotFrameHom, Poset, enumerate_posets, isomorphic
 from framelab import duality, lattices, spaces
@@ -13,6 +14,7 @@ from framelab.lattices import (
     birkhoff_lattice,
     compose_homs,
     enumerate_homs,
+    join_irreducible_poset,
     join_irreducibles,
     prime_filters,
 )
@@ -21,6 +23,7 @@ from framelab.duality import (
     dualize_hom,
     lattice_content_id,
     phi_join_law,
+    poset_content_id,
     priestley_space_of,
     round_trip_frame,
     round_trip_space,
@@ -31,10 +34,12 @@ from framelab.corpus import gen_corpus
 from framelab.posets import bits
 from framelab.spaces import (
     FinPriestley,
+    SpaceMap,
     clop_upset_masks,
     compose_space_maps,
     spatial_part,
 )
+from test_space_references import posets_of_7_or_8_points
 
 _B2 = birkhoff_lattice(Poset.antichain(2))
 
@@ -209,6 +214,33 @@ def test_round_trip_examples():
     assert sorted(eps.witness) == [0, 1]
     trivial = birkhoff_lattice(Poset.empty())
     assert round_trip_frame(trivial).witness == (0,)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets_of_7_or_8_points())
+def test_duality_round_trips_on_random_posets(poset):
+    # every object is built fresh, so each example fills new memos
+    lat = birkhoff_lattice(poset)
+    assert round_trip_frame(lat).size == lat.size
+    assert round_trip_space(FinPriestley(poset)).size == poset.size
+    assert isomorphic(priestley_space_of(lat).space.points, poset)
+    again = Poset.from_doc(poset.to_doc())
+    assert again.canonical_key() == poset.canonical_key()
+    assert poset_content_id(again) == poset_content_id(poset)
+    points_again = join_irreducible_poset(FinDLat.from_doc(lat.to_doc()))
+    assert points_again.canonical_key() == poset.canonical_key()
+    assert poset_content_id(points_again) == poset_content_id(poset)
+    # the functor laws on every h: L -> 3-chain and every g: 3-chain -> 2-chain
+    three, two = FinDLat.chain(3), FinDLat.chain(2)
+    ident = dualize_hom(LatticeHom.identity(lat))
+    assert ident.mapping.image == SpaceMap.identity(ident.source).mapping.image
+    gs = enumerate_homs(three, two)
+    duals = [dualize_hom(g) for g in gs]
+    for h in enumerate_homs(lat, three):
+        fh = dualize_hom(h)
+        for g, fg in zip(gs, duals):
+            composite = dualize_hom(compose_homs(g, h))
+            assert composite.mapping.image == compose_space_maps(fh, fg).mapping.image
 
 
 # -- phi join law ---------------------------------------------------------------------

@@ -139,6 +139,31 @@ MUTANTS = (
         "    if lattice.is_distributive():\n        return poset_content_id(join_irreducible_poset",
         "killed",
     ),
+    Mutant(
+        "corpus-entry-size-unchecked",
+        "src/framelab/corpus.py",
+        "if poset.size > config.MAX_POSET_SIZE:",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "memo-ignores-argument",
+        "src/framelab/posets.py",
+        "            if arg not in table:\n"
+        "                table[arg] = fn(obj, arg)\n"
+        "            return table[arg]\n",
+        "            if None not in table:\n"
+        "                table[None] = fn(obj, arg)\n"
+        "            return table[None]\n",
+        "killed",
+    ),
+    Mutant(
+        "memo-shared-across-objects",
+        "src/framelab/posets.py",
+        "            memo = obj._memo\n",
+        '            memo = globals().setdefault("_SHARED_MEMO", {})\n',
+        "killed",
+    ),
 )
 
 
