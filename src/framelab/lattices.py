@@ -11,7 +11,7 @@ all ideals, never from the finite shortcut `a <= b`.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import getitem
+from operator import attrgetter, getitem
 
 from . import config
 from .errors import (
@@ -436,6 +436,12 @@ def _compact_set(lattice):
     return frozenset(compact_elements(lattice))
 
 
+@cached
+def _compact_bytes(lattice):
+    """_compact_set as increasing `bytes`, for lattices of at most 256 elements."""
+    return bytes(sorted(_compact_set(lattice)))
+
+
 # -- pseudocomplement and well inside ----------------------------------------------
 
 
@@ -557,20 +563,34 @@ def _frame_predicate_witness(lattice, name):
 
 
 class LatticeHom:
-    """Element-wise map between lattices with cached predicate flags."""
+    """Element-wise map between lattices with cached predicate flags.
 
-    __slots__ = ("source", "target", "image", "_flags")
+    The public constructor refuses an image of the wrong length with
+    ValueError and an element outside the target with IndexError.
+    `enumerate_homs` passes ``_trusted=True`` with the image as `bytes` read
+    through φ_M⁻¹, in range by construction. `image` is a tuple either way;
+    `_table`, the image as bytes padded to 256, is the `translate` table of
+    `hom_predicate`'s byte-code kernels (None for targets over 256 elements).
+    """
 
-    def __init__(self, source, target, image):
-        image = tuple(image)
-        if len(image) != source.size:
-            raise ValueError("image length does not match the source size")
-        for v in image:
-            if not 0 <= v < target.size:
-                raise IndexError(f"image element {v} outside the target")
+    __slots__ = ("source", "target", "image", "_flags", "_table")
+
+    def __init__(self, source, target, image, _trusted=False):
+        if _trusted:
+            table = image.ljust(256, b"\0")
+            image = tuple(image)
+        else:
+            image = tuple(image)
+            if len(image) != source.size:
+                raise ValueError("image length does not match the source size")
+            for v in image:
+                if not 0 <= v < target.size:
+                    raise IndexError(f"image element {v} outside the target")
+            table = bytes(image).ljust(256, b"\0") if target.size <= 256 else None
         self.source = source
         self.target = target
         self.image = image
+        self._table = table
         self._flags = {}
 
     @classmethod
@@ -581,9 +601,10 @@ class LatticeHom:
         return self.image[a]
 
     def _flag(self, name):
-        if name not in self._flags:
-            self._flags[name] = hom_predicate(self, name)
-        return self._flags[name]
+        flag = self._flags.get(name)
+        if flag is None:
+            flag = self._flags[name] = hom_predicate(self, name)
+        return flag
 
     @property
     def is_frame_hom(self):
@@ -652,14 +673,11 @@ def _byte_tables(lattice):
     return bytes(join), bytes(meet), bytes(wb)
 
 
-_TIMES16 = bytes(16 * x & 255 for x in range(256))
-
-
 def _pair_codes(a_col, b_col, t):
-    """16·h(a) + h(b) for each pair (a, b), where t is the image h padded to
-    256 bytes: every h(b) < 16, so OR-ing the two big integers adds them
-    byte by byte without a carry."""
-    high = int.from_bytes(a_col.translate(t.translate(_TIMES16)), "big")
+    """16·h(a) + h(b) for each pair (a, b), where t is the hom's image table:
+    every h(x) < 16, so shifting the h(a) integer left by 4 bits moves each
+    h(a) into its byte's high nibble, and OR-ing adds them without a carry."""
+    high = int.from_bytes(a_col.translate(t), "big") << 4
     low = int.from_bytes(b_col.translate(t), "big")
     return (high | low).to_bytes(len(a_col), "big")
 
@@ -672,25 +690,30 @@ def hom_predicate(hom, name):
     h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every index pair
     a <= b of the source's `_pair_table`, frameHom checks the two bounds and
     then latticeHom, and coherentHom and properHom start from frameHom;
-    properHom checks h(a) << h(b) on every pair a << b of the source, both
-    sides by the ideal oracle. So, asked through the flags (``hom.is_proper``
-    and the rest), the O(|L|²) scan runs at most once per hom.
+    coherentHom checks that h maps every compact element of the source to a
+    compact element of the target, and properHom checks h(a) << h(b) on
+    every pair a << b of the source, both by the ideal oracle. So, asked
+    through the flags (``hom.is_proper`` and the rest), the O(|L|²) scan
+    runs at most once per hom.
 
     When the target has at most 16 elements (one nibble each) and the source
-    at most 256 (one byte), both scans are byte code: each pair becomes the
-    byte 16·h(a) + h(b) (`_pair_codes`), which the target's `_byte_tables`
-    translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]. Larger lattices
-    are scanned pair by pair.
+    at most 256 (one byte), all three scans are byte code over the hom's
+    image table `_table`. Each pair becomes the byte 16·h(a) + h(b)
+    (`_pair_codes`), which the target's `_byte_tables` translate to
+    h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]; the source's compact
+    elements go through the image table, and deleting the target's compact
+    elements from the result leaves nothing iff h is coherent. Larger
+    lattices are scanned pair by pair and element by element.
     """
     src, tgt, img = hom.source, hom.target, hom.image
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
     small = tgt.size <= 16 and src.size <= 256
+    t = hom._table
     if name == "latticeHom":
         a_col, b_col, join_col, meet_col = _pair_table(src)
         if small:
             tgt_join, tgt_meet, _ = _byte_tables(tgt)
-            t = bytes(img).ljust(256, b"\0")
             codes = _pair_codes(a_col, b_col, t)
             return (
                 codes.translate(tgt_join) == join_col.translate(t)
@@ -711,11 +734,12 @@ def hom_predicate(hom, name):
     if not hom._flag("frameHom"):
         return False
     if name == "coherentHom":
+        if small:
+            return not _compact_bytes(src).translate(t).translate(None, _compact_bytes(tgt))
         return _compact_set(tgt).issuperset(map(img.__getitem__, _compact_set(src)))
     # properHom
     wb_a, wb_b = _way_below_pairs(src)
     if small:
-        t = bytes(img).ljust(256, b"\0")
         return 0 not in _pair_codes(wb_a, wb_b, t).translate(_byte_tables(tgt)[2])
     tgt_rows = way_below_rows_oracle(tgt)
     for a, b in zip(wb_a, wb_b):
@@ -737,9 +761,16 @@ def enumerate_homs(source, target):
     with h(a) = φ_M⁻¹({y ∈ X_M : f(y) ∈ φ_L(a)}). The search space counted
     against `config.MAX_SEARCH_SPACE` is |X_L|^|X_M|, and it is counted from
     `join_irreducibles` before either record is built. Both lattices must
-    be distributive, or the correspondence fails. Each image is read
-    from one packed integer, the sum of one precomputed term per dual point
-    of M, and every built map is checked against the literal predicate
+    be distributive, or the correspondence fails.
+
+    Each image is read from one packed integer, the sum of one precomputed
+    term per dual point of M, with one field per source element. When X_M
+    has at most 8 points (so M has at most 256 elements, and every corpus
+    lattice up to 8 points qualifies), a field is one byte, and the whole
+    image is one `translate` of the integer's bytes through the table
+    φ_M(e) ↦ e; those bytes become the hom's trusted image and image table.
+    Wider targets map each field through a dict and take the public, checked
+    constructor. Every built map is checked against the literal predicate
     `hom_predicate`, once, through the hom's cached `is_frame_hom` flag.
     """
     from .duality import priestley_space_of  # duality imports this module
@@ -751,21 +782,37 @@ def enumerate_homs(source, target):
         raise CapacityError("hom search space exceeds the configured bound")
     src_rec = priestley_space_of(source)
     tgt_rec = priestley_space_of(target)
-    # above[x]: the source elements a with x ∈ φ_L(a), for each dual point x
-    above = src_rec.point_filters
-    element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
-    # the images are packed into one integer, w bits per source element:
-    # bit y of field a is set iff f(y) ∈ φ_L(a), so field a is φ_M(h(a)), and
-    # lift[y][x] is what f(y) = x contributes to every field
+    # the images are packed into one integer, `width` bits per source
+    # element: bit y of field a is set iff f(y) ∈ φ_L(a), so field a is
+    # φ_M(h(a)); spread[x] has bit 0 of field a set for each a with
+    # x ∈ φ_L(a), and f(y) = x contributes spread[x] << y
     w = tgt_rec.space.points.size
-    lift = [[sum(1 << (w * a + y) for a in bits(m)) for m in above] for y in range(w)]
-    shifts = [w * a for a in range(source.size)]
-    field = (1 << w) - 1
+    n = source.size
+    if w <= 8:  # then M, the upsets of X_M, has at most 256 elements
+        width = 8
+        table = bytearray(256)
+        for e, m in enumerate(tgt_rec.phi):
+            table[m] = e
+        table = bytes(table)
+
+        def build(packed):
+            image = packed.to_bytes(n, "little").translate(table)
+            return LatticeHom(source, target, image, _trusted=True)
+    else:
+        width = w
+        element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
+        shifts = [w * a for a in range(n)]
+        field = (1 << w) - 1
+
+        def build(packed):
+            image = [element_of[packed >> s & field] for s in shifts]
+            return LatticeHom(source, target, image)
+    spread = [sum(1 << width * a for a in bits(m)) for m in src_rec.point_filters]
+    lift = [[s << y for s in spread] for y in range(w)]
     results = []
     for f in iter_monotone_image_tuples(tgt_rec.space.points, src_rec.space.points):
-        packed = sum(map(getitem, lift, f))
-        hom = LatticeHom(source, target, [element_of[packed >> s & field] for s in shifts])
+        hom = build(sum(map(getitem, lift, f)))
         if hom.is_frame_hom:
             results.append(hom)
-    results.sort(key=lambda h: h.image)
+    results.sort(key=attrgetter("image"))
     return results

@@ -634,7 +634,8 @@ def iter_monotone_image_tuples(p, q):
     """Yield the image tuples of all monotone maps p -> q.
 
     Backtracks along a linear extension of p; a point's candidates are the
-    common upper bounds of the images of its lower covers.
+    common upper bounds of the images of its lower covers. An explicit stack
+    keeps one iterator over the candidates of each assigned point.
     """
     n = p.size
     if n == 0:
@@ -642,33 +643,30 @@ def iter_monotone_image_tuples(p, q):
         return
     if q.size == 0:
         return
-    order = sorted(range(n), key=lambda i: (p.heights()[i], i))
-    pos_in_order = [0] * n
-    for k, v in enumerate(order):
-        pos_in_order[v] = k
-    lower = [[j for j in p.lower_covers(v)] for v in order]
+    heights = p.heights()
+    order = sorted(range(n), key=lambda i: (heights[i], i))
+    lower = [p.lower_covers(v) for v in order]
     image = [0] * n
     q_up = q.up
     q_full = q.full_mask
-
-    def backtrack(k):
-        if k == n:
-            yield tuple(image)
-            return
+    last = n - 1
+    stack = [iter(bits(q_full))]  # order[0] is minimal: no lower covers
+    while stack:
+        k = len(stack) - 1
         v = order[k]
-        candidates = q_full
-        for j in lower[k]:
-            candidates &= q_up[image[j]]
-            if not candidates:
-                return
-        for c in bits(candidates):
+        for c in stack[k]:
             image[v] = c
-            yield from backtrack(k + 1)
-
-    try:
-        yield from backtrack(0)
-    finally:
-        del backtrack  # it refers to itself; free the cycle without the collector
+            if k == last:
+                yield tuple(image)
+                continue
+            candidates = q_full
+            for j in lower[k + 1]:
+                candidates &= q_up[image[j]]
+            if candidates:
+                stack.append(iter(bits(candidates)))
+                break
+        else:
+            stack.pop()
 
 
 def monotone_maps(p, q):

@@ -574,6 +574,40 @@ def test_proper_hom_fails_when_the_target_loses_a_way_below_pair(size, monkeypat
         assert reference.is_proper and not hom.is_proper
 
 
+@pytest.mark.parametrize("size", [16, 17])
+def test_coherent_hom_fails_when_the_target_loses_a_compact_element(size, monkeypatch):
+    # the oracle drops a << a for a = size - 2, an element of the image, from
+    # a fresh target before any of its caches is built; the 16-element target
+    # is decided by the byte-code kernel, the 17-element one by the set route
+    intact, target = FinDLat.chain(size), FinDLat.chain(size)
+    oracle = lattices.way_below_rows_oracle
+    lost = size - 2
+
+    def losing(lattice):
+        rows = oracle(lattice)
+        if lattice is target:
+            rows = rows[:lost] + (rows[lost] & ~(1 << lost),) + rows[lost + 1:]
+        return rows
+
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
+    source, image = FinDLat.chain(3), (0, lost, size - 1)
+    hom = LatticeHom(source, target, image)
+    reference = LatticeHom(source, intact, image)
+    assert hom.is_frame_hom and reference.is_frame_hom
+    assert reference.is_coherent and not hom.is_coherent
+    assert (lattices._compact_bytes in target._memo) == (size == 16)
+
+
+def test_lattice_hom_constructor_refuses_bad_images():
+    three, two = FinDLat.chain(3), FinDLat.chain(2)
+    with pytest.raises(ValueError, match="length"):
+        LatticeHom(three, two, (0, 1))
+    with pytest.raises(IndexError, match="outside the target"):
+        LatticeHom(three, two, (0, 1, 2))
+    with pytest.raises(IndexError, match="outside the target"):
+        LatticeHom(three, two, (0, -1, 1))
+
+
 def test_unknown_hom_predicate():
     with pytest.raises(UnknownPredicate):
         hom_predicate(LatticeHom.identity(b2()), "nonsense")
@@ -618,6 +652,23 @@ def test_enumerate_homs_matches_bruteforce():
         for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
             got = [h.image for h in homs if getattr(h, flag)]
             assert got == homs_brute(src, tgt, kind), (src, tgt, kind)
+
+
+def test_enumerate_homs_on_both_sides_of_the_byte_image_boundary():
+    # an image is one byte per source element while the target's dual has at
+    # most 8 points, so at most 256 elements: chain(9) has 8 points and
+    # chain(10) 9, and the 8-antichain's 256 upsets are the widest target
+    source = FinDLat.chain(3)
+    for target in (FinDLat.chain(9), FinDLat.chain(10)):
+        homs = enumerate_homs(source, target)
+        assert [h.image for h in homs] == homs_brute(source, target, "frameHom")
+        for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
+            got = [h.image for h in homs if getattr(h, flag)]
+            assert got == homs_brute(source, target, kind), (target, kind)
+    wide = birkhoff_lattice(Poset.antichain(8))
+    assert wide.size == 256 and (wide.bottom, wide.top) == (0, 255)
+    images = [h.image for h in enumerate_homs(source, wide)]
+    assert images == [(0, e, 255) for e in range(256)]
 
 
 def test_enumerated_homs_scan_the_tables_once(monkeypatch):

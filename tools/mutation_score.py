@@ -64,8 +64,8 @@ MUTANTS = (
     Mutant(
         "pair-codes-without-x16",
         "src/framelab/lattices.py",
-        "a_col.translate(t.translate(_TIMES16))",
-        "a_col.translate(t)",
+        'int.from_bytes(a_col.translate(t), "big") << 4',
+        'int.from_bytes(a_col.translate(t), "big")',
         "killed",
     ),
     Mutant(
@@ -80,6 +80,27 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "\n                and codes.translate(tgt_meet) == meet_col.translate(t)",
         "",
+        "killed",
+    ),
+    Mutant(
+        "coherent-kernel-deletes-source-compacts",
+        "src/framelab/lattices.py",
+        ".translate(None, _compact_bytes(tgt))",
+        ".translate(None, _compact_bytes(src))",
+        "killed",
+    ),
+    Mutant(
+        "lattice-hom-trusted-by-default",
+        "src/framelab/lattices.py",
+        "def __init__(self, source, target, image, _trusted=False):",
+        "def __init__(self, source, target, image, _trusted=True):",
+        "killed",
+    ),
+    Mutant(
+        "byte-images-for-9-points",
+        "src/framelab/lattices.py",
+        "if w <= 8:",
+        "if w <= 9:",
         "killed",
     ),
     Mutant(
