@@ -487,6 +487,10 @@ def _v_cen_sub_reg(lattice, corpus, cap):
         u = PointSet(space.points, um)
         if center(space, u).mask & ~reg_part(space, u).mask:
             return {"upset": um}
+    frame_regular = frame_predicate(lattice, "regular")
+    space_regular, _ = lspace_predicate_witness(space, "regularL")
+    if frame_regular != space_regular:
+        return {"coda": [frame_regular, space_regular]}
     return None
 
 

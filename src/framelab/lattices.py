@@ -530,8 +530,10 @@ def _frame_predicate_witness(lattice, name):
             return ok, w
         return frame_predicate_witness(lattice, "compactFrame")
     if name == "regular":
+        # b ≺ a iff b* ∨ a = 1; each b*'s join row is read once per call
+        star_rows = [lattice.join[pseudocomplement(lattice, b)] for b in range(n)]
         for a in range(n):
-            below = [b for b in range(n) if well_inside(lattice, b, a)]
+            below = [b for b in range(n) if star_rows[b][a] == lattice.top]
             if lattice.join_of(below) != a:
                 return False, {"element": a}
         return True, None

@@ -207,31 +207,27 @@ class Poset:
     @cached
     def covers(self):
         """Cover pairs (i, j) meaning j covers i, sorted lexicographically."""
-        out = []
-        for i in range(self.size):
-            strict = self.up[i] & ~(1 << i)
-            reach = 0
-            for j in bits(strict):
-                reach |= self.up[j] & ~(1 << j)
-            for j in bits(strict & ~reach):
-                out.append((i, j))
-        return tuple(sorted(out))
+        strict_up = [m ^ (1 << i) for i, m in enumerate(self.up)]
+        return tuple(
+            (i, j) for i, m in enumerate(_cover_masks(strict_up)) for j in bits(m)
+        )
 
     def lower_covers(self, j):
         return [i for i, jj in self.covers() if jj == j]
 
-    def upper_covers(self, i):
-        return [j for ii, j in self.covers() if ii == i]
-
     @cached
     def heights(self):
-        """Length of the longest strictly increasing chain below each point."""
-        n = self.size
-        h = [0] * n
-        order = sorted(range(n), key=lambda i: popcount(self.down[i]))
-        for i in order:
-            below = self.down[i] & ~(1 << i)
-            h[i] = max((h[j] + 1 for j in bits(below)), default=0)
+        """Length of the longest strictly increasing chain below each point.
+
+        Peels off the minimal points of what is left: layer k has height k.
+        """
+        h = [0] * self.size
+        rest = self.full_mask
+        for height in range(self.size):
+            layer = [i for i in bits(rest) if self.down[i] & rest == 1 << i]
+            for i in layer:
+                h[i] = height
+                rest ^= 1 << i
         return tuple(h)
 
     # -- subsets ---------------------------------------------------------
@@ -271,22 +267,29 @@ class Poset:
         return Poset(tuple(new_up), _trusted=True)
 
     def _color_classes(self):
-        """Iteratively refined structural colors; returns vertex lists per color."""
+        """Iteratively refined structural colors; returns vertex lists per color.
+
+        A point starts from (strict down count, strict up count, height) and
+        is refined by the sorted colors of its lower and of its upper covers.
+        The cover masks are computed here, once per poset, with bit
+        operations.
+        """
         n = self.size
+        strict_up = [m ^ (1 << i) for i, m in enumerate(self.up)]
+        strict_down = [m ^ (1 << i) for i, m in enumerate(self.down)]
+        lower = [bits(m) for m in _cover_masks(strict_down)]
+        upper = [bits(m) for m in _cover_masks(strict_up)]
         heights = self.heights()
-        sig = [
-            (popcount(self.down[i]) - 1, popcount(self.up[i]) - 1, heights[i])
+        colors = _index_signatures([
+            (popcount(strict_down[i]), popcount(strict_up[i]), heights[i])
             for i in range(n)
-        ]
-        colors = _index_signatures(sig)
-        lower = [self.lower_covers(i) for i in range(n)]
-        upper = [self.upper_covers(i) for i in range(n)]
+        ])
         while True:
             sig = [
                 (
                     colors[i],
-                    tuple(sorted(colors[j] for j in lower[i])),
-                    tuple(sorted(colors[j] for j in upper[i])),
+                    tuple(sorted([colors[j] for j in lower[i]])),
+                    tuple(sorted([colors[j] for j in upper[i]])),
                 )
                 for i in range(n)
             ]
@@ -303,30 +306,42 @@ class Poset:
     def _canonicalize(self):
         """Canonical key: the up rows under the least relabelling.
 
-        Color refinement narrows the candidate orderings; ties are broken by
-        brute force over permutations inside each color class, which is cheap
-        at the sizes this library targets. A search over more orderings than
-        `config.MAX_SEARCH_SPACE` raises CapacityError.
+        Only orderings that keep the color classes in color order are tried.
+        Inside a class, points with the same strict up-set and the same strict
+        down-set (twins) are interchangeable: permuting them is an
+        automorphism, which leaves every key as it is. So each class tries
+        the distinct arrangements of its twin groups, a group's points always
+        in increasing order, in place of every permutation of its points. A
+        search over more orderings than `config.MAX_SEARCH_SPACE` raises
+        CapacityError before it starts.
         """
         n = self.size
-        classes = self._color_classes()
-        if math.prod(math.factorial(len(c)) for c in classes) > config.MAX_SEARCH_SPACE:
+        up, down = self.up, self.down
+        classes = []
+        space = 1
+        for points in self._color_classes():
+            if len(points) == 1:
+                classes.append([points])
+                continue
+            twins = {}
+            for i in points:
+                twins.setdefault((up[i] ^ (1 << i), down[i] ^ (1 << i)), []).append(i)
+            groups = list(twins.values())
+            space *= math.factorial(len(points)) // math.prod(
+                math.factorial(len(g)) for g in groups
+            )
+            classes.append(groups)
+        if space > config.MAX_SEARCH_SPACE:
             raise CapacityError("canonical form search exceeds the configured bound")
+        rows = [bits(m) for m in up]
+        pos = [0] * n
         best_key = None
-        for perm_parts in itertools.product(
-            *(itertools.permutations(cls_) for cls_ in classes)
-        ):
-            order = [v for part in perm_parts for v in part]
-            pos = [0] * n
-            for new_i, old in enumerate(order):
-                pos[old] = new_i
-            key = []
-            for old in order:
-                m = 0
-                for j in bits(self.up[old]):
-                    m |= 1 << pos[j]
-                key.append(m)
-            key = tuple(key)
+        for parts in itertools.product(*map(_arrangements, classes)):
+            order = [v for part in parts for v in part]
+            for k, old in enumerate(order):
+                pos[old] = 1 << k
+            # a row's bits are distinct powers of two, so their sum is their union
+            key = tuple([sum(map(pos.__getitem__, rows[old])) for old in order])
             if best_key is None or key < best_key:
                 best_key = key
         return best_key
@@ -373,6 +388,39 @@ def _index_signatures(sig):
     ordered = sorted(set(sig))
     index = {s: k for k, s in enumerate(ordered)}
     return [index[s] for s in sig]
+
+
+def _cover_masks(strict):
+    """Per point, its strict row without what the row's points reach: the
+    covers, given the strict up rows (upper covers) or down rows (lower)."""
+    out = []
+    for row in strict:
+        reach = 0
+        for j in bits(row):
+            reach |= strict[j]
+        out.append(row & ~reach)
+    return out
+
+
+def _arrangements(groups):
+    """The distinct orderings of a color class split into twin groups.
+
+    Each group keeps its points in their given order, so only the
+    interleaving of the groups varies: |class|! / ∏ |group|! orderings.
+    """
+    first, rest = groups[0], groups[1:]
+    if not rest:
+        yield tuple(first)
+        return
+    tails = list(_arrangements(rest))
+    size = len(first) + len(tails[0])
+    for spots in itertools.combinations(range(size), len(first)):
+        slots = spots + tuple(k for k in range(size) if k not in spots)
+        for tail in tails:
+            order = [0] * size
+            for k, v in zip(slots, (*first, *tail)):
+                order[k] = v
+            yield tuple(order)
 
 
 class PointSet:
@@ -580,45 +628,38 @@ def all_upsets(poset):
 def enumerate_posets(n):
     """One representative per isomorphism class of posets on n points.
 
-    Works by enumerating all strict orders contained in the numeric order
-    (every poset admits a linear extension, so every class is hit) and
-    deduplicating by canonical form. Representatives are canonical and the
-    output order is deterministic.
+    Every poset has a linear extension, so every class has a labelling whose
+    strict order lies inside the numeric order. Those labellings are built
+    row by row, from point n-1 down to 0: the strict up-set of point i may be
+    any upset of the order already built on i+1..n-1, and those are exactly
+    the choices that keep the relation transitive. Each labelling is
+    deduplicated by canonical form. Representatives are canonical and come
+    in canonical-key order.
     """
     cap = config.MAX_POSET_SIZE
     if n > cap:
         raise CapacityError(f"poset size {n} exceeds the configured bound {cap}")
-    if n == 0:
-        return [Poset.empty()]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    npairs = len(pairs)
     reps = {}
-    for sel in range(1 << npairs):
-        rel = [0] * n
-        m = sel
-        while m:
-            low = m & -m
-            i, j = pairs[low.bit_length() - 1]
-            rel[i] |= 1 << j
-            m ^= low
-        ok = True
-        for i in range(n):
-            row = rel[i]
-            probe = row
-            while probe:
-                low = probe & -probe
-                if rel[low.bit_length() - 1] & ~row:
-                    ok = False
-                    break
-                probe ^= low
-            if not ok:
-                break
-        if not ok:
-            continue
-        p = Poset(tuple(rel[i] | (1 << i) for i in range(n)), _trusted=True)
-        key = p.canonical_key()
-        if key not in reps:
-            reps[key] = p.canonical()
+    strict = [0] * n
+
+    def place(i):
+        if i < 0:
+            p = Poset(tuple(m | (1 << k) for k, m in enumerate(strict)), _trusted=True)
+            key = p.canonical_key()
+            if key not in reps:
+                reps[key] = p.canonical()
+            return
+        # the upsets of the order on i+1..n-1, deciding j = n-1 first: j may
+        # join a set that already holds every point above j
+        rows = [0]
+        for j in range(n - 1, i, -1):
+            above = strict[j]
+            rows += [row | (1 << j) for row in rows if not above & ~row]
+        for row in rows:
+            strict[i] = row
+            place(i - 1)
+
+    place(n - 1)
     return [reps[k] for k in sorted(reps)]
 
 

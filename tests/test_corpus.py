@@ -10,6 +10,11 @@ from framelab.corpus import corpus_from_json, corpus_to_json, gen_corpus
 _CORPUS = gen_corpus(3)
 
 
+def test_manifest_of_the_n5_corpus_is_pinned():
+    # any change to enumeration, canonical form or content ids moves this hash
+    assert gen_corpus(5).manifest == {"max_size": 5, "count": 88, "hash": "d76e4c6f5c6df0ab"}
+
+
 def test_json_round_trip_keeps_ids_and_manifest():
     loaded = corpus_from_json(corpus_to_json(_CORPUS))
     assert [e.entry_id for e in loaded.entries] == [e.entry_id for e in _CORPUS.entries]
@@ -52,7 +57,7 @@ def test_oversized_poset_is_refused_before_allocation():
 
 
 def test_oversized_entry_is_refused_before_its_content_hash(monkeypatch):
-    # the canonical form of a 9-point antichain searches 9! orderings
+    # 9 points exceed the corpus size bound, so the entry is refused by size
     def unhashed(poset):
         raise AssertionError("content hash computed for an oversized entry")
 

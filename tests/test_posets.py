@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -213,7 +212,37 @@ def test_min_elements_invariant(p):
 
 
 def test_enumeration_counts():
+    # OEIS A000112
     assert [len(enumerate_posets(n)) for n in range(6)] == [1, 1, 2, 5, 16, 63]
+    assert len(enumerate_posets(6)) == 318
+
+
+def _natural_labellings(n):
+    """Every strict order on 0..n-1 inside the numeric order, as up rows:
+    the scan over all subsets of the pairs i < j, keeping the transitive ones."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out = []
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        rel = [0] * n
+        for (i, j), on in zip(pairs, chosen):
+            if on:
+                rel[i] |= 1 << j
+        if all(rel[j] & ~rel[i] == 0 for i in range(n) for j in bits(rel[i])):
+            out.append(tuple(rel[i] | (1 << i) for i in range(n)))
+    return out
+
+
+def _subset_scan_posets(n):
+    reps = {}
+    for up in _natural_labellings(n):
+        p = Poset(up)
+        reps.setdefault(p.canonical_key(), p.canonical())
+    return [reps[k] for k in sorted(reps)]
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_enumeration_matches_the_subset_scan(n):
+    assert [p.up for p in enumerate_posets(n)] == [p.up for p in _subset_scan_posets(n)]
 
 
 def test_enumeration_capacity(monkeypatch):
@@ -280,20 +309,67 @@ def test_relabel_preserves_canonical_key():
 
 
 def test_canonical_key_capacity(monkeypatch):
-    # 10! orderings of one colour class exceed the default bound of 2**20, so
-    # the search must be refused before it starts
+    # ten disjoint 2-chains: no two points are twins, so the search would try
+    # 10! orderings of the bottoms times 10! of the tops, over the default
+    # bound of 2**20; it must be refused before it starts
     def no_search(*args):
-        raise AssertionError("the permutation search started")
+        raise AssertionError("the ordering search started")
 
-    monkeypatch.setattr(
-        posets,
-        "itertools",
-        SimpleNamespace(product=no_search, permutations=itertools.permutations),
-    )
+    chains = Poset.from_covers([(2 * k, 2 * k + 1) for k in range(10)], 20)
+    monkeypatch.setattr(posets, "_arrangements", no_search)
     with pytest.raises(CapacityError):
-        Poset.antichain(10).canonical_key()
+        chains.canonical_key()
     monkeypatch.undo()
+    # the ten points of an antichain are twins: one arrangement
+    assert Poset.antichain(10).canonical_key() == (10, tuple(1 << i for i in range(10)))
     assert Poset.antichain(6).canonical_key() == (6, tuple(1 << i for i in range(6)))
+
+
+def _reference_key(p):
+    """The least key over every ordering that keeps the color classes in order."""
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, p._color_classes())):
+        order = [v for part in parts for v in part]
+        new = {old: k for k, old in enumerate(order)}
+        key = tuple(
+            sum(1 << new[j] for j in range(p.size) if p.leq(old, j)) for old in order
+        )
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _random_posets(seed, count):
+    """Seeded 7-8-point posets, randomly relabelled. Every other one holds
+    two or three copies of one small random poset side by side, whose swaps
+    are automorphisms that color refinement cannot split. Each copy has the
+    cover 0 < part-1: copies of an antichain would make one 8-point
+    antichain, 8! orderings for the reference search."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.choice((7, 8))
+        if k % 2:
+            copies = rng.choice((2, 3))
+            part = n // copies
+            part_covers = [(i, j) for i in range(part) for j in range(i + 1, part)
+                           if (i, j) == (0, part - 1) or rng.random() < 0.5]
+            covers = [(c * part + i, c * part + j) for c in range(copies)
+                      for i, j in part_covers]
+        else:
+            density = rng.choice((0.15, 0.3, 0.5))
+            covers = [(i, j) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < density]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(Poset.from_covers(covers, n).relabel(perm))
+    return out
+
+
+def test_canonical_key_matches_the_reference_search():
+    labellings = [Poset(up) for n in range(6) for up in _natural_labellings(n)]
+    for p in labellings + _random_posets(15, 150):
+        assert p._canonicalize() == _reference_key(p), p
 
 
 # -- monotone maps ------------------------------------------------------------

@@ -168,6 +168,27 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "poset-rows-without-closure-test",
+        "src/framelab/posets.py",
+        "rows += [row | (1 << j) for row in rows if not above & ~row]",
+        "rows += [row | (1 << j) for row in rows]",
+        "killed",
+    ),
+    Mutant(
+        "twins-keyed-on-up-sets-only",
+        "src/framelab/posets.py",
+        "twins.setdefault((up[i] ^ (1 << i), down[i] ^ (1 << i)), [])",
+        "twins.setdefault(up[i] ^ (1 << i), [])",
+        "killed",
+    ),
+    Mutant(
+        "regular-well-inside-swapped",
+        "src/framelab/lattices.py",
+        "if star_rows[b][a] == lattice.top",
+        "if star_rows[a][b] == lattice.top",
+        "killed",
+    ),
+    Mutant(
         "memo-ignores-argument",
         "src/framelab/posets.py",
         "            if arg not in table:\n"
