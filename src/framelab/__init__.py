@@ -5,6 +5,11 @@ carriers: exhaustive poset enumeration, Birkhoff representation, the
 way-below / well-inside operator suite, Priestley-space operator calculus
 (kernel, core, regular part, center, spatial part), symbolic complete chains
 as infinite witnesses, and per-theorem validators run over a generated corpus.
+
+Every set of points is an int mask, bit i for point i; there is no set
+class. The space operators (`spaces.kernel`, `core`, `reg_part`, `center`)
+take and return upset masks and raise ValueError on a mask that is not an
+upset of the space or has a bit outside its points.
 """
 
 from .errors import (
@@ -20,20 +25,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import (
-    MonotoneMap,
-    PointSet,
-    Poset,
-    all_upsets,
-    compose_maps,
-    down_closure,
-    enumerate_posets,
-    isomorphic,
-    max_elements,
-    min_elements,
-    monotone_maps,
-    up_closure,
-)
+from .posets import MonotoneMap, Poset, enumerate_posets, monotone_maps
 
 __all__ = [
     "BindingError",
@@ -48,15 +40,7 @@ __all__ = [
     "NotLatticeError",
     "UnknownPredicate",
     "MonotoneMap",
-    "PointSet",
     "Poset",
-    "all_upsets",
-    "compose_maps",
-    "down_closure",
     "enumerate_posets",
-    "isomorphic",
-    "max_elements",
-    "min_elements",
     "monotone_maps",
-    "up_closure",
 ]

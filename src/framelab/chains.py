@@ -172,10 +172,12 @@ class ChainFrame:
     def from_doc(cls, doc):
         if not isinstance(doc, dict) or "chain" not in doc:
             raise ValueError("not a chain document")
-        return cls(
-            [_parse_token(t) for t in doc["chain"]],
-            degenerate=bool(doc.get("degenerate", False)),
-        )
+        tokens, degenerate = doc["chain"], doc.get("degenerate", False)
+        if not isinstance(tokens, list):
+            raise ValueError(f"chain {tokens!r} is not a list of block tokens")
+        if not isinstance(degenerate, bool):
+            raise ValueError(f"degenerate flag {degenerate!r} is not a bool")
+        return cls([_parse_token(t) for t in tokens], degenerate=degenerate)
 
     def __eq__(self, other):
         return (

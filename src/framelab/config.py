@@ -16,7 +16,7 @@ MAX_UPSET_FAMILY = 1 << 16
 # (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|),
 # the orderings a poset's canonical form tries (the product, over its colour
 # classes, of |class|! / ∏ |twin group|!), and the size² join/meet pairs of
-# an explicit lattice document or of a Birkhoff lattice.
+# an explicit lattice document, a Birkhoff lattice or a chain lattice.
 MAX_SEARCH_SPACE = 1 << 20
 
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having

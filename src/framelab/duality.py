@@ -43,7 +43,7 @@ from .lattices import (
     prime_filters,
     way_below_rows_oracle,
 )
-from .posets import MonotoneMap, PointSet, bits, cached
+from .posets import MonotoneMap, bits, cached
 from .spaces import (
     FinPriestley,
     SpaceMap,
@@ -249,20 +249,6 @@ def round_trip_space(space):
     return RoundTripReport("space", space.size, tuple(eps))
 
 
-def phi_join_law(lattice, elements):
-    """phi(join S) equals the closure of the union of the phi images.
-
-    Closure is the identity on a finite space, so that is the union itself.
-    """
-    record = priestley_space_of(lattice)
-    elements = list(elements)
-    lhs = record.phi[lattice.join_of(elements)]
-    union = 0
-    for a in elements:
-        union |= record.phi[a]
-    return lhs == union
-
-
 # -- validators ------------------------------------------------------------------------
 
 
@@ -441,8 +427,7 @@ def _v_scott_stable(lattice, corpus, cap):
 
 
 def _point_space_side(space, name):
-    _, point_space = spatial_part(space)
-    ok, _ = point_space_predicate_witness(point_space, name)
+    ok, _ = point_space_predicate_witness(spatial_part(space), name)
     return ok
 
 
@@ -484,8 +469,7 @@ def _v_cen_sub_reg(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
     for um in clop_upset_masks(space):
-        u = PointSet(space.points, um)
-        if center(space, u).mask & ~reg_part(space, u).mask:
+        if center(space, um) & ~reg_part(space, um):
             return {"upset": um}
     frame_regular = frame_predicate(lattice, "regular")
     space_regular, _ = lspace_predicate_witness(space, "regularL")
@@ -503,8 +487,7 @@ def _v_stone_collapse(lattice, corpus, cap):
     if sorted(clop_scott_upset_masks(space)) != sorted(clopen_biset_masks(space)):
         return {"families": "ClopSUp != ClopBi"}
     for um in clop_upset_masks(space):
-        u = PointSet(space.points, um)
-        if center(space, u).mask != _core_mask(space, um):
+        if center(space, um) != _core_mask(space, um):
             return {"upset": um}
     return None
 

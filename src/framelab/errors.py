@@ -10,7 +10,7 @@ class CycleError(FrameLabError):
 
 
 class BindingError(FrameLabError):
-    """A point set or map was used with a carrier it is not bound to."""
+    """A map was used with a carrier it is not bound to."""
 
 
 class CapacityError(FrameLabError):

@@ -107,9 +107,17 @@ class FinDLat:
 
     @classmethod
     def chain(cls, n):
-        """The n-element chain 0 < 1 < ... < n-1."""
+        """The n-element chain 0 < 1 < ... < n-1.
+
+        A chain whose n² join/meet pairs exceed `config.MAX_SEARCH_SPACE`
+        raises CapacityError before any table is built.
+        """
         if n < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
+        if n * n > config.MAX_SEARCH_SPACE:
+            raise CapacityError(
+                f"a chain of {n} needs {n * n} join/meet pairs, over the search bound"
+            )
         full = (1 << n) - 1
         up = tuple((full >> i) << i for i in range(n))
         join = [[max(i, j) for j in range(n)] for i in range(n)]
@@ -466,18 +474,6 @@ def complemented_elements(lattice):
     return [a for a in range(lattice.size) if well_inside(lattice, a, a)]
 
 
-def is_boolean(lattice):
-    """Brute-force: every element has some complement."""
-    n = lattice.size
-    for a in range(n):
-        if not any(
-            lattice.meet[a][b] == lattice.bottom and lattice.join[a][b] == lattice.top
-            for b in range(n)
-        ):
-            return False
-    return True
-
-
 # -- frame predicates -----------------------------------------------------------
 
 
@@ -633,14 +629,6 @@ class LatticeHom:
 
     def __repr__(self):
         return f"LatticeHom({self.image})"
-
-
-def compose_homs(outer, inner):
-    if inner.target is not outer.source:
-        raise ValueError("homs do not compose")
-    return LatticeHom(
-        inner.source, outer.target, tuple(outer.image[v] for v in inner.image)
-    )
 
 
 @cached

@@ -1,9 +1,11 @@
-"""Finite posets, bulk subset calculus, monotone maps, and enumeration.
+"""Finite posets, upset masks, monotone maps, and enumeration.
 
-Points are the integers 0..size-1. The order is stored as one bitmask per
-point (``up[i]`` is the set of points above-or-equal to ``i``), so the
-up/down-set operations the rest of the library leans on are single integer
-operations. All values are immutable after construction and safe to share.
+Points are the integers 0..size-1, and a set of points is an int mask: bit i
+stands for point i. The library has no other set type. The order is stored
+as one mask per point (``up[i]`` is the set of points above-or-equal to
+``i``), so up- and down-closure (`Poset.up_mask`, `Poset.down_mask`) and the
+upset family (`upset_masks`) are integer operations. All values are
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import itertools
 import math
 
 from . import config
-from .errors import BindingError, CapacityError, CycleError
+from .errors import CapacityError, CycleError
 
 
 def _low_byte_bits():
@@ -199,6 +201,7 @@ class Poset:
         return out
 
     def down_mask(self, mask):
+        """Downward closure of a subset given as a mask."""
         out = 0
         for i in bits(mask):
             out |= self.down[i]
@@ -230,41 +233,7 @@ class Poset:
                 rest ^= 1 << i
         return tuple(h)
 
-    # -- subsets ---------------------------------------------------------
-
-    def subset(self, points):
-        mask = 0
-        for p in points:
-            if not 0 <= p < self.size:
-                raise IndexError(f"point {p} outside 0..{self.size - 1}")
-            mask |= 1 << p
-        return PointSet(self, mask)
-
-    def set_from_mask(self, mask):
-        if mask & ~self.full_mask:
-            raise IndexError("mask references points outside the poset")
-        return PointSet(self, mask)
-
-    def empty_set(self):
-        return PointSet(self, 0)
-
-    def full_set(self):
-        return PointSet(self, self.full_mask)
-
-    # -- relabeling and canonical form ------------------------------------
-
-    def relabel(self, perm):
-        """Copy with point i renamed to perm[i]."""
-        n = self.size
-        if sorted(perm) != list(range(n)):
-            raise ValueError("perm is not a permutation of the points")
-        new_up = [0] * n
-        for i in range(n):
-            m = 0
-            for j in bits(self.up[i]):
-                m |= 1 << perm[j]
-            new_up[perm[i]] = m
-        return Poset(tuple(new_up), _trusted=True)
+    # -- canonical form -------------------------------------------------
 
     def _color_classes(self):
         """Iteratively refined structural colors; returns vertex lists per color.
@@ -423,75 +392,6 @@ def _arrangements(groups):
             yield tuple(order)
 
 
-class PointSet:
-    """Subset of a poset's points; bulk operations are integer bit operations.
-
-    A PointSet is bound to its poset instance: combining sets over different
-    posets raises BindingError.
-    """
-
-    __slots__ = ("poset", "mask")
-
-    def __init__(self, poset, mask):
-        if mask & ~poset.full_mask:
-            raise IndexError("mask references points outside the poset")
-        self.poset = poset
-        self.mask = mask
-
-    def _check(self, other):
-        if not isinstance(other, PointSet):
-            raise TypeError("expected a PointSet")
-        if other.poset is not self.poset:
-            raise BindingError("point sets are bound to different posets")
-
-    def __or__(self, other):
-        self._check(other)
-        return PointSet(self.poset, self.mask | other.mask)
-
-    def __and__(self, other):
-        self._check(other)
-        return PointSet(self.poset, self.mask & other.mask)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PointSet(self.poset, self.mask & ~other.mask)
-
-    def complement(self):
-        return PointSet(self.poset, self.poset.full_mask & ~self.mask)
-
-    def __le__(self, other):
-        self._check(other)
-        return not (self.mask & ~other.mask)
-
-    def __contains__(self, point):
-        return bool((self.mask >> point) & 1)
-
-    def __iter__(self):
-        return iter(bits(self.mask))
-
-    def __len__(self):
-        return popcount(self.mask)
-
-    def __bool__(self):
-        return self.mask != 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PointSet)
-            and other.poset is self.poset
-            and other.mask == self.mask
-        )
-
-    def __hash__(self):
-        return hash((id(self.poset), self.mask))
-
-    def points(self):
-        return bits(self.mask)
-
-    def __repr__(self):
-        return f"PointSet({{{', '.join(map(str, self.points()))}}})"
-
-
 class MonotoneMap:
     """Order-preserving map between two posets, stored pointwise."""
 
@@ -525,11 +425,6 @@ class MonotoneMap:
                 out |= 1 << i
         return out
 
-    def preimage(self, point_set):
-        if point_set.poset is not self.target:
-            raise BindingError("point set is not bound to the map's target")
-        return PointSet(self.source, self.preimage_mask(point_set.mask))
-
     def __eq__(self, other):
         return (
             isinstance(other, MonotoneMap)
@@ -545,54 +440,7 @@ class MonotoneMap:
         return f"MonotoneMap({self.image})"
 
 
-def compose_maps(outer, inner):
-    """outer after inner."""
-    if inner.target is not outer.source:
-        raise BindingError("maps do not compose: inner target differs from outer source")
-    return MonotoneMap(
-        inner.source, outer.target, tuple(outer.image[q] for q in inner.image)
-    )
-
-
-# -- up/down closure ------------------------------------------------------
-
-
-def _bound(poset, point_set):
-    if point_set.poset is not poset:
-        raise BindingError("point set belongs to another poset")
-
-
-def up_closure(poset, point_set):
-    """Smallest upset containing the given set."""
-    _bound(poset, point_set)
-    return PointSet(poset, poset.up_mask(point_set.mask))
-
-
-def down_closure(poset, point_set):
-    """Smallest downset containing the given set."""
-    _bound(poset, point_set)
-    return PointSet(poset, poset.down_mask(point_set.mask))
-
-
-def min_elements(poset, point_set):
-    """Points of the set with no strictly smaller point in the set."""
-    _bound(poset, point_set)
-    mask = point_set.mask
-    out = 0
-    for i in bits(mask):
-        if poset.down[i] & mask == 1 << i:
-            out |= 1 << i
-    return PointSet(poset, out)
-
-
-def max_elements(poset, point_set):
-    _bound(poset, point_set)
-    mask = point_set.mask
-    out = 0
-    for i in bits(mask):
-        if poset.up[i] & mask == 1 << i:
-            out |= 1 << i
-    return PointSet(poset, out)
+# -- upsets ------------------------------------------------------------------
 
 
 def upset_masks(poset):
@@ -615,11 +463,6 @@ def _upset_masks(poset):
     masks = [m for m in range(1 << poset.size) if poset.up_mask(m) == m]
     masks.sort(key=mask_order_key)
     return tuple(masks)
-
-
-def all_upsets(poset):
-    """Every upset exactly once, as PointSets, in canonical order."""
-    return [PointSet(poset, m) for m in upset_masks(poset)]
 
 
 # -- enumeration up to isomorphism ----------------------------------------
@@ -661,11 +504,6 @@ def enumerate_posets(n):
 
     place(n - 1)
     return [reps[k] for k in sorted(reps)]
-
-
-def isomorphic(p, q):
-    """Order-isomorphism test via canonical forms."""
-    return p.canonical_key() == q.canonical_key()
 
 
 # -- monotone maps ---------------------------------------------------------

@@ -7,26 +7,20 @@ the topology is not stored. Infinite (chain) duals, where closure is not the
 identity, are meant to get their own closed-form backend (ROADMAP item 1)
 rather than a topology layer here.
 
+A set of points is an int mask, bit i for point i, as in `posets`.
 Operators on clopen upsets: kernel (union of clopen upsets way below U),
 core (union of clopen Scott upsets inside U), regular part (union of clopen
-upsets well inside U), center (union of clopen bisets inside U). Space,
-map, and point-space predicates evaluate the defining conditions literally.
+upsets well inside U), center (union of clopen bisets inside U). Each of
+`kernel`, `core`, `reg_part` and `center` takes an upset mask and returns
+one; a mask that is not an upset of the space, or that has a bit outside its
+points (a negative mask included), raises ValueError. Space, map, and
+point-space predicates evaluate the defining conditions literally.
 """
 
 from __future__ import annotations
 
 from .errors import BindingError, UnknownPredicate
-from .posets import (
-    MonotoneMap,
-    PointSet,
-    Poset,
-    bits,
-    cached,
-    compose_maps,
-    mask_order_key,
-    monotone_maps,
-    upset_masks,
-)
+from .posets import MonotoneMap, Poset, bits, cached, mask_order_key, upset_masks
 
 LSPACE_PREDICATES = (
     "continuousL",
@@ -97,17 +91,18 @@ def clop_upset_masks(space):
     return upset_masks(space.points)
 
 
-def clop_upsets(space):
-    return [PointSet(space.points, m) for m in clop_upset_masks(space)]
+def _is_upset_mask(space, mask):
+    """Whether the mask is an upset; ValueError if a bit lies outside the
+    space's points, which a negative mask always has."""
+    if mask & ~space.full_mask:
+        raise ValueError(f"mask {mask:#x} has bits outside the space's points")
+    return space.points.up_mask(mask) == mask
 
 
-def _upset_mask_of(space, point_set):
-    if point_set.poset is not space.points:
-        raise BindingError("point set is not bound to this space")
-    mask = point_set.mask
-    if space.points.up_mask(mask) != mask:
-        raise ValueError("point set is not an upset")
-    return mask
+def _upset_mask_of(space, um):
+    if not _is_upset_mask(space, um):
+        raise ValueError(f"mask {um:#x} is not an upset of the space")
+    return um
 
 
 # -- spatial part --------------------------------------------------------------
@@ -154,32 +149,21 @@ def spatial_mask(space):
 
 @cached
 def spatial_part(space):
-    """The spatial part and its point-space topology {U ∩ Y : U clopen upset}.
+    """The spatial part Y as a point space, opens {U ∩ Y : U clopen upset}.
 
-    Y is the whole space, so the opens are the clopen upsets: the upset
-    (Alexandroff) topology of the order. The pair is built once per space,
-    so the `PointSpace`'s predicate memo is shared by every caller.
+    Y is the whole space (`spatial_mask`), so the opens are the clopen
+    upsets: the upset (Alexandroff) topology of the order. It is built once
+    per space, so its predicate memo is shared by every caller.
     """
-    point_space = PointSpace(space.points, clop_upset_masks(space))
-    return PointSet(space.points, spatial_mask(space)), point_space
+    return PointSpace(space.points, clop_upset_masks(space))
 
 
 # -- way below / kernel ----------------------------------------------------------
 
 
-def clop_way_below(space, v, u):
-    """V ≪ U: every upset W with U ⊆ W (= cl W) already contains V, that is
-    V ⊆ ⋂{W : U ⊆ W}.
-
-    On a finite space this is V ⊆ U; the tests compare the two pairwise.
-    """
-    vm = _upset_mask_of(space, v)
-    um = _upset_mask_of(space, u)
-    return vm & ~_upsets_above_meet(space, um) == 0
-
-
 def _upsets_above_meet(space, um):
-    """⋂{W clopen upset : U ⊆ W}; V ≪ U iff V lies inside it."""
+    """⋂{W clopen upset : U ⊆ W}. V ≪ U iff every upset W with U ⊆ W
+    (= cl W) already contains V, that is iff V lies inside it."""
     out = space.full_mask
     for w in clop_upset_masks(space):
         if um & ~w == 0:
@@ -187,13 +171,13 @@ def _upsets_above_meet(space, um):
     return out
 
 
-def kernel(space, u):
+def kernel(space, um):
     """ker U: union of the clopen upsets way below U.
 
     V ≪ U iff V ⊆ ⋂{W clopen upset : U ⊆ W}, so the intersection is formed
     once per U and ker U is the union of the clopen upsets inside it.
     """
-    return PointSet(space.points, _kernel_mask(space, _upset_mask_of(space, u)))
+    return _kernel_mask(space, _upset_mask_of(space, um))
 
 
 @cached
@@ -213,40 +197,31 @@ def _union_inside(family, bound):
 # -- Scott upsets and the core ------------------------------------------------------
 
 
-def is_scott_upset(space, subset):
+def is_scott_upset(space, mask):
     """Closed upsets (= upsets) whose minimal points lie in the spatial part.
 
     That is every upset of a finite space. The closure-reflection route
-    (F ⊆ cl W implies F ⊆ W) holds by construction while cl W = W."""
-    if subset.poset is not space.points:
-        raise BindingError("point set is not bound to this space")
-    mask = subset.mask
-    points = space.points
-    if points.up_mask(mask) != mask:
+    (F ⊆ cl W implies F ⊆ W) holds by construction while cl W = W. A mask
+    that is not an upset is not a Scott upset; one with a bit outside the
+    space raises ValueError."""
+    if not _is_upset_mask(space, mask):
         return False
+    down = space.points.down
     min_mask = 0
     for i in bits(mask):
-        if points.down[i] & mask == 1 << i:
+        if down[i] & mask == 1 << i:
             min_mask |= 1 << i
     return min_mask & ~spatial_mask(space) == 0
 
 
 @cached
 def clop_scott_upset_masks(space):
-    return tuple(
-        m
-        for m in clop_upset_masks(space)
-        if is_scott_upset(space, PointSet(space.points, m))
-    )
+    return tuple(m for m in clop_upset_masks(space) if is_scott_upset(space, m))
 
 
-def clop_scott_upsets(space):
-    return [PointSet(space.points, m) for m in clop_scott_upset_masks(space)]
-
-
-def core(space, u):
+def core(space, um):
     """core U: union of the clopen Scott upsets contained in U."""
-    return PointSet(space.points, _core_mask(space, _upset_mask_of(space, u)))
+    return _core_mask(space, _upset_mask_of(space, um))
 
 
 @cached
@@ -257,19 +232,13 @@ def _core_mask(space, um):
 # -- well inside / regular part ------------------------------------------------------
 
 
-def clop_well_inside(space, v, u):
-    """V ≺ U: the downset of V is contained in U."""
-    vm = _upset_mask_of(space, v)
-    um = _upset_mask_of(space, u)
-    return space.points.down_mask(vm) & ~um == 0
-
-
-def reg_part(space, u):
-    """reg U: union of the clopen upsets V well inside U, that is with ↓V ⊆ U.
+def reg_part(space, um):
+    """reg U: union of the clopen upsets V well inside U (V ≺ U), that is
+    with ↓V ⊆ U.
 
     The downset of each clopen upset is computed once per space.
     """
-    return PointSet(space.points, _reg_mask(space, _upset_mask_of(space, u)))
+    return _reg_mask(space, _upset_mask_of(space, um))
 
 
 @cached
@@ -324,13 +293,9 @@ def clopen_biset_masks(space):
     return tuple(sorted(masks, key=mask_order_key))
 
 
-def clopen_bisets(space):
-    return [PointSet(space.points, m) for m in clopen_biset_masks(space)]
-
-
-def center(space, u):
+def center(space, um):
     """cen U: union of the clopen bisets contained in U."""
-    return PointSet(space.points, _center_mask(space, _upset_mask_of(space, u)))
+    return _center_mask(space, _upset_mask_of(space, um))
 
 
 @cached
@@ -430,10 +395,6 @@ class SpaceMap:
         self._flags = {}
 
     @classmethod
-    def from_images(cls, source, target, image):
-        return cls(source, target, MonotoneMap(source.points, target.points, image))
-
-    @classmethod
     def identity(cls, space):
         return cls(space, space, MonotoneMap.identity(space.points))
 
@@ -455,12 +416,6 @@ class SpaceMap:
 
     def __repr__(self):
         return f"SpaceMap({self.mapping.image})"
-
-
-def compose_space_maps(outer, inner):
-    if inner.target is not outer.source:
-        raise BindingError("maps do not compose")
-    return SpaceMap(inner.source, outer.target, compose_maps(outer.mapping, inner.mapping))
 
 
 def map_predicate(space_map, name):
@@ -485,13 +440,6 @@ def map_predicate(space_map, name):
         ):
             return False
     return True
-
-
-def monotone_space_maps(source, target):
-    return [
-        SpaceMap(source, target, m)
-        for m in monotone_maps(source.points, target.points)
-    ]
 
 
 # -- point-space predicates ---------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from framelab import NormalizationError, UnknownPredicate
+from framelab import CapacityError, NormalizationError, UnknownPredicate
 from framelab.chains import (
     CHAIN_PREDICATES,
     FIXTURE_MATRIX,
@@ -67,6 +67,21 @@ def test_parse_round_trip():
         parse_chain("fin:x")
     with pytest.raises(NormalizationError):
         parse_chain("omega+banana")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"chain": 5}, "is not a list"),
+        ({"chain": "omega"}, "is not a list"),
+        ({"chain": ["fin:2"], "degenerate": "no"}, "is not a bool"),
+        ({"chain": [], "degenerate": "no"}, "is not a bool"),
+    ],
+    ids=["chain-int", "chain-string", "degenerate-string", "degenerate-string-empty"],
+)
+def test_doc_refuses_malformed_input_with_value_error(doc, message):
+    with pytest.raises(ValueError, match=message):
+        ChainFrame.from_doc(doc)
 
 
 def test_coordinate_validation():
@@ -359,6 +374,12 @@ def test_chain_predicates_agree_with_lattice_predicates_on_all_fin():
         assert chain_predicate(c, "stablyCompact") == (
             continuous and stable and frame_predicate(lat, "compactFrame")
         )
+
+
+def test_materialize_is_bounded_by_the_search_space():
+    # fin:1023 has 1,025 elements: 1,025² join/meet pairs exceed 2^20
+    with pytest.raises(CapacityError):
+        materialize(parse_chain("fin:1023"))
 
 
 def test_materialize_rejects_infinite():

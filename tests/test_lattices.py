@@ -15,7 +15,6 @@ from framelab import (
     Poset,
     UnknownPredicate,
     enumerate_posets,
-    isomorphic,
 )
 from framelab import config, duality, lattices
 from framelab.lattices import (
@@ -27,12 +26,10 @@ from framelab.lattices import (
     birkhoff_lattice,
     compact_elements,
     complemented_elements,
-    compose_homs,
     enumerate_homs,
     frame_predicate,
     frame_predicate_witness,
     hom_predicate,
-    is_boolean,
     join_irreducible_poset,
     join_irreducibles,
     prime_filters,
@@ -95,6 +92,20 @@ def way_below_brute(lat, a, b):
     )
 
 
+def is_boolean(lat):
+    """Every element has some complement."""
+    return all(
+        any(lat.meet[a][b] == lat.bottom and lat.join[a][b] == lat.top
+            for b in range(lat.size))
+        for a in range(lat.size)
+    )
+
+
+def compose_homs(outer, inner):
+    """outer after inner."""
+    return LatticeHom(inner.source, outer.target, tuple(outer(v) for v in inner.image))
+
+
 # -- Birkhoff construction -----------------------------------------------------
 
 
@@ -120,7 +131,7 @@ def test_birkhoff_join_meet_are_union_intersection():
 def test_birkhoff_is_distributive_and_recovers_points(p):
     lat = birkhoff_lattice(p)
     assert lat.is_distributive()
-    assert isomorphic(join_irreducible_poset(lat), p)
+    assert join_irreducible_poset(lat).canonical_key() == p.canonical_key()
 
 
 def test_birkhoff_capacity(monkeypatch):
@@ -140,6 +151,14 @@ def test_birkhoff_refuses_tables_over_the_search_bound(monkeypatch):
         birkhoff_lattice(Poset.antichain(7))
     with pytest.raises(CapacityError):
         FinDLat.from_doc({"birkhoff": Poset.antichain(7).to_doc()})
+
+
+def test_chain_refuses_tables_over_the_search_bound(monkeypatch):
+    # a chain of n needs n² join/meet pairs: 10² fits a bound of 100, 11² not
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 100)
+    assert FinDLat.chain(10).size == 10
+    with pytest.raises(CapacityError):
+        FinDLat.chain(11)
 
 
 # -- explicit construction and the distributivity error path -------------------
@@ -788,7 +807,7 @@ def test_lattice_doc_round_trip_birkhoff():
     assert "birkhoff" in doc
     again = FinDLat.from_doc(doc)
     assert again.size == lat.size
-    assert isomorphic(again.carrier_poset(), lat.carrier_poset())
+    assert again.carrier_poset().canonical_key() == lat.carrier_poset().canonical_key()
 
 
 def test_lattice_doc_round_trip_explicit():

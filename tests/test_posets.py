@@ -1,4 +1,6 @@
-"""Poset substrate: construction, closures, upset families, enumeration."""
+"""Poset substrate: construction, closures, upset families, enumeration.
+
+Sets of points are int masks, bit i for point i."""
 
 import itertools
 import random
@@ -6,23 +8,16 @@ import random
 import pytest
 
 from framelab import (
-    BindingError,
     CapacityError,
     CycleError,
     MonotoneMap,
-    PointSet,
     Poset,
-    all_upsets,
-    down_closure,
     enumerate_posets,
-    isomorphic,
-    max_elements,
-    min_elements,
     monotone_maps,
-    up_closure,
 )
-from framelab import config, posets
-from framelab.posets import bits, compose_maps, iter_monotone_image_tuples, popcount
+from framelab import config, posets, spaces
+from framelab.posets import bits, iter_monotone_image_tuples, popcount, upset_masks
+from framelab.spaces import FinPriestley, is_scott_upset
 
 
 def small_posets(max_size=4):
@@ -30,6 +25,15 @@ def small_posets(max_size=4):
     for n in range(max_size + 1):
         out.extend(enumerate_posets(n))
     return out
+
+
+def _relabel(p, perm):
+    """Copy of p with point i renamed to perm[i]."""
+    up = [0] * p.size
+    for i in range(p.size):
+        for j in bits(p.up[i]):
+            up[perm[i]] |= 1 << perm[j]
+    return Poset(up)
 
 
 # -- construction -----------------------------------------------------------
@@ -68,7 +72,7 @@ def test_transitive_closure_of_covers():
 def test_empty_poset_is_first_class():
     p = Poset.empty()
     assert p.size == 0
-    assert [s.points() for s in all_upsets(p)] == [()]
+    assert upset_masks(p) == (0,)
     assert p.canonical_key() == Poset.empty().canonical_key()
 
 
@@ -82,62 +86,34 @@ def test_self_cover_is_ignored():
 
 def test_up_closure_on_two_chain():
     p = Poset.chain(2)
-    assert up_closure(p, p.subset([0])).points() == (0, 1)
-    assert down_closure(p, p.subset([1])).points() == (0, 1)
+    assert p.up_mask(0b01) == 0b11
+    assert p.down_mask(0b10) == 0b11
 
 
 def test_up_closure_on_antichain_is_identity():
     p = Poset.antichain(2)
-    assert up_closure(p, p.subset([0])).points() == (0,)
-
-
-def test_binding_error_across_posets():
-    p, q = Poset.chain(2), Poset.chain(2)
-    with pytest.raises(BindingError):
-        up_closure(p, q.subset([0]))
-    with pytest.raises(BindingError):
-        p.subset([0]) | q.subset([1])
+    assert p.up_mask(0b01) == 0b01
 
 
 @pytest.mark.parametrize("p", small_posets(), ids=lambda p: repr(p.covers()))
 def test_closure_operator_laws(p):
-    # idempotent, extensive, monotone; dually for down_closure
-    for mask in range(1 << p.size):
-        s = p.set_from_mask(mask)
-        u = up_closure(p, s)
-        assert s <= u
-        assert up_closure(p, u) == u
-        d = down_closure(p, s)
-        assert s <= d
-        assert down_closure(p, d) == d
-        for other in range(1 << p.size):
-            if mask & ~other == 0:
-                t = p.set_from_mask(other)
-                assert up_closure(p, s) <= up_closure(p, t)
-
-
-def test_pointset_algebra():
-    p = Poset.antichain(3)
-    a, b = p.subset([0, 1]), p.subset([1, 2])
-    assert (a | b).points() == (0, 1, 2)
-    assert (a & b).points() == (1,)
-    assert (a - b).points() == (0,)
-    assert a.complement().points() == (2,)
-    assert (a & b) <= a
-    assert len(a) == 2 and 0 in a and 2 not in a
+    # up_mask and down_mask are extensive, idempotent and monotone
+    for close in (p.up_mask, p.down_mask):
+        for mask in range(1 << p.size):
+            c = close(mask)
+            assert mask & ~c == 0
+            assert close(c) == c
+            for other in range(1 << p.size):
+                if mask & ~other == 0:
+                    assert c & ~close(other) == 0
 
 
 # -- upset families -----------------------------------------------------------
 
 
 def test_all_upsets_examples():
-    assert [s.points() for s in all_upsets(Poset.empty())] == [()]
-    assert [s.points() for s in all_upsets(Poset.antichain(2))] == [
-        (),
-        (0,),
-        (1,),
-        (0, 1),
-    ]
+    assert upset_masks(Poset.empty()) == (0,)
+    assert upset_masks(Poset.antichain(2)) == (0b00, 0b01, 0b10, 0b11)
     # derived by brute force: filter all four subsets of the 2-chain
     chain = Poset.chain(2)
     expected = [
@@ -147,22 +123,19 @@ def test_all_upsets_examples():
             for j in range(2)
         )
     ]
-    got = [s.mask for s in all_upsets(chain)]
-    assert sorted(got) == sorted(
-        m for m in expected if chain.up_mask(m) == m
-    )
-    assert [s.points() for s in all_upsets(chain)] == [(), (1,), (0, 1)]
+    assert sorted(upset_masks(chain)) == expected
+    assert upset_masks(chain) == (0b00, 0b10, 0b11)
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_upset_counts_for_chains_and_antichains(n):
-    assert len(all_upsets(Poset.chain(n))) == n + 1
-    assert len(all_upsets(Poset.antichain(n))) == 2 ** n
+    assert len(upset_masks(Poset.chain(n))) == n + 1
+    assert len(upset_masks(Poset.antichain(n))) == 2 ** n
 
 
 @pytest.mark.parametrize("p", small_posets(), ids=lambda p: repr(p.covers()))
 def test_upsets_form_bounded_distributive_family(p):
-    fam = {s.mask for s in all_upsets(p)}
+    fam = set(upset_masks(p))
     assert 0 in fam and p.full_mask in fam
     for a in fam:
         for b in fam:
@@ -172,40 +145,53 @@ def test_upsets_form_bounded_distributive_family(p):
 
 def test_upsets_canonical_order_is_card_then_members():
     p = Poset.antichain(3)
-    order = [s.points() for s in all_upsets(p)]
+    order = [bits(m) for m in upset_masks(p)]
     assert order == sorted(order, key=lambda t: (len(t), t))
 
 
 def test_all_upsets_capacity(monkeypatch):
     cached = Poset.antichain(5)
-    all_upsets(cached)  # a default call fills the poset's upset cache
+    upset_masks(cached)  # a default call fills the poset's upset cache
     monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 16)
     for p in (Poset.antichain(5), cached):
         with pytest.raises(CapacityError):
-            all_upsets(p)
+            upset_masks(p)
 
 
-# -- min/max ------------------------------------------------------------------
+# -- minimal points ------------------------------------------------------------
 
 
-def test_min_elements_examples():
-    chain = Poset.chain(2)
-    assert min_elements(chain, chain.full_set()).points() == (0,)
-    anti = Poset.antichain(2)
-    assert min_elements(anti, anti.full_set()).points() == (0, 1)
-    c3 = Poset.chain(3)
-    assert min_elements(c3, c3.subset([1, 2])).points() == (1,)
-    assert max_elements(c3, c3.subset([0, 1])).points() == (1,)
+def _minimal_points(p, um, monkeypatch):
+    """The minimal points of an upset, read through `is_scott_upset`, the one
+    route that computes them: a Scott upset's minimal points lie in the
+    spatial part, so with the spatial part patched to every point but y, the
+    upset fails the test exactly when y is one of its minimal points."""
+    space = FinPriestley(p)
+    out = 0
+    for y in range(p.size):
+        monkeypatch.setattr(spaces, "spatial_mask", lambda s: s.full_mask & ~(1 << y))
+        if not is_scott_upset(space, um):
+            out |= 1 << y
+    monkeypatch.undo()
+    return out
+
+
+def test_min_elements_examples(monkeypatch):
+    assert _minimal_points(Poset.chain(2), 0b11, monkeypatch) == 0b01
+    assert _minimal_points(Poset.antichain(2), 0b11, monkeypatch) == 0b11
+    assert _minimal_points(Poset.chain(3), 0b110, monkeypatch) == 0b010
+    assert _minimal_points(Poset.chain(3), 0, monkeypatch) == 0
 
 
 @pytest.mark.parametrize("p", small_posets(), ids=lambda p: repr(p.covers()))
-def test_min_elements_invariant(p):
-    for mask in range(1 << p.size):
-        s = p.set_from_mask(mask)
-        mins = min_elements(p, s)
-        assert mins <= s
-        for x in s:
-            assert any(p.leq(m, x) for m in mins)
+def test_min_elements_invariant(p, monkeypatch):
+    for um in upset_masks(p):
+        mins = _minimal_points(p, um, monkeypatch)
+        assert mins & ~um == 0
+        for x in bits(um):
+            assert any(p.leq(m, x) for m in bits(mins))
+            below = [y for y in bits(um) if y != x and p.leq(y, x)]
+            assert bool((mins >> x) & 1) == (not below)
 
 
 # -- enumeration and isomorphism ----------------------------------------------
@@ -289,23 +275,13 @@ def test_canonical_agrees_with_bruteforce_iso():
     for a in reps:
         for b in reps:
             if a.size == b.size:
-                assert isomorphic(a, b) == iso_brute(a, b)
-
-
-def test_isomorphic_examples():
-    two_chain = Poset.from_covers([(0, 1)], 2)
-    relabeled = Poset.from_covers([(1, 0)], 2)
-    assert isomorphic(two_chain, relabeled)
-    assert not isomorphic(two_chain, Poset.antichain(2))
-    vee = Poset.from_covers([(0, 2), (1, 2)], 3)
-    wedge = Poset.from_covers([(2, 0), (2, 1)], 3)
-    assert not isomorphic(vee, wedge)
+                assert (a.canonical_key() == b.canonical_key()) == iso_brute(a, b)
 
 
 def test_relabel_preserves_canonical_key():
     p = Poset.from_covers([(0, 1), (0, 2), (2, 3)], 4)
     for perm in itertools.permutations(range(4)):
-        assert p.relabel(list(perm)).canonical_key() == p.canonical_key()
+        assert _relabel(p, perm).canonical_key() == p.canonical_key()
 
 
 def test_canonical_key_capacity(monkeypatch):
@@ -362,7 +338,7 @@ def _random_posets(seed, count):
                       if rng.random() < density]
         perm = list(range(n))
         rng.shuffle(perm)
-        out.append(Poset.from_covers(covers, n).relabel(perm))
+        out.append(_relabel(Poset.from_covers(covers, n), perm))
     return out
 
 
@@ -412,11 +388,10 @@ def test_monotone_map_composition_and_preimage():
     c2, c3 = Poset.chain(2), Poset.chain(3)
     f = MonotoneMap(c2, c3, (0, 2))
     g = MonotoneMap(c3, c2, (0, 0, 1))
-    gf = compose_maps(g, f)
+    gf = MonotoneMap(c2, c2, tuple(g(q) for q in f.image))
     assert gf.image == (0, 1)
-    assert f.preimage(c3.subset([1, 2])).points() == (1,)
-    with pytest.raises(BindingError):
-        f.preimage(c2.subset([0]))
+    assert f.preimage_mask(0b110) == 0b10
+    assert g.preimage_mask(0b10) == 0b100
 
 
 def test_monotone_maps_capacity(monkeypatch):
@@ -502,6 +477,3 @@ def test_bits_matches_a_reference_loop():
         assert bits(mask) == reference(mask), mask
     with pytest.raises(ValueError):
         bits(-1)
-    p = Poset.chain(3)
-    assert next(iter(PointSet(p, 0b110))) == 1
-    assert list(PointSet(p, 0b101)) == [0, 2]

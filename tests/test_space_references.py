@@ -15,9 +15,8 @@ from framelab import spaces
 from framelab.corpus import gen_corpus
 from framelab.spaces import (
     FinPriestley,
-    PointSet,
+    _upsets_above_meet,
     clop_upset_masks,
-    clop_way_below,
     lspace_predicate_witness,
     reg_part,
 )
@@ -87,17 +86,16 @@ def _check_against_references(space, full_pairs=False):
     downsets = {vm: _ref_downset(poset, vm) for vm in ups}
     for um in ups:
         assert spaces._kernel_mask(space, um) == kernels[um]
-        assert reg_part(space, PointSet(poset, um)).mask == _ref_reg(ups, downsets, um)
+        assert reg_part(space, um) == _ref_reg(ups, downsets, um)
     assert lspace_predicate_witness(space, "kernelStable") == _ref_kernel_stable(
         ups, kernels.__getitem__
     )
     if full_pairs:
         for um in ups:
             above = [w for w in ups if um & ~w == 0]
+            meet = _upsets_above_meet(space, um)
             for vm in ups:
-                assert clop_way_below(
-                    space, PointSet(poset, vm), PointSet(poset, um)
-                ) == _ref_way_below(above, vm)
+                assert (vm & ~meet == 0) == _ref_way_below(above, vm)
 
 
 def test_operators_match_references_on_the_corpus():
@@ -106,15 +104,16 @@ def test_operators_match_references_on_the_corpus():
 
 
 @st.composite
-def posets_of_7_or_8_points(draw):
-    n = draw(st.integers(7, 8))
+def random_posets(draw, low, high):
+    """Posets of low..high points, each pair i < j a cover or not."""
+    n = draw(st.integers(low, high))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Poset.from_covers([p for p, k in zip(pairs, keep) if k], n)
 
 
 @settings(max_examples=50, deadline=None)
-@given(posets_of_7_or_8_points())
+@given(random_posets(7, 8))
 def test_operators_match_references_on_random_posets(poset):
     _check_against_references(FinPriestley(poset))
 

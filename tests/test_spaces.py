@@ -1,32 +1,28 @@
-"""Space-side operator calculus: kernel, core, regular part, center, predicates."""
+"""Space-side operator calculus: kernel, core, regular part, center, predicates.
+
+Sets of points are int masks, bit i for point i."""
 
 import pytest
 
-from framelab import BindingError, Poset, UnknownPredicate, enumerate_posets
-from framelab.posets import bits
+from framelab import MonotoneMap, Poset, UnknownPredicate, enumerate_posets, monotone_maps
 from framelab.spaces import (
     FinPriestley,
-    PointSet,
     SpaceMap,
+    _upsets_above_meet,
     center,
-    clop_scott_upsets,
+    clop_scott_upset_masks,
     clop_upset_masks,
-    clop_upsets,
-    clop_way_below,
-    clop_well_inside,
     clopen_biset_masks,
-    clopen_bisets,
     comparability_components,
-    compose_space_maps,
     core,
     is_scott_upset,
     kernel,
     lspace_predicate,
     lspace_predicate_witness,
     map_predicate,
-    monotone_space_maps,
     point_space_predicate,
     reg_part,
+    spatial_mask,
     spatial_part,
 )
 
@@ -45,19 +41,32 @@ def antichain_space(n):
     return FinPriestley(Poset.antichain(n))
 
 
+def space_map(source, target, image):
+    return SpaceMap(source, target, MonotoneMap(source.points, target.points, image))
+
+
+def compose_space_maps(outer, inner):
+    """outer after inner."""
+    image = tuple(outer(q) for q in inner.mapping.image)
+    return space_map(inner.source, outer.target, image)
+
+
+def is_subset(a, b):
+    return a & ~b == 0
+
+
 # -- spatial part -----------------------------------------------------------
 
 
 def test_spatial_part_examples():
     for x in (chain_space(2), antichain_space(3), FinPriestley(Poset.empty())):
-        y, point_space = spatial_part(x)
-        assert y.mask == x.full_mask
-        assert point_space.poset is x.points
+        assert spatial_mask(x) == x.full_mask
+        assert spatial_part(x).poset is x.points
 
 
 def test_point_space_topology_is_the_upset_topology():
     x = chain_space(3)
-    _, ps = spatial_part(x)
+    ps = spatial_part(x)
     assert set(ps.opens) == {0b000, 0b100, 0b110, 0b111}
 
 
@@ -65,33 +74,41 @@ def test_point_space_topology_is_the_upset_topology():
 
 
 def test_clop_way_below_examples():
+    # V << U iff V lies inside the meet of the clopen upsets above U
     x = chain_space(2)
-    empty = x.points.empty_set()
-    top = x.points.subset([1])
-    full = x.points.full_set()
-    assert clop_way_below(x, empty, top)
-    assert clop_way_below(x, top, top)
-    assert not clop_way_below(x, full, top)
+    above_top = _upsets_above_meet(x, 0b10)
+    assert is_subset(0b00, above_top)
+    assert is_subset(0b10, above_top)
+    assert not is_subset(0b11, above_top)
 
 
 def test_clop_way_below_requires_upsets():
     x = chain_space(2)
-    with pytest.raises(ValueError):
-        clop_way_below(x, x.points.subset([0]), x.points.full_set())
+    for operator in (kernel, core, reg_part, center):
+        with pytest.raises(ValueError, match="not an upset"):
+            operator(x, 0b01)
+
+
+def test_operators_refuse_masks_outside_the_space():
+    x = chain_space(2)
+    for mask in (0b100, 0b111, -1, -4):
+        for operator in (kernel, core, reg_part, center, is_scott_upset):
+            with pytest.raises(ValueError, match="outside the space"):
+                operator(x, mask)
 
 
 def test_kernel_examples():
     x = chain_space(2)
-    assert kernel(x, x.points.subset([1])).points() == (1,)
-    assert kernel(x, x.points.empty_set()).points() == ()
+    assert kernel(x, 0b10) == 0b10
+    assert kernel(x, 0) == 0
 
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_kernel_collapse_and_bounds(x):
-    for u in clop_upsets(x):
+    for u in clop_upset_masks(x):
         k = kernel(x, u)
         assert k == u  # finite collapse
-        assert k <= u
+        assert is_subset(k, u)
 
 
 # -- Scott upsets and core -------------------------------------------------------
@@ -99,40 +116,34 @@ def test_kernel_collapse_and_bounds(x):
 
 def test_scott_upset_examples():
     x = chain_space(2)
-    assert is_scott_upset(x, x.points.full_set())
-    assert is_scott_upset(x, x.points.subset([1]))
-    assert not is_scott_upset(x, x.points.subset([0]))  # not an upset
-
-
-def test_scott_binding():
-    x, y = chain_space(2), chain_space(2)
-    with pytest.raises(BindingError):
-        is_scott_upset(x, y.points.full_set())
+    assert is_scott_upset(x, 0b11)
+    assert is_scott_upset(x, 0b10)
+    assert not is_scott_upset(x, 0b01)  # not an upset
 
 
 def test_core_examples():
     x = chain_space(2)
-    assert core(x, x.points.full_set()) == x.points.full_set()
-    assert core(x, x.points.subset([1])).points() == (1,)
+    assert core(x, 0b11) == 0b11
+    assert core(x, 0b10) == 0b10
 
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_core_kernel_chain_and_scott_characterization(x):
-    for u in clop_upsets(x):
+    for u in clop_upset_masks(x):
         c, k = core(x, u), kernel(x, u)
-        assert c <= k and k <= u
+        assert is_subset(c, k) and is_subset(k, u)
         assert c == k == u  # finite collapse
         assert is_scott_upset(x, u) == (core(x, u) == u)
 
 
 @pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.points.covers()))
 def test_core_and_kernel_monotone(x):
-    ups = clop_upsets(x)
+    ups = clop_upset_masks(x)
     for u in ups:
         for v in ups:
-            if u <= v:
-                assert core(x, u) <= core(x, v)
-                assert kernel(x, u) <= kernel(x, v)
+            if is_subset(u, v):
+                assert is_subset(core(x, u), core(x, v))
+                assert is_subset(kernel(x, u), kernel(x, v))
 
 
 # -- regular part -------------------------------------------------------------------
@@ -140,12 +151,12 @@ def test_core_and_kernel_monotone(x):
 
 def test_reg_part_examples():
     x = chain_space(2)
-    top = x.points.subset([1])
-    assert not clop_well_inside(x, top, top)
-    assert reg_part(x, top).points() == ()
-    assert reg_part(x, x.points.full_set()) == x.points.full_set()
+    # the top is not well inside itself: its downset is every point
+    assert not is_subset(x.points.down_mask(0b10), 0b10)
+    assert reg_part(x, 0b10) == 0
+    assert reg_part(x, 0b11) == 0b11
     a = antichain_space(2)
-    assert reg_part(a, a.points.subset([0])).points() == (0,)
+    assert reg_part(a, 0b01) == 0b01
 
 
 # -- bisets and center -----------------------------------------------------------------
@@ -153,12 +164,12 @@ def test_reg_part_examples():
 
 def test_biset_examples():
     x = chain_space(2)
-    assert [b.points() for b in clopen_bisets(x)] == [(), (0, 1)]
-    assert center(x, x.points.subset([1])).points() == ()
+    assert clopen_biset_masks(x) == (0b00, 0b11)
+    assert center(x, 0b10) == 0
     a = antichain_space(2)
-    assert len(clopen_bisets(a)) == 4
-    assert center(a, a.points.subset([0])).points() == (0,)
-    assert center(a, a.points.full_set()) == a.points.full_set()
+    assert len(clopen_biset_masks(a)) == 4
+    assert center(a, 0b01) == 0b01
+    assert center(a, 0b11) == 0b11
 
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
@@ -200,23 +211,21 @@ def test_lspace_finite_collapses(x):
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_lspace_structural_relations(x):
-    ups = clop_upsets(x)
+    ups = clop_upset_masks(x)
     # cen U subset of reg U
     for u in ups:
-        assert center(x, u) <= reg_part(x, u)
+        assert is_subset(center(x, u), reg_part(x, u))
     # stoneL implies regular and L-compact
     if lspace_predicate(x, "stoneL"):
         assert lspace_predicate(x, "regularL")
         assert lspace_predicate(x, "lCompact")
         # clopen Scott upsets equal clopen bisets, and cen = core throughout
-        assert sorted(m.mask for m in clop_scott_upsets(x)) == sorted(
-            clopen_biset_masks(x)
-        )
+        assert sorted(clop_scott_upset_masks(x)) == sorted(clopen_biset_masks(x))
         for u in ups:
             assert center(x, u) == core(x, u)
     # algebraic + kernel-stable iff Scott upsets closed under intersection
     lhs = lspace_predicate(x, "algebraicL") and lspace_predicate(x, "kernelStable")
-    scott = {m.mask for m in clop_scott_upsets(x)}
+    scott = set(clop_scott_upset_masks(x))
     rhs = all(a & b in scott for a in scott for b in scott)
     assert lhs == rhs
 
@@ -243,7 +252,7 @@ def test_map_predicate_identity():
 def test_map_to_point_space_is_coherent():
     x = chain_space(2)
     point = chain_space(1)
-    bang = SpaceMap.from_images(x, point, (0, 0))
+    bang = space_map(x, point, (0, 0))
     assert map_predicate(bang, "coherentL")
     assert map_predicate(bang, "properL")
 
@@ -255,16 +264,18 @@ def test_unknown_map_predicate():
 
 def test_space_map_composition():
     x, y = chain_space(2), antichain_space(2)
-    f = SpaceMap.from_images(x, y, (0, 0))
-    g = SpaceMap.from_images(y, x, (1, 1))
+    f = space_map(x, y, (0, 0))
+    g = space_map(y, x, (1, 1))
     gf = compose_space_maps(g, f)
     assert gf.mapping.image == (1, 1)
+    assert gf.source is x and gf.target is x
 
 
 @pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.points.covers()))
 def test_all_monotone_maps_are_proper_and_coherent(x):
     for y in spaces_up_to(3):
-        for f in monotone_space_maps(x, y):
+        for m in monotone_maps(x.points, y.points):
+            f = SpaceMap(x, y, m)
             assert map_predicate(f, "properL")
             assert map_predicate(f, "coherentL")
 
@@ -273,13 +284,13 @@ def test_all_monotone_maps_are_proper_and_coherent(x):
 
 
 def test_point_space_examples():
-    _, two_chain = spatial_part(chain_space(2))
+    two_chain = spatial_part(chain_space(2))
     assert point_space_predicate(two_chain, "sober")
     assert point_space_predicate(two_chain, "compactlyBased")
     assert not point_space_predicate(two_chain, "stoneSpace")
     assert not point_space_predicate(two_chain, "hausdorff")
     for n in range(4):
-        _, anti = spatial_part(antichain_space(n))
+        anti = spatial_part(antichain_space(n))
         assert point_space_predicate(anti, "stoneSpace")
     with pytest.raises(UnknownPredicate):
         point_space_predicate(two_chain, "metrizable")
@@ -287,7 +298,7 @@ def test_point_space_examples():
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_point_space_finite_facts(x):
-    _, ps = spatial_part(x)
+    ps = spatial_part(x)
     assert point_space_predicate(ps, "sober")
     assert point_space_predicate(ps, "compactlyBased")
     assert point_space_predicate(ps, "stablyCompactlyBased")
@@ -302,7 +313,7 @@ def test_point_space_finite_facts(x):
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
 def test_zero_dimensionality_transfers_between_space_and_points(x):
-    _, ps = spatial_part(x)
+    ps = spatial_part(x)
     assert lspace_predicate(x, "zeroDimL") == point_space_predicate(
         ps, "zeroDimensional"
     )
