@@ -377,8 +377,10 @@ def _v_scott_extensions(lattice, corpus, cap):
         s2 = core_m == um
         # every spatial point of U lies in a Scott upset inside U
         s3 = um & y_mask & ~covered == 0
+        # an f inside U is its own v, so `inside` is scanned only for the rest
         s4 = all(
-            any(f & ~v == 0 for v in inside) for f in scott if f & ~ker_m == 0
+            f & ~um == 0 or any(f & ~v == 0 for v in inside)
+            for f in scott if f & ~ker_m == 0
         )
         if not s1 == s2 == s3 == s4:
             return {"upset": um, "sides": [s1, s2, s3, s4]}

@@ -210,7 +210,13 @@ class FinDLat:
         if "birkhoff" in doc:
             return birkhoff_lattice(Poset.from_doc(doc["birkhoff"]))
         if "elements" in doc:
-            size = int(doc["elements"])
+            size, pairs = doc["elements"], doc.get("leq", [])
+            if type(size) is not int or not isinstance(pairs, list):
+                raise ValueError("lattice elements must be an int and leq a list")
+            for p in pairs:
+                if not (isinstance(p, (list, tuple)) and len(p) == 2
+                        and all(isinstance(x, int) and 0 <= x < size for x in p)):
+                    raise ValueError(f"leq pair {p!r} is not a pair of elements in 0..{size - 1}")
             # refused before anything is allocated: the largest lattice the
             # upset-family bound admits, a Birkhoff lattice, has that many
             # elements, and the join/meet search visits size² pairs
@@ -223,7 +229,7 @@ class FinDLat:
                 )
             return cls.from_leq_pairs(
                 size,
-                [tuple(p) for p in doc.get("leq", [])],
+                [tuple(p) for p in pairs],
                 bottom=doc.get("bottom"),
                 top=doc.get("top"),
             )
@@ -326,18 +332,23 @@ def _closure_family(lattice, seed, table, rows):
     for ideals) of the `table` row of x (`meet` or `join`) over the members.
     Every ideal (filter) containing the seed is reached: a strictly larger
     one J contains some x outside the current I, and the ideal generated by
-    I and x lies inside J.
+    I and x lies inside J. Only the members in no other member's row
+    (maximal in an ideal, minimal in a filter) need the OR: every member
+    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g.
     """
     seen = {seed}
     frontier = [seed]
     full = lattice.full_mask
     while frontier:
         current = frontier.pop()
-        members = bits(current)
+        covered = 0
+        for m in bits(current):
+            covered |= rows[m] & ~(1 << m)
+        extreme = bits(current & ~covered)
         for x in bits(full & ~current):
             row = table[x]
             grown = 0
-            for f in members:
+            for f in extreme:
                 grown |= rows[row[f]]
             if grown not in seen:
                 seen.add(grown)
@@ -456,12 +467,20 @@ def _compact_bytes(lattice):
 def pseudocomplement(lattice, a):
     """a* = join of {x : a ∧ x = 0}; a ∧ a* = 0 is checked (needs distributivity)."""
     row = lattice.meet[a]
-    star = lattice.join_of(x for x in range(lattice.size) if row[x] == lattice.bottom)
+    star = _pseudocomplement_joins(lattice)[a]
     if row[star] != lattice.bottom:
         raise ConsistencyError(
             "a ∧ a* != 0; the lattice is not distributive enough for pseudocomplements"
         )
     return star
+
+
+@cached
+def _pseudocomplement_joins(lattice):
+    """⋁{x : a ∧ x = 0} for every a, unchecked; `bytes` when size <= 256."""
+    bottom, seq = lattice.bottom, (bytes if lattice.size <= 256 else tuple)
+    return seq(lattice.join_of(x for x, m in enumerate(row) if m == bottom)
+               for row in lattice.meet)
 
 
 def well_inside(lattice, a, b):
@@ -512,12 +531,22 @@ def _frame_predicate_witness(lattice, name):
         ok, w = frame_predicate_witness(lattice, "algebraic")
         if not ok:
             return ok, w
+        # `inside` is 1 exactly on ↟a; with bytes rows one translate pair
+        # maps every c ∈ ↟a to [b ∧ c ∈ ↟a], and the c-loop runs only to
+        # name the witness (above 256 elements it is the whole test)
+        small = n <= 256
+        meet_tables = [row.ljust(256, b"\0") for row in lattice.meet] if small else None
         for a in range(n):
             above = bits(rows[a])
+            inside = bytearray(max(n, 256))
+            for x in above:
+                inside[x] = 1
+            above_bytes = bytes(above) if small else None
             for b in above:
-                meet_b = lattice.meet[b]
+                if small and 0 not in above_bytes.translate(meet_tables[b]).translate(inside):
+                    continue
                 for c in above:
-                    if not (rows[a] >> meet_b[c]) & 1:
+                    if not inside[lattice.meet[b][c]]:
                         return False, {"triple": (a, b, c)}
         return True, None
     if name == "coherent":
@@ -546,12 +575,15 @@ def _frame_predicate_witness(lattice, name):
             return ok, w
         return frame_predicate_witness(lattice, "zeroDimensional")
     if name == "spatial":
-        # key each element by its memberships in the prime filters; the
-        # witness is the first element that shares its key, with the next one
-        primes = prime_filters(lattice)
+        # key each element by its prime filters (bit i for the i-th); the
+        # witness is the first element that shares its key, with the next
+        keys = [0] * n
+        for i, f in enumerate(prime_filters(lattice)):
+            for a in bits(f):
+                keys[a] |= 1 << i
         classes = {}
-        for a in range(n):
-            classes.setdefault(tuple((f >> a) & 1 for f in primes), []).append(a)
+        for a, key in enumerate(keys):
+            classes.setdefault(key, []).append(a)
         pairs = [tuple(c[:2]) for c in classes.values() if len(c) > 1]
         return (False, {"pair": min(pairs)}) if pairs else (True, None)
     raise UnknownPredicate(f"unknown frame predicate {name!r}")

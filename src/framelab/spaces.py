@@ -502,10 +502,11 @@ def _point_space_predicate_witness(point_space, name):
     if name == "compact":
         return True, None
     if name == "compactlyBased":
+        # a point of o has a basic open inside o iff it lies in their union
         for o in opens:
-            for y in bits(o):
-                if not any((b >> y) & 1 and b & ~o == 0 for b in opens):
-                    return False, {"open": o, "point": y}
+            missed = o & ~_union_inside(opens, o)
+            if missed:
+                return False, {"open": o, "point": bits(missed)[0]}
         return True, None
     if name == "zeroDimensional":
         clopens = point_space.clopen_sets()
@@ -517,13 +518,18 @@ def _point_space_predicate_witness(point_space, name):
             if union != o:
                 return False, {"open": o}
         return True, None
-    # hausdorff
+    # hausdorff: y is separated from x iff y ∈ reach[x], the union over the
+    # opens u ∋ x of the opens disjoint from u
+    reach = [0] * n
+    for u in opens:
+        apart = 0
+        for v in opens:
+            if u & v == 0:
+                apart |= v
+        for x in bits(u):
+            reach[x] |= apart
     for x in range(n):
-        for y in range(x + 1, n):
-            if not any(
-                (u >> x) & 1 and (v >> y) & 1 and u & v == 0
-                for u in opens
-                for v in opens
-            ):
-                return False, {"points": (x, y)}
+        unseparated = (point_space.full_mask & ~reach[x]) >> (x + 1)
+        if unseparated:
+            return False, {"points": (x, x + 1 + bits(unseparated)[0])}
     return True, None

@@ -1,6 +1,8 @@
 """Functors, Stone maps, round trips, hom dualization, theorem validators."""
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -369,3 +371,27 @@ def test_lattice_content_id_is_the_entry_id_on_the_corpus():
     assert len(entries) == 88
     for entry in entries:
         assert lattice_content_id(entry.lattice) == entry.entry_id
+
+
+def _report_digest(corpus, partners):
+    rows = [
+        [r.lattice_id, r.validator, r.status, r.witness]
+        for entry in corpus.entries
+        for r in validate_all(entry.lattice, partners, lattice_id=entry.entry_id)
+    ]
+    payload = json.dumps(rows, sort_keys=True, separators=(",", ":")).encode()
+    return len(rows), hashlib.sha256(payload).hexdigest()
+
+
+def test_every_sweep_report_is_pinned():
+    # every report apart from `micros`: the n=6 sweep without hom partners
+    # and the n=5 sweep with the corpus as partners, so a change that moves
+    # any status or witness is seen here
+    six = gen_corpus(6)
+    assert _report_digest(six, None) == (
+        4872, "6b9d87a4ba11e8d52507ba6b8ef939b9249ccf61e45e0b4b93c149a0e86a8bec"
+    )
+    five = gen_corpus(5)
+    assert _report_digest(five, five.lattices()) == (
+        1056, "ee24b32072950c5a148efeb4409961a0dffe4386c68ae951a87a7b9ba5b293ab"
+    )

@@ -820,6 +820,22 @@ def test_lattice_doc_round_trip_explicit():
         FinDLat.from_doc({"nope": 1})
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"elements": None},
+        {"elements": 2, "leq": 5},
+        {"elements": 2, "leq": [[0, 7]]},
+        {"elements": 2.7, "leq": []},
+        {"elements": True, "leq": []},
+    ],
+    ids=["size-none", "leq-not-a-list", "pair-out-of-range", "size-float", "size-bool"],
+)
+def test_malformed_lattice_doc_is_refused(doc):
+    with pytest.raises(ValueError):
+        FinDLat.from_doc(doc)
+
+
 def test_lattice_doc_size_is_bounded_by_the_upset_family(monkeypatch):
     monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 4)
     square = birkhoff_lattice(Poset.antichain(2))

@@ -16,8 +16,11 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 25 mutants. 23 are expected to be killed, and two,
-`core-identity` and `kernel-identity`, to survive for that reason.
+The list holds 31 mutants. 29 are expected to be killed, and two,
+`core-identity` and `kernel-identity`, to survive for that reason. The
+point-space `compactlyBased` kernel has no mutant: every open lies among
+the opens inside it, so the predicate holds on every family of opens and
+no test can tell a wrong witness from the right one.
 """
 
 from __future__ import annotations
@@ -203,6 +206,49 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "if star_rows[b][a] == lattice.top",
         "if star_rows[a][b] == lattice.top",
+        "killed",
+    ),
+    Mutant(
+        "arithmetic-inside-missing-last",
+        "src/framelab/lattices.py",
+        "            for x in above:\n                inside[x] = 1\n",
+        "            for x in above[:-1]:\n                inside[x] = 1\n",
+        "killed",
+    ),
+    Mutant(
+        "hausdorff-union-of-meeting-opens",
+        "src/framelab/spaces.py",
+        "            if u & v == 0:\n                apart |= v\n",
+        "            if u & v:\n                apart |= v\n",
+        "killed",
+    ),
+    Mutant(
+        "closure-counts-members-as-covered",
+        "src/framelab/lattices.py",
+        "covered |= rows[m] & ~(1 << m)",
+        "covered |= rows[m]",
+        "killed",
+    ),
+    Mutant(
+        "spatial-keys-ignore-the-filter",
+        "src/framelab/lattices.py",
+        "keys[a] |= 1 << i",
+        "keys[a] |= 1",
+        "killed",
+    ),
+    Mutant(
+        "pseudocomplement-checks-every-element",
+        "src/framelab/lattices.py",
+        "    star = _pseudocomplement_joins(lattice)[a]\n    if row[star] != lattice.bottom:",
+        "    stars = _pseudocomplement_joins(lattice)\n    star = stars[a]\n"
+        "    if any(lattice.meet[x][s] != lattice.bottom for x, s in enumerate(stars)):",
+        "killed",
+    ),
+    Mutant(
+        "lattice-doc-size-unchecked",
+        "src/framelab/lattices.py",
+        "if type(size) is not int or not isinstance(pairs, list):",
+        "if False:",
         "killed",
     ),
     Mutant(
