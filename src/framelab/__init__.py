@@ -7,13 +7,13 @@ way-below / well-inside operator suite, Priestley-space operator calculus
 as infinite witnesses, and per-theorem validators run over a generated corpus.
 
 Every set of points is an int mask, bit i for point i; there is no set
-class. The space operators (`spaces.kernel`, `core`, `reg_part`, `center`)
-take and return upset masks and raise ValueError on a mask that is not an
-upset of the space or has a bit outside its points.
+class. A finite Priestley space is the `Poset` of its points, and a map of
+spaces is a `MonotoneMap`. The space operators (`spaces.kernel`, `core`,
+`reg_part`, `center`) take and return upset masks and raise ValueError on a
+mask that is not an upset of the space or has a bit outside its points.
 """
 
 from .errors import (
-    BindingError,
     CapacityError,
     ConsistencyError,
     CycleError,
@@ -28,7 +28,6 @@ from .errors import (
 from .posets import MonotoneMap, Poset, enumerate_posets, monotone_maps
 
 __all__ = [
-    "BindingError",
     "CapacityError",
     "ConsistencyError",
     "CycleError",

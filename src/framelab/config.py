@@ -15,8 +15,9 @@ MAX_UPSET_FAMILY = 1 << 16
 # Searches whose raw space exceeds this are refused: monotone maps p -> q
 # (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|),
 # the orderings a poset's canonical form tries (the product, over its colour
-# classes, of |class|! / ∏ |twin group|!), and the size² join/meet pairs of
-# an explicit lattice document, a Birkhoff lattice or a chain lattice.
+# classes, of |class|! / ∏ |twin group|!), the size² order pairs of a poset
+# built by a `Poset` constructor, and the size² join/meet pairs of an
+# explicit lattice document, a Birkhoff lattice or a chain lattice.
 MAX_SEARCH_SPACE = 1 << 20
 
 # The proper/coherent hom sweep pairs a lattice with corpus lattices having

@@ -46,6 +46,8 @@ class Corpus:
 def gen_corpus(max_size=5):
     """One entry per isomorphism class of posets of size 0..max_size."""
     cap = config.MAX_POSET_SIZE
+    if max_size < 0:
+        raise ValueError("corpus size must be >= 0")
     if max_size > cap:
         raise CapacityError(f"corpus size {max_size} exceeds the configured cap {cap}")
     entries = []

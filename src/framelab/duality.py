@@ -2,10 +2,11 @@
 
 A lattice goes to its space of prime filters ordered by inclusion, carried by
 the assignment phi(a) = {points containing a}; a space goes to its lattice of
-clopen upsets. The dual space is built by the fast path through join
-irreducibles and checked, on every lattice, against the prime filters that
-`lattices.prime_filters` finds by filter closure without consulting join
-irreducibles. Round trips, hom dualization with its functor laws, and one
+clopen upsets. A finite space is the `Poset` of its points, and a frame hom
+dualizes to a `MonotoneMap`. The dual space is built by the fast path
+through join irreducibles and checked, on every lattice, against the prime
+filters that `lattices.prime_filters` finds by filter closure without
+consulting join irreducibles. Round trips, hom dualization with its functor laws, and one
 named validator per characterization statement live here.
 
 Validators re-derive every side from the definitional operations (the ideal
@@ -45,8 +46,6 @@ from .lattices import (
 )
 from .posets import MonotoneMap, bits, cached
 from .spaces import (
-    FinPriestley,
-    SpaceMap,
     _core_mask,
     _kernel_mask,
     center,
@@ -60,32 +59,18 @@ from .spaces import (
     spatial_part,
 )
 
-VALIDATOR_NAMES = (
-    "coreChain",
-    "compactCharacterization",
-    "algebraicEquivalence",
-    "scottExtensions",
-    "properCoherent",
-    "scottStable",
-    "arithmeticEquivalence",
-    "coherentEquivalence",
-    "cenSubReg",
-    "stoneCollapse",
-    "zeroDimEquivalence",
-    "stoneEquivalence",
-)
-
 
 @dataclass(frozen=True, slots=True)
 class StoneMapRecord:
     """A lattice, its dual space, and the connecting assignment.
 
-    phi[a] is the mask of the clopen upset of points whose filter contains a;
+    space is `join_irreducible_poset(lattice)`, the poset of points; phi[a]
+    is the mask of the clopen upset of points whose filter contains a;
     point_filters[p] is the mask of lattice elements in point p's filter.
     """
 
     lattice: FinDLat
-    space: FinPriestley
+    space: Poset
     phi: tuple
     point_filters: tuple
 
@@ -117,7 +102,10 @@ def priestley_space_of(lattice):
     that of q, and φ(a) = {p : j_p <= a}. On every lattice the prime filters
     of `lattices.prime_filters`, which never consults join irreducibles,
     must produce the same space up to the unique filter-preserving
-    bijection, φ included; a mismatch raises ConsistencyError.
+    bijection, φ included. The filter sets differ exactly when some
+    join-irreducible is not join-prime, that is when L is not distributive,
+    which raises DistributivityError with its witness triple; any other
+    mismatch raises ConsistencyError.
     """
     points = join_irreducible_poset(lattice)
     filters = [lattice.up[j] for j in join_irreducibles(lattice)]
@@ -128,7 +116,7 @@ def priestley_space_of(lattice):
             if (f >> a) & 1:
                 mask |= 1 << p
         phi.append(mask)
-    record = StoneMapRecord(lattice, FinPriestley(points), tuple(phi), tuple(filters))
+    record = StoneMapRecord(lattice, points, tuple(phi), tuple(filters))
     _check_against_oracle(record, prime_filters(lattice))
     return record
 
@@ -136,6 +124,7 @@ def priestley_space_of(lattice):
 def _check_against_oracle(record, oracle_filters):
     lattice = record.lattice
     if sorted(record.point_filters) != oracle_filters:
+        lattice.require_distributive()
         raise ConsistencyError(
             "join-irreducible principal filters differ from the enumerated prime filters"
         )
@@ -145,7 +134,7 @@ def _check_against_oracle(record, oracle_filters):
     for fa in oracle_filters:
         for fb in oracle_filters:
             lhs = fa & ~fb == 0
-            rhs = record.space.points.leq(index[fa], index[fb])
+            rhs = record.space.leq(index[fa], index[fb])
             if lhs != rhs:
                 raise ConsistencyError("oracle and fast-path point orders disagree")
     for a in range(lattice.size):
@@ -178,11 +167,7 @@ def dualize_hom(hom):
                 "preimage of a prime filter under a frame hom must be a prime filter"
             )
         images.append(index[preimage])
-    return SpaceMap(
-        rec_tgt.space,
-        rec_src.space,
-        MonotoneMap(rec_tgt.space.points, rec_src.space.points, images),
-    )
+    return MonotoneMap(rec_tgt.space, rec_src.space, images)
 
 
 # -- round trips --------------------------------------------------------------------
@@ -224,7 +209,7 @@ def round_trip_frame(lattice):
 def round_trip_space(space):
     """x -> {clopen upsets containing x} must be an order-isomorphism onto
     the dual space of the clopen-upset lattice."""
-    lattice = birkhoff_lattice(space.points)
+    lattice = birkhoff_lattice(space)
     record = priestley_space_of(lattice)
     family = clop_upset_masks(space)
     index = {f: p for p, f in enumerate(record.point_filters)}
@@ -244,7 +229,7 @@ def round_trip_space(space):
         raise IsoFailure("the unit is not a bijection on points", witness=tuple(eps))
     for x in range(space.size):
         for y in range(space.size):
-            if space.points.leq(x, y) != record.space.points.leq(eps[x], eps[y]):
+            if space.leq(x, y) != record.space.leq(eps[x], eps[y]):
                 raise IsoFailure("the unit breaks the order", witness=(x, y))
     return RoundTripReport("space", space.size, tuple(eps))
 
@@ -516,3 +501,5 @@ _VALIDATORS = {
     "zeroDimEquivalence": _v_zero_dim_equivalence,
     "stoneEquivalence": _v_stone_equivalence,
 }
+
+VALIDATOR_NAMES = tuple(_VALIDATORS)

@@ -9,10 +9,6 @@ class CycleError(FrameLabError):
     """The transitive closure of a cover relation violates antisymmetry."""
 
 
-class BindingError(FrameLabError):
-    """A map was used with a carrier it is not bound to."""
-
-
 class CapacityError(FrameLabError):
     """An enumeration would exceed a configured size bound."""
 
@@ -52,9 +48,9 @@ class IsoFailure(FrameLabError):
 class ConsistencyError(FrameLabError):
     """Two implementations of the same operation disagreed.
 
-    Raised when the join-irreducible dual space disagrees with the
-    prime-filter oracle, when `dualize_hom` meets a preimage that is not a
-    prime filter, and when a pseudocomplement fails a ∧ a* = 0 (a lattice
-    that is not distributive). On distributive input, firing indicates an
-    implementation bug.
+    Raised when the join-irreducible dual space of a distributive lattice
+    disagrees with the prime-filter oracle, when `dualize_hom` meets a
+    preimage that is not a prime filter, and when a pseudocomplement fails
+    a ∧ a* = 0 (a lattice that is not distributive). On distributive input,
+    firing indicates an implementation bug.
     """

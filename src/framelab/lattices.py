@@ -808,7 +808,7 @@ def enumerate_homs(source, target):
     # element: bit y of field a is set iff f(y) ∈ φ_L(a), so field a is
     # φ_M(h(a)); spread[x] has bit 0 of field a set for each a with
     # x ∈ φ_L(a), and f(y) = x contributes spread[x] << y
-    w = tgt_rec.space.points.size
+    w = tgt_rec.space.size
     n = source.size
     if w <= 8:  # then M, the upsets of X_M, has at most 256 elements
         width = 8
@@ -832,7 +832,7 @@ def enumerate_homs(source, target):
     spread = [sum(1 << width * a for a in bits(m)) for m in src_rec.point_filters]
     lift = [[s << y for s in spread] for y in range(w)]
     results = []
-    for f in iter_monotone_image_tuples(tgt_rec.space.points, src_rec.space.points):
+    for f in iter_monotone_image_tuples(tgt_rec.space, src_rec.space):
         hom = build(sum(map(getitem, lift, f)))
         if hom.is_frame_hom:
             results.append(hom)

@@ -65,11 +65,11 @@ def bits(mask):
 def cached(fn):
     """Keep ``fn(obj)``, or ``fn(obj, arg)`` per argument, in ``obj._memo``.
 
-    Every derived fact of a `Poset`, `FinDLat`, `FinPriestley` or
+    Every derived fact of a `Poset` (a dual space included), `FinDLat` or
     `PointSpace` is computed once per object this way. The key is the
-    returned function: a one-argument fact is stored under it, a
-    two-argument one in a table under it keyed by the argument. A call that
-    raises stores nothing.
+    returned function, so facts of different modules never collide: a
+    one-argument fact is stored under it, a two-argument one in a table
+    under it keyed by the argument. A call that raises stores nothing.
     """
     if fn.__code__.co_argcount == 1:
         def memoized(obj):
@@ -98,7 +98,11 @@ def mask_order_key(mask):
 
 
 class Poset:
-    """Finite partial order. The empty poset (size 0) is a first-class value."""
+    """Finite partial order. The empty poset (size 0) is a first-class value.
+
+    `from_covers`, `from_leq_pairs`, `chain` and `antichain` refuse a negative
+    size (ValueError) and size² > `config.MAX_SEARCH_SPACE` (CapacityError).
+    """
 
     __slots__ = ("size", "up", "down", "_memo")
 
@@ -140,8 +144,7 @@ class Poset:
         Raises CycleError if the closure would violate antisymmetry and
         IndexError if a pair references a point outside 0..size-1.
         """
-        if size < 0:
-            raise ValueError("size must be >= 0")
+        _check_size(size)
         strict = [0] * size
         for a, b in covers:
             if not (0 <= a < size and 0 <= b < size):
@@ -164,6 +167,7 @@ class Poset:
     @classmethod
     def from_leq_pairs(cls, pairs, size):
         """Build a poset from an explicit (already closed) order relation."""
+        _check_size(size)
         up = [1 << i for i in range(size)]
         for a, b in pairs:
             if not (0 <= a < size and 0 <= b < size):
@@ -177,11 +181,13 @@ class Poset:
 
     @classmethod
     def chain(cls, n):
+        _check_size(n)
         full = (1 << n) - 1
         return cls(tuple((full >> i) << i for i in range(n)), _trusted=True)
 
     @classmethod
     def antichain(cls, n):
+        _check_size(n)
         return cls(tuple(1 << i for i in range(n)), _trusted=True)
 
     # -- basic queries ---------------------------------------------------
@@ -353,6 +359,13 @@ class Poset:
         return f"Poset(size={self.size}, covers={list(self.covers())})"
 
 
+def _check_size(n):
+    if n < 0:
+        raise ValueError("size must be >= 0")
+    if n * n > config.MAX_SEARCH_SPACE:
+        raise CapacityError(f"{n} points have {n * n} order pairs, over the search bound")
+
+
 def _index_signatures(sig):
     ordered = sorted(set(sig))
     index = {s: k for k, s in enumerate(ordered)}
@@ -479,6 +492,7 @@ def enumerate_posets(n):
     deduplicated by canonical form. Representatives are canonical and come
     in canonical-key order.
     """
+    _check_size(n)
     cap = config.MAX_POSET_SIZE
     if n > cap:
         raise CapacityError(f"poset size {n} exceeds the configured bound {cap}")

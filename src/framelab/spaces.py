@@ -1,11 +1,12 @@
 """Finite Priestley spaces and the clopen-upset operator calculus.
 
-A finite Priestley space is a finite poset carrying the discrete topology.
-Every subset is clopen, so closure is the identity and the clopen upsets are
-exactly the upsets; the formulas below are written with that built in, and
-the topology is not stored. Infinite (chain) duals, where closure is not the
-identity, are meant to get their own closed-form backend (ROADMAP item 1)
-rather than a topology layer here.
+A finite Priestley space is a finite poset carrying the discrete topology
+(Priestley 1970), so a space is the `Poset` of its points, and a map of
+spaces is a `MonotoneMap`. Every subset is clopen, so closure is the
+identity and the clopen upsets are exactly the upsets; the formulas below
+are written with that built in, and the topology is not stored. Infinite
+(chain) duals, where closure is not the identity, are meant to get their
+own closed-form backend (ROADMAP item 1) rather than a topology layer here.
 
 A set of points is an int mask, bit i for point i, as in `posets`.
 Operators on clopen upsets: kernel (union of clopen upsets way below U),
@@ -14,13 +15,14 @@ upsets well inside U), center (union of clopen bisets inside U). Each of
 `kernel`, `core`, `reg_part` and `center` takes an upset mask and returns
 one; a mask that is not an upset of the space, or that has a bit outside its
 points (a negative mask included), raises ValueError. Space, map, and
-point-space predicates evaluate the defining conditions literally.
+point-space predicates evaluate the defining conditions literally, and
+every derived fact is kept on the poset of points by `posets.cached`.
 """
 
 from __future__ import annotations
 
-from .errors import BindingError, UnknownPredicate
-from .posets import MonotoneMap, Poset, bits, cached, mask_order_key, upset_masks
+from .errors import UnknownPredicate
+from .posets import bits, cached, mask_order_key, upset_masks
 
 LSPACE_PREDICATES = (
     "continuousL",
@@ -48,47 +50,12 @@ POINT_SPACE_PREDICATES = (
 )
 
 
-class FinPriestley:
-    """Finite Priestley space: a poset of points, topology implicitly discrete."""
-
-    __slots__ = ("points", "_memo")
-
-    def __init__(self, points):
-        if not isinstance(points, Poset):
-            raise TypeError("expected a Poset of points")
-        self.points = points
-        # every derived fact (the four operators per upset, the Scott
-        # upsets, the bisets, the spatial part, the L-space predicates per
-        # name) is kept in this one dict by `posets.cached` on first use
-        self._memo = {}
-
-    @property
-    def size(self):
-        return self.points.size
-
-    @property
-    def full_mask(self):
-        return self.points.full_mask
-
-    def to_doc(self):
-        return {"priestley": self.points.to_doc()}
-
-    @classmethod
-    def from_doc(cls, doc):
-        if not isinstance(doc, dict) or "priestley" not in doc:
-            raise ValueError("not a Priestley space document")
-        return cls(Poset.from_doc(doc["priestley"]))
-
-    def __repr__(self):
-        return f"FinPriestley(points={self.points!r})"
-
-
 # -- clopen upsets -----------------------------------------------------------
 
 
 def clop_upset_masks(space):
     """Masks of the clopen upsets (= all upsets, discretely), canonical order."""
-    return upset_masks(space.points)
+    return upset_masks(space)
 
 
 def _is_upset_mask(space, mask):
@@ -96,7 +63,7 @@ def _is_upset_mask(space, mask):
     space's points, which a negative mask always has."""
     if mask & ~space.full_mask:
         raise ValueError(f"mask {mask:#x} has bits outside the space's points")
-    return space.points.up_mask(mask) == mask
+    return space.up_mask(mask) == mask
 
 
 def _upset_mask_of(space, um):
@@ -155,7 +122,7 @@ def spatial_part(space):
     upsets: the upset (Alexandroff) topology of the order. It is built once
     per space, so its predicate memo is shared by every caller.
     """
-    return PointSpace(space.points, clop_upset_masks(space))
+    return PointSpace(space, clop_upset_masks(space))
 
 
 # -- way below / kernel ----------------------------------------------------------
@@ -206,7 +173,7 @@ def is_scott_upset(space, mask):
     space raises ValueError."""
     if not _is_upset_mask(space, mask):
         return False
-    down = space.points.down
+    down = space.down
     min_mask = 0
     for i in bits(mask):
         if down[i] & mask == 1 << i:
@@ -252,7 +219,7 @@ def _reg_mask(space, um):
 
 @cached
 def _downsets(space):
-    return tuple(map(space.points.down_mask, clop_upset_masks(space)))
+    return tuple(map(space.down_mask, clop_upset_masks(space)))
 
 
 # -- bisets / center --------------------------------------------------------------------
@@ -261,17 +228,16 @@ def _downsets(space):
 @cached
 def comparability_components(space):
     """Connected components of the comparability graph, as masks."""
-    points = space.points
     seen = 0
     comps = []
-    for start in range(points.size):
+    for start in range(space.size):
         if (seen >> start) & 1:
             continue
         comp = 1 << start
         while True:
             grown = comp
             for i in bits(comp):
-                grown |= points.up[i] | points.down[i]
+                grown |= space.up[i] | space.down[i]
             if grown == comp:
                 break
             comp = grown
@@ -381,51 +347,13 @@ def _density_sweep(space, ups, part):
 # -- maps ------------------------------------------------------------------------------
 
 
-class SpaceMap:
-    """Monotone (hence continuous) map between finite Priestley spaces."""
-
-    __slots__ = ("source", "target", "mapping", "_flags")
-
-    def __init__(self, source, target, mapping):
-        if mapping.source is not source.points or mapping.target is not target.points:
-            raise BindingError("underlying map is not bound to these spaces")
-        self.source = source
-        self.target = target
-        self.mapping = mapping
-        self._flags = {}
-
-    @classmethod
-    def identity(cls, space):
-        return cls(space, space, MonotoneMap.identity(space.points))
-
-    def __call__(self, point):
-        return self.mapping(point)
-
-    def _flag(self, name):
-        if name not in self._flags:
-            self._flags[name] = map_predicate(self, name)
-        return self._flags[name]
-
-    @property
-    def is_proper(self):
-        return self._flag("properL")
-
-    @property
-    def is_coherent(self):
-        return self._flag("coherentL")
-
-    def __repr__(self):
-        return f"SpaceMap({self.mapping.image})"
-
-
-def map_predicate(space_map, name):
-    """Literal evaluation over the clopen upsets of the target.
+def map_predicate(f, name):
+    """Literal evaluation over the clopen upsets of f.target.
 
     lMorphism is not one: f⁻¹(cl U) = cl f⁻¹(U) holds on every finite map."""
     if name not in MAP_PREDICATES:
         raise UnknownPredicate(f"unknown space-map predicate {name!r}")
-    src, tgt = space_map.source, space_map.target
-    f = space_map.mapping
+    src, tgt = f.source, f.target
     if name == "properL":
         for um in clop_upset_masks(tgt):
             if f.preimage_mask(_kernel_mask(tgt, um)) & ~_kernel_mask(
@@ -498,15 +426,9 @@ def _point_space_predicate_witness(point_space, name):
                 return False, {"closed": c}
         return True, None
     # Every subset of a finite space is compact, so compactness conditions
-    # hold outright and compactlyBased asks only for a basic open per point.
-    if name == "compact":
-        return True, None
-    if name == "compactlyBased":
-        # a point of o has a basic open inside o iff it lies in their union
-        for o in opens:
-            missed = o & ~_union_inside(opens, o)
-            if missed:
-                return False, {"open": o, "point": bits(missed)[0]}
+    # hold outright. compactlyBased asks for a compact open inside o around
+    # each point of o, and o itself is one.
+    if name in ("compact", "compactlyBased"):
         return True, None
     if name == "zeroDimensional":
         clopens = point_space.clopen_sets()

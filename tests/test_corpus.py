@@ -70,6 +70,11 @@ def test_oversized_entry_is_refused_before_its_content_hash(monkeypatch):
         corpus_from_json(json.dumps(doc))
 
 
+def test_gen_corpus_refuses_a_negative_size():
+    with pytest.raises(ValueError, match=">= 0"):
+        gen_corpus(-1)
+
+
 def test_entry_size_bound_is_the_configured_poset_size(monkeypatch):
     text = corpus_to_json(_CORPUS)  # entries of up to 3 points
     monkeypatch.setattr(config, "MAX_POSET_SIZE", 3)

@@ -8,7 +8,14 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from framelab import ConsistencyError, NotFrameHom, Poset, enumerate_posets
+from framelab import (
+    ConsistencyError,
+    DistributivityError,
+    MonotoneMap,
+    NotFrameHom,
+    Poset,
+    enumerate_posets,
+)
 from framelab import duality, lattices, spaces
 from framelab.lattices import (
     FinDLat,
@@ -32,8 +39,8 @@ from framelab.duality import (
 )
 from framelab.corpus import gen_corpus
 from framelab.posets import bits
-from framelab.spaces import FinPriestley, SpaceMap, clop_upset_masks, spatial_part
-from test_lattices import compose_homs
+from framelab.spaces import clop_upset_masks, spatial_part
+from test_lattices import compose_homs, m3, n5
 from test_space_references import random_posets
 from test_spaces import compose_space_maps
 
@@ -57,8 +64,8 @@ def test_priestley_space_of_b2():
     record = priestley_space_of(b2())
     # two incomparable points, phi of the atoms are the two singletons
     assert record.space.size == 2
-    assert not record.space.points.leq(0, 1)
-    assert not record.space.points.leq(1, 0)
+    assert not record.space.leq(0, 1)
+    assert not record.space.leq(1, 0)
     atoms = sorted(record.phi[a] for a in (1, 2))
     assert atoms == [0b01, 0b10]
     assert record.phi[0] == 0
@@ -76,7 +83,7 @@ def test_priestley_space_of_chains():
     # prime filters up(1) strictly contains up(2); phi(m) is the top singleton
     assert sorted(rec3.point_filters) == [0b100, 0b110]
     (m_point,) = bits(rec3.phi[1])
-    assert rec3.space.points.up[m_point] == 1 << m_point
+    assert rec3.space.up[m_point] == 1 << m_point
 
 
 def test_prime_filter_oracle_matches_fast_path_everywhere_small():
@@ -112,6 +119,16 @@ def test_oracle_catches_a_dropped_join_irreducible(monkeypatch):
     assert priestley_space_of(lat).space.size == 5
 
 
+@pytest.mark.parametrize("make, witness", [(m3, (1, 2, 3)), (n5, (3, 1, 2))])
+def test_non_distributive_input_raises_distributivity_error(make, witness):
+    # some join-irreducible of M3 and of N5 is not join-prime, so its
+    # principal filter is missing from the prime filters
+    for call in (priestley_space_of, round_trip_frame, validate_all):
+        with pytest.raises(DistributivityError) as err:
+            call(make())
+        assert err.value.witness == witness
+
+
 def test_dual_of_trivial_lattice_is_empty_space():
     rec = priestley_space_of(birkhoff_lattice(Poset.empty()))
     assert rec.space.size == 0
@@ -121,7 +138,7 @@ def test_dual_of_trivial_lattice_is_empty_space():
 def test_convention_round_trip_on_points(n):
     for p in enumerate_posets(n):
         rec = priestley_space_of(birkhoff_lattice(p))
-        assert rec.space.points.canonical_key() == p.canonical_key()
+        assert rec.space.canonical_key() == p.canonical_key()
 
 
 # -- clopen upset lattice -------------------------------------------------------
@@ -133,7 +150,7 @@ def test_clop_up_lattice_examples():
         (Poset.chain(2), 3),
         (Poset.empty(), 1),
     ):
-        assert len(clop_upset_masks(FinPriestley(points))) == size
+        assert len(clop_upset_masks(points)) == size
         assert birkhoff_lattice(points).size == size
 
 
@@ -143,7 +160,7 @@ def test_clop_up_lattice_examples():
 def test_dualize_identity():
     lat = b2()
     f = dualize_hom(LatticeHom.identity(lat))
-    assert f.mapping.image == tuple(range(f.source.size))
+    assert f.image == tuple(range(f.source.size))
 
 
 def test_dualize_examples_three_chain():
@@ -151,9 +168,9 @@ def test_dualize_examples_three_chain():
     up_m = priestley_space_of(three).point_filters.index(0b110)
     up_1 = priestley_space_of(three).point_filters.index(0b100)
     f = dualize_hom(LatticeHom(three, two, (0, 1, 1)))
-    assert f.mapping.image == (up_m,)
+    assert f.image == (up_m,)
     g = dualize_hom(LatticeHom(three, two, (0, 0, 1)))
-    assert g.mapping.image == (up_1,)
+    assert g.image == (up_1,)
 
 
 def test_dualize_requires_frame_hom():
@@ -165,7 +182,7 @@ def test_functor_laws_small():
     lats = corpus(2)
     for src in lats:
         ident = dualize_hom(LatticeHom.identity(src))
-        assert ident.mapping.image == tuple(range(ident.source.size))
+        assert ident.image == tuple(range(ident.source.size))
     for a, b, c in itertools.product(lats, repeat=3):
         for h in enumerate_homs(a, b):
             fh = dualize_hom(h)
@@ -173,7 +190,7 @@ def test_functor_laws_small():
                 fg = dualize_hom(g)
                 composite = dualize_hom(compose_homs(g, h))
                 chained = compose_space_maps(fh, fg)  # dualization reverses order
-                assert composite.mapping.image == chained.mapping.image
+                assert composite.image == chained.image
 
 
 def test_dualization_full_and_injective_small():
@@ -183,11 +200,11 @@ def test_dualization_full_and_injective_small():
     for src in lats:
         for tgt in lats:
             homs = enumerate_homs(src, tgt)
-            duals = {dualize_hom(h).mapping.image for h in homs}
+            duals = {dualize_hom(h).image for h in homs}
             assert len(duals) == len(homs)  # injective
             xs = priestley_space_of(src).space
             xt = priestley_space_of(tgt).space
-            monos = {m.image for m in monotone_maps(xt.points, xs.points)}
+            monos = {m.image for m in monotone_maps(xt, xs)}
             assert duals == monos  # full: every monotone map arises
 
 
@@ -199,14 +216,13 @@ def test_round_trips(n):
     for p in enumerate_posets(n):
         lat = birkhoff_lattice(p)
         assert round_trip_frame(lat).size == lat.size
-        space = FinPriestley(p)
-        assert round_trip_space(space).size == space.size
+        assert round_trip_space(p).size == p.size
 
 
 def test_round_trip_examples():
     report = round_trip_frame(b2())
     assert sorted(report.witness) == [0b00, 0b01, 0b10, 0b11]
-    eps = round_trip_space(FinPriestley(Poset.chain(2)))
+    eps = round_trip_space(Poset.chain(2))
     assert sorted(eps.witness) == [0, 1]
     trivial = birkhoff_lattice(Poset.empty())
     assert round_trip_frame(trivial).witness == (0,)
@@ -218,8 +234,8 @@ def test_duality_round_trips_on_random_posets(poset):
     # every object is built fresh, so each example fills new memos
     lat = birkhoff_lattice(poset)
     assert round_trip_frame(lat).size == lat.size
-    assert round_trip_space(FinPriestley(poset)).size == poset.size
-    assert priestley_space_of(lat).space.points.canonical_key() == poset.canonical_key()
+    assert round_trip_space(poset).size == poset.size
+    assert priestley_space_of(lat).space.canonical_key() == poset.canonical_key()
     again = Poset.from_doc(poset.to_doc())
     assert again.canonical_key() == poset.canonical_key()
     assert poset_content_id(again) == poset_content_id(poset)
@@ -229,14 +245,14 @@ def test_duality_round_trips_on_random_posets(poset):
     # the functor laws on every h: L -> 3-chain and every g: 3-chain -> 2-chain
     three, two = FinDLat.chain(3), FinDLat.chain(2)
     ident = dualize_hom(LatticeHom.identity(lat))
-    assert ident.mapping.image == SpaceMap.identity(ident.source).mapping.image
+    assert ident == MonotoneMap.identity(ident.source)
     gs = enumerate_homs(three, two)
     duals = [dualize_hom(g) for g in gs]
     for h in enumerate_homs(lat, three):
         fh = dualize_hom(h)
         for g, fg in zip(gs, duals):
             composite = dualize_hom(compose_homs(g, h))
-            assert composite.mapping.image == compose_space_maps(fh, fg).mapping.image
+            assert composite.image == compose_space_maps(fh, fg).image
 
 
 @settings(max_examples=15, deadline=None)
@@ -250,7 +266,7 @@ def test_functor_laws_across_two_random_lattices(p, q):
         fh = dualize_hom(h)
         for g, fg in gs:
             composite = dualize_hom(compose_homs(g, h))
-            assert composite.mapping.image == compose_space_maps(fh, fg).mapping.image
+            assert composite.image == compose_space_maps(fh, fg).image
 
 
 # -- phi join law ---------------------------------------------------------------------

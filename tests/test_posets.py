@@ -17,7 +17,7 @@ from framelab import (
 )
 from framelab import config, posets, spaces
 from framelab.posets import bits, iter_monotone_image_tuples, popcount, upset_masks
-from framelab.spaces import FinPriestley, is_scott_upset
+from framelab.spaces import is_scott_upset
 
 
 def small_posets(max_size=4):
@@ -166,11 +166,10 @@ def _minimal_points(p, um, monkeypatch):
     route that computes them: a Scott upset's minimal points lie in the
     spatial part, so with the spatial part patched to every point but y, the
     upset fails the test exactly when y is one of its minimal points."""
-    space = FinPriestley(p)
     out = 0
     for y in range(p.size):
         monkeypatch.setattr(spaces, "spatial_mask", lambda s: s.full_mask & ~(1 << y))
-        if not is_scott_upset(space, um):
+        if not is_scott_upset(p, um):
             out |= 1 << y
     monkeypatch.undo()
     return out
@@ -374,6 +373,29 @@ def test_monotone_maps_match_bruteforce():
                 )
             )
             assert sorted(iter_monotone_image_tuples(p, q)) == brute
+
+
+_SIZED_CONSTRUCTORS = (Poset.chain, Poset.antichain, lambda n: Poset.from_covers([], n),
+                       lambda n: Poset.from_leq_pairs([], n))
+
+
+def test_constructors_refuse_negative_sizes():
+    for build in (*_SIZED_CONSTRUCTORS, enumerate_posets):
+        for n in (-1, -3):
+            with pytest.raises(ValueError, match=">= 0"):
+                build(n)
+
+
+def test_constructors_refuse_more_order_pairs_than_the_search_bound(monkeypatch):
+    # the bound FinDLat.chain applies: 1025 points have 1025² > 2^20 pairs
+    with pytest.raises(CapacityError, match="order pairs"):
+        Poset.chain(1025)
+    # 4 points have 16 order pairs, 5 have 25
+    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 16)
+    for build in _SIZED_CONSTRUCTORS:
+        assert build(4).size == 4
+        with pytest.raises(CapacityError, match="order pairs"):
+            build(5)
 
 
 def test_monotone_map_validation():

@@ -14,7 +14,6 @@ from framelab import Poset
 from framelab import spaces
 from framelab.corpus import gen_corpus
 from framelab.spaces import (
-    FinPriestley,
     _upsets_above_meet,
     clop_upset_masks,
     lspace_predicate_witness,
@@ -79,11 +78,10 @@ def _ref_kernel_stable(ups, ker):
 
 
 def _check_against_references(space, full_pairs=False):
-    poset = space.points
-    ups = _ref_upsets(poset)
+    ups = _ref_upsets(space)
     assert list(clop_upset_masks(space)) == ups
     kernels = _ref_kernels(ups)
-    downsets = {vm: _ref_downset(poset, vm) for vm in ups}
+    downsets = {vm: _ref_downset(space, vm) for vm in ups}
     for um in ups:
         assert spaces._kernel_mask(space, um) == kernels[um]
         assert reg_part(space, um) == _ref_reg(ups, downsets, um)
@@ -115,13 +113,13 @@ def random_posets(draw, low, high):
 @settings(max_examples=50, deadline=None)
 @given(random_posets(7, 8))
 def test_operators_match_references_on_random_posets(poset):
-    _check_against_references(FinPriestley(poset))
+    _check_against_references(poset)
 
 
 def test_kernel_stable_witness_is_the_first_failing_pair(monkeypatch):
     # a kernel that is wrong only at {0} fails only for the two orders of
     # ({0, 1}, {0, 2}), the one pair of upsets meeting in {0}
-    space = FinPriestley(Poset.antichain(3))
+    space = Poset.antichain(3)
     ups = clop_upset_masks(space)
     monkeypatch.setattr(spaces, "_kernel_mask", lambda s, m: 0 if m == 0b001 else m)
     failing = [

@@ -6,8 +6,6 @@ import pytest
 
 from framelab import MonotoneMap, Poset, UnknownPredicate, enumerate_posets, monotone_maps
 from framelab.spaces import (
-    FinPriestley,
-    SpaceMap,
     _upsets_above_meet,
     center,
     clop_scott_upset_masks,
@@ -28,27 +26,13 @@ from framelab.spaces import (
 
 
 def spaces_up_to(max_size=4):
-    return [
-        FinPriestley(p) for n in range(max_size + 1) for p in enumerate_posets(n)
-    ]
-
-
-def chain_space(n):
-    return FinPriestley(Poset.chain(n))
-
-
-def antichain_space(n):
-    return FinPriestley(Poset.antichain(n))
-
-
-def space_map(source, target, image):
-    return SpaceMap(source, target, MonotoneMap(source.points, target.points, image))
+    return [p for n in range(max_size + 1) for p in enumerate_posets(n)]
 
 
 def compose_space_maps(outer, inner):
     """outer after inner."""
-    image = tuple(outer(q) for q in inner.mapping.image)
-    return space_map(inner.source, outer.target, image)
+    image = tuple(outer(q) for q in inner.image)
+    return MonotoneMap(inner.source, outer.target, image)
 
 
 def is_subset(a, b):
@@ -59,13 +43,13 @@ def is_subset(a, b):
 
 
 def test_spatial_part_examples():
-    for x in (chain_space(2), antichain_space(3), FinPriestley(Poset.empty())):
+    for x in (Poset.chain(2), Poset.antichain(3), Poset.empty()):
         assert spatial_mask(x) == x.full_mask
-        assert spatial_part(x).poset is x.points
+        assert spatial_part(x).poset is x
 
 
 def test_point_space_topology_is_the_upset_topology():
-    x = chain_space(3)
+    x = Poset.chain(3)
     ps = spatial_part(x)
     assert set(ps.opens) == {0b000, 0b100, 0b110, 0b111}
 
@@ -75,7 +59,7 @@ def test_point_space_topology_is_the_upset_topology():
 
 def test_clop_way_below_examples():
     # V << U iff V lies inside the meet of the clopen upsets above U
-    x = chain_space(2)
+    x = Poset.chain(2)
     above_top = _upsets_above_meet(x, 0b10)
     assert is_subset(0b00, above_top)
     assert is_subset(0b10, above_top)
@@ -83,14 +67,14 @@ def test_clop_way_below_examples():
 
 
 def test_clop_way_below_requires_upsets():
-    x = chain_space(2)
+    x = Poset.chain(2)
     for operator in (kernel, core, reg_part, center):
         with pytest.raises(ValueError, match="not an upset"):
             operator(x, 0b01)
 
 
 def test_operators_refuse_masks_outside_the_space():
-    x = chain_space(2)
+    x = Poset.chain(2)
     for mask in (0b100, 0b111, -1, -4):
         for operator in (kernel, core, reg_part, center, is_scott_upset):
             with pytest.raises(ValueError, match="outside the space"):
@@ -98,12 +82,12 @@ def test_operators_refuse_masks_outside_the_space():
 
 
 def test_kernel_examples():
-    x = chain_space(2)
+    x = Poset.chain(2)
     assert kernel(x, 0b10) == 0b10
     assert kernel(x, 0) == 0
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_kernel_collapse_and_bounds(x):
     for u in clop_upset_masks(x):
         k = kernel(x, u)
@@ -115,19 +99,19 @@ def test_kernel_collapse_and_bounds(x):
 
 
 def test_scott_upset_examples():
-    x = chain_space(2)
+    x = Poset.chain(2)
     assert is_scott_upset(x, 0b11)
     assert is_scott_upset(x, 0b10)
     assert not is_scott_upset(x, 0b01)  # not an upset
 
 
 def test_core_examples():
-    x = chain_space(2)
+    x = Poset.chain(2)
     assert core(x, 0b11) == 0b11
     assert core(x, 0b10) == 0b10
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_core_kernel_chain_and_scott_characterization(x):
     for u in clop_upset_masks(x):
         c, k = core(x, u), kernel(x, u)
@@ -136,7 +120,7 @@ def test_core_kernel_chain_and_scott_characterization(x):
         assert is_scott_upset(x, u) == (core(x, u) == u)
 
 
-@pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.covers()))
 def test_core_and_kernel_monotone(x):
     ups = clop_upset_masks(x)
     for u in ups:
@@ -150,12 +134,12 @@ def test_core_and_kernel_monotone(x):
 
 
 def test_reg_part_examples():
-    x = chain_space(2)
+    x = Poset.chain(2)
     # the top is not well inside itself: its downset is every point
-    assert not is_subset(x.points.down_mask(0b10), 0b10)
+    assert not is_subset(x.down_mask(0b10), 0b10)
     assert reg_part(x, 0b10) == 0
     assert reg_part(x, 0b11) == 0b11
-    a = antichain_space(2)
+    a = Poset.antichain(2)
     assert reg_part(a, 0b01) == 0b01
 
 
@@ -163,22 +147,19 @@ def test_reg_part_examples():
 
 
 def test_biset_examples():
-    x = chain_space(2)
+    x = Poset.chain(2)
     assert clopen_biset_masks(x) == (0b00, 0b11)
     assert center(x, 0b10) == 0
-    a = antichain_space(2)
+    a = Poset.antichain(2)
     assert len(clopen_biset_masks(a)) == 4
     assert center(a, 0b01) == 0b01
     assert center(a, 0b11) == 0b11
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_bisets_match_literal_up_and_down_closed_definition(x):
-    points = x.points
     literal = sorted(
-        m
-        for m in range(1 << points.size)
-        if points.up_mask(m) == m and points.down_mask(m) == m
+        m for m in range(1 << x.size) if x.up_mask(m) == m and x.down_mask(m) == m
     )
     assert sorted(clopen_biset_masks(x)) == literal
     # components partition the points
@@ -190,16 +171,16 @@ def test_bisets_match_literal_up_and_down_closed_definition(x):
 
 
 def test_lspace_predicate_examples():
-    assert not lspace_predicate(chain_space(2), "zeroDimL")
-    ok, witness = lspace_predicate_witness(chain_space(2), "zeroDimL")
+    assert not lspace_predicate(Poset.chain(2), "zeroDimL")
+    ok, witness = lspace_predicate_witness(Poset.chain(2), "zeroDimL")
     assert not ok and witness == {"upset": 0b10}
     for n in range(4):
-        assert lspace_predicate(antichain_space(n), "stoneL")
+        assert lspace_predicate(Poset.antichain(n), "stoneL")
     with pytest.raises(UnknownPredicate):
-        lspace_predicate(chain_space(2), "mystery")
+        lspace_predicate(Poset.chain(2), "mystery")
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_lspace_finite_collapses(x):
     assert lspace_predicate(x, "continuousL")
     assert lspace_predicate(x, "algebraicL")
@@ -209,7 +190,7 @@ def test_lspace_finite_collapses(x):
     assert lspace_predicate(x, "coherentL")
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_lspace_structural_relations(x):
     ups = clop_upset_masks(x)
     # cen U subset of reg U
@@ -230,52 +211,50 @@ def test_lspace_structural_relations(x):
     assert lhs == rhs
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_vacuous_structure_predicates_hold(x):
     # Priestley separation: where p is not below q, the principal upset of p
     # is a clopen upset that contains p and misses q
     ups = set(clop_upset_masks(x))
-    assert all(up in ups for up in x.points.up)
+    assert all(up in ups for up in x.up)
 
 
 # -- maps ---------------------------------------------------------------------------
 
 
 def test_map_predicate_identity():
-    x = chain_space(2)
-    ident = SpaceMap.identity(x)
+    x = Poset.chain(2)
+    ident = MonotoneMap.identity(x)
     for name in ("properL", "coherentL"):
         assert map_predicate(ident, name)
-    assert ident.is_proper and ident.is_coherent
 
 
 def test_map_to_point_space_is_coherent():
-    x = chain_space(2)
-    point = chain_space(1)
-    bang = space_map(x, point, (0, 0))
+    x = Poset.chain(2)
+    point = Poset.chain(1)
+    bang = MonotoneMap(x, point, (0, 0))
     assert map_predicate(bang, "coherentL")
     assert map_predicate(bang, "properL")
 
 
 def test_unknown_map_predicate():
     with pytest.raises(UnknownPredicate):
-        map_predicate(SpaceMap.identity(chain_space(1)), "weird")
+        map_predicate(MonotoneMap.identity(Poset.chain(1)), "weird")
 
 
 def test_space_map_composition():
-    x, y = chain_space(2), antichain_space(2)
-    f = space_map(x, y, (0, 0))
-    g = space_map(y, x, (1, 1))
+    x, y = Poset.chain(2), Poset.antichain(2)
+    f = MonotoneMap(x, y, (0, 0))
+    g = MonotoneMap(y, x, (1, 1))
     gf = compose_space_maps(g, f)
-    assert gf.mapping.image == (1, 1)
+    assert gf.image == (1, 1)
     assert gf.source is x and gf.target is x
 
 
-@pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(3), ids=lambda x: repr(x.covers()))
 def test_all_monotone_maps_are_proper_and_coherent(x):
     for y in spaces_up_to(3):
-        for m in monotone_maps(x.points, y.points):
-            f = SpaceMap(x, y, m)
+        for f in monotone_maps(x, y):
             assert map_predicate(f, "properL")
             assert map_predicate(f, "coherentL")
 
@@ -284,19 +263,19 @@ def test_all_monotone_maps_are_proper_and_coherent(x):
 
 
 def test_point_space_examples():
-    two_chain = spatial_part(chain_space(2))
+    two_chain = spatial_part(Poset.chain(2))
     assert point_space_predicate(two_chain, "sober")
     assert point_space_predicate(two_chain, "compactlyBased")
     assert not point_space_predicate(two_chain, "stoneSpace")
     assert not point_space_predicate(two_chain, "hausdorff")
     for n in range(4):
-        anti = spatial_part(antichain_space(n))
+        anti = spatial_part(Poset.antichain(n))
         assert point_space_predicate(anti, "stoneSpace")
     with pytest.raises(UnknownPredicate):
         point_space_predicate(two_chain, "metrizable")
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_point_space_finite_facts(x):
     ps = spatial_part(x)
     assert point_space_predicate(ps, "sober")
@@ -307,11 +286,11 @@ def test_point_space_finite_facts(x):
     # irreducible closed sets are exactly the point downsets
     from framelab.spaces import _irreducible_closed_sets
 
-    expected = sorted({x.points.down[p] for p in range(x.size)})
+    expected = sorted({x.down[p] for p in range(x.size)})
     assert sorted(_irreducible_closed_sets(ps)) == expected
 
 
-@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.points.covers()))
+@pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_zero_dimensionality_transfers_between_space_and_points(x):
     ps = spatial_part(x)
     assert lspace_predicate(x, "zeroDimL") == point_space_predicate(
@@ -319,17 +298,9 @@ def test_zero_dimensionality_transfers_between_space_and_points(x):
     )
     # finite Hausdorff coincides with a discrete order
     discrete = all(
-        not x.points.leq(i, j)
+        not x.leq(i, j)
         for i in range(x.size)
         for j in range(x.size)
         if i != j
     )
     assert point_space_predicate(ps, "hausdorff") == discrete
-
-
-def test_space_doc_round_trip():
-    x = FinPriestley(Poset.from_covers([(0, 1)], 2))
-    doc = x.to_doc()
-    assert doc == {"priestley": {"size": 2, "covers": [[0, 1]]}}
-    again = FinPriestley.from_doc(doc)
-    assert again.points.up == x.points.up

@@ -16,11 +16,11 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 31 mutants. 29 are expected to be killed, and two,
+The list holds 33 mutants. 31 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
-point-space `compactlyBased` kernel has no mutant: every open lies among
-the opens inside it, so the predicate holds on every family of opens and
-no test can tell a wrong witness from the right one.
+point-space predicate `compactlyBased` has no kernel and so no mutant: each
+open o is itself a compact open inside o, so the predicate holds on every
+family of opens and returns `(True, None)` outright, as `compact` does.
 """
 
 from __future__ import annotations
@@ -249,6 +249,20 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "if type(size) is not int or not isinstance(pairs, list):",
         "if False:",
+        "killed",
+    ),
+    Mutant(
+        "dual-space-mismatch-skips-distributivity",
+        "src/framelab/duality.py",
+        "        lattice.require_distributive()\n",
+        "",
+        "killed",
+    ),
+    Mutant(
+        "poset-constructors-unbounded",
+        "src/framelab/posets.py",
+        "\n    if n * n > config.MAX_SEARCH_SPACE:",
+        "\n    if False:",
         "killed",
     ),
     Mutant(
