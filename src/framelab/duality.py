@@ -287,6 +287,9 @@ def validate(name, lattice, corpus=None, lattice_id=None):
 
 
 def validate_all(lattice, corpus=None, lattice_id=None):
+    """Every validator's report; the content id is computed once if not given."""
+    if lattice_id is None:
+        lattice_id = lattice_content_id(lattice)
     return [validate(name, lattice, corpus, lattice_id) for name in VALIDATOR_NAMES]
 
 

@@ -11,7 +11,7 @@ all ideals, never from the finite shortcut `a <= b`.
 from __future__ import annotations
 
 from itertools import chain, repeat
-from operator import attrgetter, getitem
+from operator import attrgetter
 
 from . import config
 from .errors import (
@@ -21,7 +21,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, bits, cached, iter_monotone_image_tuples, upset_masks
+from .posets import Poset, bits, cached, iter_monotone_maps, upset_masks
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -334,7 +334,9 @@ def _closure_family(lattice, seed, table, rows):
     one J contains some x outside the current I, and the ideal generated by
     I and x lies inside J. Only the members in no other member's row
     (maximal in an ideal, minimal in a filter) need the OR: every member
-    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g.
+    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g. From the
+    bottom seed on a finite lattice, the first step already reaches every
+    ideal, since each one is principal: x gives ↓x.
     """
     seen = {seed}
     frontier = [seed]
@@ -597,30 +599,27 @@ class LatticeHom:
 
     The public constructor refuses an image of the wrong length with
     ValueError and an element outside the target with IndexError.
-    `enumerate_homs` passes ``_trusted=True`` with the image as `bytes` read
-    through φ_M⁻¹, in range by construction. `image` is a tuple either way;
-    `_table`, the image as bytes padded to 256, is the `translate` table of
-    `hom_predicate`'s byte-code kernels (None for targets over 256 elements).
+    `enumerate_homs` builds its homs without it, from images in range by
+    construction. `image` is a tuple; `_table`, the image as bytes padded to
+    256, is the `translate` table of `hom_predicate`'s byte-code kernels
+    (None for targets over 256 elements); `_tables` is `_hom_tables`, shared
+    by every hom of a search; `_flags` holds what `hom_predicate` decided.
     """
 
-    __slots__ = ("source", "target", "image", "_flags", "_table")
+    __slots__ = ("source", "target", "image", "_table", "_tables", "_flags")
 
-    def __init__(self, source, target, image, _trusted=False):
-        if _trusted:
-            table = image.ljust(256, b"\0")
-            image = tuple(image)
-        else:
-            image = tuple(image)
-            if len(image) != source.size:
-                raise ValueError("image length does not match the source size")
-            for v in image:
-                if not 0 <= v < target.size:
-                    raise IndexError(f"image element {v} outside the target")
-            table = bytes(image).ljust(256, b"\0") if target.size <= 256 else None
+    def __init__(self, source, target, image):
+        image = tuple(image)
+        if len(image) != source.size:
+            raise ValueError("image length does not match the source size")
+        for v in image:
+            if not 0 <= v < target.size:
+                raise IndexError(f"image element {v} outside the target")
         self.source = source
         self.target = target
         self.image = image
-        self._table = table
+        self._table = bytes(image).ljust(256, b"\0") if target.size <= 256 else None
+        self._tables = _hom_tables(source, target)
         self._flags = {}
 
     @classmethod
@@ -630,23 +629,20 @@ class LatticeHom:
     def __call__(self, a):
         return self.image[a]
 
-    def _flag(self, name):
-        flag = self._flags.get(name)
-        if flag is None:
-            flag = self._flags[name] = hom_predicate(self, name)
-        return flag
-
     @property
     def is_frame_hom(self):
-        return self._flag("frameHom")
+        flag = self._flags.get("frameHom")
+        return hom_predicate(self, "frameHom") if flag is None else flag
 
     @property
     def is_coherent(self):
-        return self._flag("coherentHom")
+        flag = self._flags.get("coherentHom")
+        return hom_predicate(self, "coherentHom") if flag is None else flag
 
     @property
     def is_proper(self):
-        return self._flag("properHom")
+        flag = self._flags.get("properHom")
+        return hom_predicate(self, "properHom") if flag is None else flag
 
     def __eq__(self, other):
         return (
@@ -704,19 +700,37 @@ def _pair_codes(a_col, b_col, t):
     return (high | low).to_bytes(len(a_col), "big")
 
 
-def hom_predicate(hom, name):
-    """Literal evaluation of a homomorphism property.
+@cached
+def _hom_tables(source, target):
+    """Everything `hom_predicate` reads for maps source → target, kept per pair.
 
-    Each predicate adds its own condition to the one below it and reads
-    that one through the hom's cached flags: latticeHom checks
-    h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every index pair
-    a <= b of the source's `_pair_table`, frameHom checks the two bounds and
+    The tuple holds `small` (the byte-code kernels apply), the source's
+    `_pair_table`, the target's join, meet and way-below tables (its
+    `_byte_tables` when small, else its rows and the oracle's), the source's
+    `_way_below_pairs` and the compact elements of both (`_compact_bytes`
+    when small, else `_compact_set`). Every hom of a search shares it.
+    """
+    if target.size <= 16 and source.size <= 256:
+        return (True, _pair_table(source), _byte_tables(target), _way_below_pairs(source),
+                _compact_bytes(source), _compact_bytes(target))
+    return (False, _pair_table(source), (target.join, target.meet, way_below_rows_oracle(target)),
+            _way_below_pairs(source), _compact_set(source), _compact_set(target))
+
+
+def hom_predicate(hom, name):
+    """Literal evaluation of a homomorphism property, kept in ``hom._flags``.
+
+    Each predicate adds its own condition to the one below it: latticeHom
+    checks h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every index
+    pair a <= b of the source's `_pair_table`, frameHom the two bounds and
     then latticeHom, and coherentHom and properHom start from frameHom;
     coherentHom checks that h maps every compact element of the source to a
     compact element of the target, and properHom checks h(a) << h(b) on
-    every pair a << b of the source, both by the ideal oracle. So, asked
-    through the flags (``hom.is_proper`` and the rest), the O(|L|²) scan
-    runs at most once per hom.
+    every pair a << b of the source, both by the ideal oracle. Only this
+    function evaluates a flag: it stores each result under its name and
+    reads the flag below from there, evaluating it only when missing, so
+    the O(|L|²) scan runs at most once per hom. Every table comes from the
+    hom's shared `_tables`.
 
     When the target has at most 16 elements (one nibble each) and the source
     at most 256 (one byte), all three scans are byte code over the hom's
@@ -727,47 +741,52 @@ def hom_predicate(hom, name):
     elements from the result leaves nothing iff h is coherent. Larger
     lattices are scanned pair by pair and element by element.
     """
-    src, tgt, img = hom.source, hom.target, hom.image
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
-    small = tgt.size <= 16 and src.size <= 256
-    t = hom._table
+    img, t, flags = hom.image, hom._table, hom._flags
+    small, pairs, (tgt_join, tgt_meet, tgt_wb), wb_pairs, src_compact, tgt_compact = hom._tables
     if name == "latticeHom":
-        a_col, b_col, join_col, meet_col = _pair_table(src)
+        a_col, b_col, join_col, meet_col = pairs
         if small:
-            tgt_join, tgt_meet, _ = _byte_tables(tgt)
             codes = _pair_codes(a_col, b_col, t)
-            return (
+            ok = (
                 codes.translate(tgt_join) == join_col.translate(t)
                 and codes.translate(tgt_meet) == meet_col.translate(t)
             )
-        tgt_join, tgt_meet = tgt.join, tgt.meet
-        for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
-            ha, hb = img[a], img[b]
-            if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
-                return False
-        return True
-    if name == "frameHom":
-        return (
-            img[src.bottom] == tgt.bottom
-            and img[src.top] == tgt.top
-            and hom._flag("latticeHom")
-        )
-    if not hom._flag("frameHom"):
-        return False
-    if name == "coherentHom":
-        if small:
-            return not _compact_bytes(src).translate(t).translate(None, _compact_bytes(tgt))
-        return _compact_set(tgt).issuperset(map(img.__getitem__, _compact_set(src)))
-    # properHom
-    wb_a, wb_b = _way_below_pairs(src)
-    if small:
-        return 0 not in _pair_codes(wb_a, wb_b, t).translate(_byte_tables(tgt)[2])
-    tgt_rows = way_below_rows_oracle(tgt)
-    for a, b in zip(wb_a, wb_b):
-        if not (tgt_rows[img[a]] >> img[b]) & 1:
-            return False
-    return True
+        else:
+            ok = True
+            for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
+                ha, hb = img[a], img[b]
+                if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
+                    ok = False
+                    break
+    elif name == "frameHom":
+        src, tgt = hom.source, hom.target
+        ok = img[src.bottom] == tgt.bottom and img[src.top] == tgt.top
+        if ok:
+            ok = flags.get("latticeHom")
+            if ok is None:
+                ok = hom_predicate(hom, "latticeHom")
+    else:
+        ok = flags.get("frameHom")
+        if ok is None:
+            ok = hom_predicate(hom, "frameHom")
+        if ok and name == "coherentHom":
+            if small:
+                ok = not src_compact.translate(t).translate(None, tgt_compact)
+            else:
+                ok = tgt_compact.issuperset(map(img.__getitem__, src_compact))
+        elif ok:  # properHom
+            wb_a, wb_b = wb_pairs
+            if small:
+                ok = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)
+            else:
+                for a, b in zip(wb_a, wb_b):
+                    if not (tgt_wb[img[a]] >> img[b]) & 1:
+                        ok = False
+                        break
+    flags[name] = ok
+    return ok
 
 
 def enumerate_homs(source, target):
@@ -786,14 +805,17 @@ def enumerate_homs(source, target):
     be distributive, or the correspondence fails.
 
     Each image is read from one packed integer, the sum of one precomputed
-    term per dual point of M, with one field per source element. When X_M
-    has at most 8 points (so M has at most 256 elements, and every corpus
-    lattice up to 8 points qualifies), a field is one byte, and the whole
-    image is one `translate` of the integer's bytes through the table
-    φ_M(e) ↦ e; those bytes become the hom's trusted image and image table.
-    Wider targets map each field through a dict and take the public, checked
-    constructor. Every built map is checked against the literal predicate
-    `hom_predicate`, once, through the hom's cached `is_frame_hom` flag.
+    term per dual point of M, with one field per source element, which
+    `iter_monotone_maps` adds as it assigns the point. When X_M has at most 8
+    points (so M has at most 256 elements, and every corpus lattice up to 8
+    points qualifies), a field is one byte, and the whole image is one
+    `translate` of the integer's bytes through the table φ_M(e) ↦ e; wider
+    targets map each field through a dict. The images are in range by
+    construction, so the homs skip the checked constructor and share one
+    `_hom_tables` tuple. Each is checked once against the literal predicate
+    `hom_predicate` for frameHom. Image bytes sort as the image tuples do
+    (every image has one byte per source element), so the bytes are the key
+    where the target has at most 256 elements.
     """
     from .duality import priestley_space_of  # duality imports this module
 
@@ -817,24 +839,27 @@ def enumerate_homs(source, target):
             table[m] = e
         table = bytes(table)
 
-        def build(packed):
+        def image_of(packed):
             image = packed.to_bytes(n, "little").translate(table)
-            return LatticeHom(source, target, image, _trusted=True)
+            return tuple(image), image.ljust(256, b"\0")
     else:
         width = w
         element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
         shifts = [w * a for a in range(n)]
         field = (1 << w) - 1
 
-        def build(packed):
-            image = [element_of[packed >> s & field] for s in shifts]
-            return LatticeHom(source, target, image)
+        def image_of(packed):
+            image = tuple([element_of[packed >> s & field] for s in shifts])
+            return image, (bytes(image).ljust(256, b"\0") if target.size <= 256 else None)
     spread = [sum(1 << width * a for a in bits(m)) for m in src_rec.point_filters]
     lift = [[s << y for s in spread] for y in range(w)]
+    tables, new = _hom_tables(source, target), object.__new__
     results = []
-    for f in iter_monotone_image_tuples(tgt_rec.space, src_rec.space):
-        hom = build(sum(map(getitem, lift, f)))
-        if hom.is_frame_hom:
+    for packed, _ in iter_monotone_maps(tgt_rec.space, src_rec.space, lift):
+        hom = new(LatticeHom)
+        hom.source, hom.target, hom._tables, hom._flags = source, target, tables, {}
+        hom.image, hom._table = image_of(packed)
+        if hom_predicate(hom, "frameHom"):
             results.append(hom)
-    results.sort(key=attrgetter("image"))
+    results.sort(key=attrgetter("_table" if target.size <= 256 else "image"))
     return results

@@ -523,39 +523,47 @@ def enumerate_posets(n):
 # -- monotone maps ---------------------------------------------------------
 
 
-def iter_monotone_image_tuples(p, q):
-    """Yield the image tuples of all monotone maps p -> q.
+def iter_monotone_maps(p, q, terms):
+    """Yield ``(total, image)`` for every monotone map f: p -> q.
+
+    ``total`` is the sum of ``terms[v][f(v)]`` over the points v of p, one
+    addition per assigned point; ``image`` is the search's own list holding
+    f, which changes as the search goes on (copy it to keep it).
 
     Backtracks along a linear extension of p; a point's candidates are the
     common upper bounds of the images of its lower covers. An explicit stack
-    keeps one iterator over the candidates of each assigned point.
+    keeps one iterator over the candidates of each assigned point, and
+    ``sums[k]`` is the total of the first k points of the extension.
     """
     n = p.size
     if n == 0:
-        yield ()
+        yield 0, []
         return
     if q.size == 0:
         return
     heights = p.heights()
     order = sorted(range(n), key=lambda i: (heights[i], i))
     lower = [p.lower_covers(v) for v in order]
+    rows = [terms[v] for v in order]
     image = [0] * n
+    sums = [0] * n
     q_up = q.up
     q_full = q.full_mask
     last = n - 1
     stack = [iter(bits(q_full))]  # order[0] is minimal: no lower covers
     while stack:
         k = len(stack) - 1
-        v = order[k]
+        v, row, base = order[k], rows[k], sums[k]
         for c in stack[k]:
             image[v] = c
             if k == last:
-                yield tuple(image)
+                yield base + row[c], image
                 continue
             candidates = q_full
             for j in lower[k + 1]:
                 candidates &= q_up[image[j]]
             if candidates:
+                sums[k + 1] = base + row[c]
                 stack.append(iter(bits(candidates)))
                 break
         else:
@@ -569,5 +577,6 @@ def monotone_maps(p, q):
         raise CapacityError(
             f"{q.size}^{p.size} candidate maps exceed the configured bound {bound}"
         )
-    images = sorted(iter_monotone_image_tuples(p, q))
+    zero = [(0,) * q.size] * p.size
+    images = sorted(tuple(image) for _, image in iter_monotone_maps(p, q, zero))
     return [MonotoneMap(p, q, img) for img in images]

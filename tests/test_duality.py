@@ -355,6 +355,25 @@ def test_validate_all_evaluates_each_predicate_once(monkeypatch):
     assert spatial_part(space) is spatial_part(space)
 
 
+def test_validate_all_computes_the_content_id_once(monkeypatch):
+    calls = Counter()
+    original = duality.poset_content_id
+
+    def counting(poset):
+        calls["id"] += 1
+        return original(poset)
+
+    monkeypatch.setattr(duality, "poset_content_id", counting)
+    lat = birkhoff_lattice(Poset.antichain(2))
+    reports = validate_all(lat)
+    assert calls["id"] == 1
+    with_id = validate_all(lat, lattice_id=reports[0].lattice_id)
+    assert calls["id"] == 1
+    assert [r.as_dict() | {"micros": 0} for r in with_id] == [
+        r.as_dict() | {"micros": 0} for r in reports
+    ]
+
+
 def test_validate_all_returns_every_validator():
     reports = validate_all(FinDLat.chain(3))
     assert [r.validator for r in reports] == list(VALIDATOR_NAMES)

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -37,7 +38,7 @@ from framelab.lattices import (
     way_below_rows_oracle,
     well_inside,
 )
-from framelab.posets import bits, iter_monotone_image_tuples, upset_masks
+from framelab.posets import bits, iter_monotone_maps, upset_masks
 
 
 def b2():
@@ -313,6 +314,19 @@ def test_bruteforce_check_catches_an_ideal_step_over_up_rows():
         != ideals_brute(lat)
         for lat in corpus_lattices(4)
     )
+
+
+def test_closure_family_from_a_non_bottom_seed():
+    # from the bottom seed the first step reaches every (principal) ideal, so
+    # only a larger seed exercises how a step ORs its rows: from the seed ↓a
+    # the family is exactly the ideals ↓b with b >= a, and, dually, from ↑a
+    # the filters ↑b with b <= a
+    lat = birkhoff_lattice(Poset.antichain(3))
+    for a in range(lat.size):
+        above = sorted(lat.down[b] for b in range(lat.size) if lat.leq(a, b))
+        assert _closure_family(lat, lat.down[a], lat.join, lat.down) == above
+        below = sorted(lat.up[b] for b in range(lat.size) if lat.leq(b, a))
+        assert _closure_family(lat, lat.up[a], lat.meet, lat.up) == below
 
 
 def test_ideals_of_b2():
@@ -709,6 +723,29 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
     assert calls["frameHom"] == len(homs)
 
 
+def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
+    # the 81 homs from the 4-chain into B4 (the monotone maps of the
+    # 4-antichain into the 3-chain) are decided by the byte-code kernels and
+    # share one table tuple: neither table is read again per hom
+    reads = Counter()
+    for name in ("_pair_table", "_byte_tables"):
+        original = getattr(lattices, name)
+
+        def counting(lattice, name=name, original=original):
+            reads[name] += 1
+            return original(lattice)
+
+        monkeypatch.setattr(lattices, name, counting)
+    source = birkhoff_lattice(Poset.chain(3))
+    target = birkhoff_lattice(Poset.antichain(4))
+    assert target.size == 16
+    homs = enumerate_homs(source, target)
+    assert len(homs) == 81
+    assert all(h.is_coherent and h.is_proper for h in homs)
+    assert reads == {"_pair_table": 1, "_byte_tables": 1}
+    assert len({id(h._tables) for h in homs}) == 1
+
+
 def test_enumerate_homs_capacity(monkeypatch):
     big = birkhoff_lattice(Poset.antichain(4))
     # 4^6 maps of the dual 6-antichain into the dual 4-chain, every one a hom
@@ -759,8 +796,9 @@ def test_searches_leave_no_reference_cycles():
     gc.disable()
     try:
         assert enumerate_homs(source, target)
-        assert list(iter_monotone_image_tuples(p, q))
-        search = iter_monotone_image_tuples(p, q)
+        terms = [(0,) * q.size] * p.size
+        assert list(iter_monotone_maps(p, q, terms))
+        search = iter_monotone_maps(p, q, terms)
         next(search)
         search.close()  # an abandoned search must free its state too
         assert gc.collect() == 0

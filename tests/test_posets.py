@@ -16,7 +16,7 @@ from framelab import (
     monotone_maps,
 )
 from framelab import config, posets, spaces
-from framelab.posets import bits, iter_monotone_image_tuples, popcount, upset_masks
+from framelab.posets import bits, iter_monotone_maps, popcount, upset_masks
 from framelab.spaces import is_scott_upset
 
 
@@ -359,11 +359,15 @@ def test_monotone_map_counts():
 
 
 def test_monotone_maps_match_bruteforce():
+    # the search's running total must be the sum of the terms of each
+    # assigned point, so every (point, image) pair gets its own random term
+    rng = random.Random(7)
     ps = small_posets(3)
     for p in ps:
         for q in ps:
+            terms = [[rng.randrange(1 << 30) for _ in range(q.size)] for _ in range(p.size)]
             brute = sorted(
-                img
+                (sum(terms[v][c] for v, c in enumerate(img)), img)
                 for img in itertools.product(range(q.size), repeat=p.size)
                 if all(
                     q.leq(img[i], img[j])
@@ -372,7 +376,9 @@ def test_monotone_maps_match_bruteforce():
                     if p.leq(i, j)
                 )
             )
-            assert sorted(iter_monotone_image_tuples(p, q)) == brute
+            found = sorted((total, tuple(img)) for total, img in iter_monotone_maps(p, q, terms))
+            assert found == brute
+            assert [m.image for m in monotone_maps(p, q)] == sorted(img for _, img in brute)
 
 
 _SIZED_CONSTRUCTORS = (Poset.chain, Poset.antichain, lambda n: Poset.from_covers([], n),

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 33 mutants. 31 are expected to be killed, and two,
+The list holds 37 mutants. 35 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -63,8 +63,8 @@ MUTANTS = (
     Mutant(
         "properHom-true",
         "src/framelab/lattices.py",
-        "    # properHom\n",
-        "    # properHom\n    return True\n",
+        "        elif ok:  # properHom\n",
+        "        elif False:  # properHom\n",
         "killed",
     ),
     Mutant(
@@ -77,8 +77,8 @@ MUTANTS = (
     Mutant(
         "byte-kernel-threshold-17",
         "src/framelab/lattices.py",
-        "small = tgt.size <= 16 and",
-        "small = tgt.size <= 17 and",
+        "if target.size <= 16 and",
+        "if target.size <= 17 and",
         "killed",
     ),
     Mutant(
@@ -91,15 +91,20 @@ MUTANTS = (
     Mutant(
         "coherent-kernel-deletes-source-compacts",
         "src/framelab/lattices.py",
-        ".translate(None, _compact_bytes(tgt))",
-        ".translate(None, _compact_bytes(src))",
+        ".translate(None, tgt_compact)",
+        ".translate(None, src_compact)",
         "killed",
     ),
     Mutant(
         "lattice-hom-trusted-by-default",
         "src/framelab/lattices.py",
-        "def __init__(self, source, target, image, _trusted=False):",
-        "def __init__(self, source, target, image, _trusted=True):",
+        "        image = tuple(image)\n"
+        "        if len(image) != source.size:\n"
+        '            raise ValueError("image length does not match the source size")\n'
+        "        for v in image:\n"
+        "            if not 0 <= v < target.size:\n"
+        '                raise IndexError(f"image element {v} outside the target")\n',
+        "        image = tuple(image)\n",
         "killed",
     ),
     Mutant(
@@ -107,6 +112,27 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "if w <= 8:",
         "if w <= 9:",
+        "killed",
+    ),
+    Mutant(
+        "hom-tables-read-the-source-byte-tables",
+        "src/framelab/lattices.py",
+        "_byte_tables(target), _way_below_pairs(source)",
+        "_byte_tables(source), _way_below_pairs(source)",
+        "killed",
+    ),
+    Mutant(
+        "frame-hom-takes-a-missing-lattice-flag-as-true",
+        "src/framelab/lattices.py",
+        'ok = flags.get("latticeHom")',
+        'ok = flags.get("latticeHom", True)',
+        "killed",
+    ),
+    Mutant(
+        "coherent-hom-skips-its-frame-guard",
+        "src/framelab/lattices.py",
+        'if ok and name == "coherentHom":',
+        'if name == "coherentHom":',
         "killed",
     ),
     Mutant(
@@ -227,6 +253,13 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "covered |= rows[m] & ~(1 << m)",
         "covered |= rows[m]",
+        "killed",
+    ),
+    Mutant(
+        "closure-ors-over-the-other-extreme",
+        "src/framelab/lattices.py",
+        "extreme = bits(current & ~covered)",
+        "extreme = [m for m in bits(current) if rows[m] & current == 1 << m]",
         "killed",
     ),
     Mutant(
