@@ -108,4 +108,10 @@ def corpus_from_json(text):
     manifest = doc["manifest"]
     if manifest.get("hash") != _corpus_hash(entries):
         raise ValueError("corpus manifest hash does not match the entries")
-    return Corpus(manifest.get("max_size", -1), tuple(entries), manifest)
+    count, max_size = manifest.get("count"), manifest.get("max_size")
+    if type(count) is not int or count != len(entries):
+        raise ValueError(f"corpus manifest count {count!r} does not match the entries")
+    largest = max((e.poset.size for e in entries), default=0)
+    if type(max_size) is not int or max_size < largest:
+        raise ValueError(f"corpus manifest max_size {max_size!r} is not an int >= {largest}")
+    return Corpus(max_size, tuple(entries), manifest)

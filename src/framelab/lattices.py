@@ -2,7 +2,9 @@
 
 Elements are integers 0..size-1; the order is bitmask rows like `Poset`, and
 the full join/meet tables are stored (the corpus keeps lattices at or below
-2^6 elements, so memory is traded for constant-time algebra).
+2^6 elements, so memory is traded for constant-time algebra). Every table row
+is `bytes`, one byte per element, so a lattice has at most 256 elements, and
+a larger one is refused with CapacityError before any table is built.
 
 Way-below is read from one route, the definitional oracle quantifying over
 all ideals, never from the finite shortcut `a <= b`.
@@ -44,9 +46,10 @@ class FinDLat:
     `require_distributive` (or check `is_distributive`) where it matters, so
     non-distributive input can be constructed and then rejected explicitly.
 
-    `join[a][b]` and `meet[a][b]` read the same at every size; each row is
-    `bytes` when size <= 256 (97 bytes for 64 elements, against a tuple's 552)
-    and a tuple otherwise. Everything derived from the tables (the carrier
+    Each `join[a]` and `meet[a]` row is `bytes` (97 bytes for 64 elements,
+    against a tuple's 552), so the size is at most 256: every constructor,
+    this one included, refuses a larger lattice with CapacityError before
+    its tables are built. Everything derived from the tables (the carrier
     poset, J(L), the ideals, the way-below rows, the dual space, the frame
     predicates per name, ...) is computed on first use and kept in the one
     `_memo` dict by `posets.cached`.
@@ -55,16 +58,15 @@ class FinDLat:
     __slots__ = ("size", "up", "down", "join", "meet", "bottom", "top", "_memo")
 
     def __init__(self, up, join, meet, bottom, top):
-        self.size = len(up)
         self.up = tuple(up)
+        self.size = _require_row_width(len(self.up))
         down = [0] * self.size
         for i in range(self.size):
             for j in bits(self.up[i]):
                 down[j] |= 1 << i
         self.down = tuple(down)
-        row = bytes if self.size <= 256 else tuple
-        self.join = tuple(map(row, join))
-        self.meet = tuple(map(row, meet))
+        self.join = tuple(map(bytes, join))
+        self.meet = tuple(map(bytes, meet))
         self.bottom = bottom
         self.top = top
         self._memo = {}
@@ -76,6 +78,7 @@ class FinDLat:
         """Build from an explicit order; joins/meets are computed and must exist."""
         if size < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
+        _require_row_width(size)
         return cls._from_carrier(Poset.from_leq_pairs(pairs, size), bottom, top)
 
     @classmethod
@@ -107,17 +110,10 @@ class FinDLat:
 
     @classmethod
     def chain(cls, n):
-        """The n-element chain 0 < 1 < ... < n-1.
-
-        A chain whose n² join/meet pairs exceed `config.MAX_SEARCH_SPACE`
-        raises CapacityError before any table is built.
-        """
+        """The n-element chain 0 < 1 < ... < n-1."""
         if n < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
-        if n * n > config.MAX_SEARCH_SPACE:
-            raise CapacityError(
-                f"a chain of {n} needs {n * n} join/meet pairs, over the search bound"
-            )
+        _require_row_width(n)
         full = (1 << n) - 1
         up = tuple((full >> i) << i for i in range(n))
         join = [[max(i, j) for j in range(n)] for i in range(n)]
@@ -148,28 +144,19 @@ class FinDLat:
     @cached
     def distributivity_witness(self):
         """The first triple violating a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c), or None."""
+        # one pair (a, b) is two translates over every c: join[b] through
+        # meet[a] gives a ∧ (b ∨ c), and meet[a] through join[a ∧ b] gives
+        # (a ∧ b) ∨ (a ∧ c); c is located only on a mismatch
         n, join, meet = self.size, self.join, self.meet
-        if n <= 256:
-            # with bytes rows, one pair (a, b) is two translates over every c:
-            # join[b] through meet[a] gives a ∧ (b ∨ c), and meet[a] through
-            # join[a ∧ b] gives (a ∧ b) ∨ (a ∧ c); c is located only on a mismatch
-            join_tables = [row.ljust(256, b"\0") for row in join]
-            for a in range(n):
-                meet_a = meet[a]
-                meet_table = meet_a.ljust(256, b"\0")
-                for b in range(n):
-                    lhs = join[b].translate(meet_table)
-                    rhs = meet_a.translate(join_tables[meet_a[b]])
-                    if lhs != rhs:
-                        return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
-            return None
+        join_tables = [row.ljust(256, b"\0") for row in join]
         for a in range(n):
             meet_a = meet[a]
+            meet_table = meet_a.ljust(256, b"\0")
             for b in range(n):
-                ab, join_b = meet_a[b], join[b]
-                for c in range(n):
-                    if meet_a[join_b[c]] != join[ab][meet_a[c]]:
-                        return a, b, c
+                lhs = join[b].translate(meet_table)
+                rhs = meet_a.translate(join_tables[meet_a[b]])
+                if lhs != rhs:
+                    return a, b, next(c for c in range(n) if lhs[c] != rhs[c])
         return None
 
     def is_distributive(self):
@@ -215,18 +202,8 @@ class FinDLat:
                 raise ValueError("lattice elements must be an int and leq a list")
             for p in pairs:
                 if not (isinstance(p, (list, tuple)) and len(p) == 2
-                        and all(isinstance(x, int) and 0 <= x < size for x in p)):
+                        and all(type(x) is int and 0 <= x < size for x in p)):
                     raise ValueError(f"leq pair {p!r} is not a pair of elements in 0..{size - 1}")
-            # refused before anything is allocated: the largest lattice the
-            # upset-family bound admits, a Birkhoff lattice, has that many
-            # elements, and the join/meet search visits size² pairs
-            if size > config.MAX_UPSET_FAMILY:
-                raise CapacityError(f"lattice size {size} exceeds the upset-family bound")
-            if size > 0 and size * size > config.MAX_SEARCH_SPACE:
-                raise CapacityError(
-                    f"lattice size {size} needs {size * size} join/meet pairs, "
-                    "over the search bound"
-                )
             return cls.from_leq_pairs(
                 size,
                 [tuple(p) for p in pairs],
@@ -237,6 +214,14 @@ class FinDLat:
 
     def __repr__(self):
         return f"FinDLat(size={self.size})"
+
+
+def _require_row_width(n):
+    """Return n, or raise CapacityError when n elements do not fit a `bytes`
+    row: the one size bound on a lattice, checked before its tables exist."""
+    if n > 256:
+        raise CapacityError(f"a lattice of {n} elements is over 256, the width of a bytes row")
+    return n
 
 
 def _least_of(mask, up):
@@ -262,16 +247,11 @@ def birkhoff_lattice(points):
     Project-wide convention: upsets, not downsets, so the dual space of
     birkhoff_lattice(P) comes out order-isomorphic to P itself, and element
     i is the i-th mask of `upset_masks(points)`. The upset family is bounded
-    by `config.MAX_UPSET_FAMILY`, and a lattice whose size² join/meet tables
-    exceed `config.MAX_SEARCH_SPACE` raises CapacityError before they are
-    allocated.
+    by `config.MAX_UPSET_FAMILY`, and more than 256 upsets raise
+    CapacityError before the join/meet tables are allocated.
     """
     masks = upset_masks(points)
-    n = len(masks)
-    if n * n > config.MAX_SEARCH_SPACE:
-        raise CapacityError(
-            f"{n} upsets need {n * n} join/meet pairs, over the search bound"
-        )
+    n = _require_row_width(len(masks))
     index = {m: i for i, m in enumerate(masks)}
     up = [0] * n
     for i, mi in enumerate(masks):
@@ -433,15 +413,11 @@ def way_below_rows_oracle(lattice):
 
 @cached
 def _way_below_pairs(lattice):
-    """The oracle's way-below pairs a << b as two sequences: the a's and the b's.
-
-    Each is `bytes` when size <= 256 and a tuple otherwise, like `_pair_table`.
-    """
-    seq = bytes if lattice.size <= 256 else tuple
+    """The oracle's way-below pairs a << b as two `bytes`: the a's and the b's."""
     rows = tuple(map(bits, way_below_rows_oracle(lattice)))
     return (
-        seq(a for a, row in enumerate(rows) for _ in row),
-        seq(chain.from_iterable(rows)),
+        bytes(a for a, row in enumerate(rows) for _ in row),
+        bytes(chain.from_iterable(rows)),
     )
 
 
@@ -452,15 +428,9 @@ def compact_elements(lattice):
 
 
 @cached
-def _compact_set(lattice):
-    """compact_elements as a frozenset, built once per lattice through it."""
-    return frozenset(compact_elements(lattice))
-
-
-@cached
 def _compact_bytes(lattice):
-    """_compact_set as increasing `bytes`, for lattices of at most 256 elements."""
-    return bytes(sorted(_compact_set(lattice)))
+    """compact_elements as increasing `bytes`, built once per lattice."""
+    return bytes(compact_elements(lattice))
 
 
 # -- pseudocomplement and well inside ----------------------------------------------
@@ -479,10 +449,10 @@ def pseudocomplement(lattice, a):
 
 @cached
 def _pseudocomplement_joins(lattice):
-    """⋁{x : a ∧ x = 0} for every a, unchecked; `bytes` when size <= 256."""
-    bottom, seq = lattice.bottom, (bytes if lattice.size <= 256 else tuple)
-    return seq(lattice.join_of(x for x, m in enumerate(row) if m == bottom)
-               for row in lattice.meet)
+    """⋁{x : a ∧ x = 0} for every a as `bytes`, unchecked."""
+    bottom = lattice.bottom
+    return bytes(lattice.join_of(x for x, m in enumerate(row) if m == bottom)
+                 for row in lattice.meet)
 
 
 def well_inside(lattice, a, b):
@@ -533,19 +503,17 @@ def _frame_predicate_witness(lattice, name):
         ok, w = frame_predicate_witness(lattice, "algebraic")
         if not ok:
             return ok, w
-        # `inside` is 1 exactly on ↟a; with bytes rows one translate pair
-        # maps every c ∈ ↟a to [b ∧ c ∈ ↟a], and the c-loop runs only to
-        # name the witness (above 256 elements it is the whole test)
-        small = n <= 256
-        meet_tables = [row.ljust(256, b"\0") for row in lattice.meet] if small else None
+        # `inside` is 1 exactly on ↟a; one translate pair maps every c ∈ ↟a
+        # to [b ∧ c ∈ ↟a], and the c-loop runs only to name the witness
+        meet_tables = [row.ljust(256, b"\0") for row in lattice.meet]
         for a in range(n):
             above = bits(rows[a])
-            inside = bytearray(max(n, 256))
+            inside = bytearray(256)
             for x in above:
                 inside[x] = 1
-            above_bytes = bytes(above) if small else None
+            above_bytes = bytes(above)
             for b in above:
-                if small and 0 not in above_bytes.translate(meet_tables[b]).translate(inside):
+                if 0 not in above_bytes.translate(meet_tables[b]).translate(inside):
                     continue
                 for c in above:
                     if not inside[lattice.meet[b][c]]:
@@ -601,8 +569,8 @@ class LatticeHom:
     ValueError and an element outside the target with IndexError.
     `enumerate_homs` builds its homs without it, from images in range by
     construction. `image` is a tuple; `_table`, the image as bytes padded to
-    256, is the `translate` table of `hom_predicate`'s byte-code kernels
-    (None for targets over 256 elements); `_tables` is `_hom_tables`, shared
+    256, is the `translate` table of `hom_predicate`'s byte-code kernels and
+    the order in which `enumerate_homs` sorts; `_tables` is `_hom_tables`, shared
     by every hom of a search; `_flags` holds what `hom_predicate` decided.
     """
 
@@ -618,7 +586,7 @@ class LatticeHom:
         self.source = source
         self.target = target
         self.image = image
-        self._table = bytes(image).ljust(256, b"\0") if target.size <= 256 else None
+        self._table = bytes(image).ljust(256, b"\0")
         self._tables = _hom_tables(source, target)
         self._flags = {}
 
@@ -661,19 +629,14 @@ class LatticeHom:
 
 @cached
 def _pair_table(lattice):
-    """Every index pair a <= b as four sequences: a, b, a ∨ b and a ∧ b.
-
-    Each is `bytes` when size <= 256 and a tuple otherwise, the convention
-    of the join/meet rows, so the byte-code kernel of `hom_predicate` can
-    `translate` them.
-    """
+    """Every index pair a <= b as four `bytes`: a, b, a ∨ b and a ∧ b, so the
+    byte-code kernel of `hom_predicate` can `translate` them."""
     n = lattice.size
-    seq = bytes if n <= 256 else tuple
     return (
-        seq(chain.from_iterable(repeat(a, n - a) for a in range(n))),
-        seq(chain.from_iterable(range(a, n) for a in range(n))),
-        seq(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
-        seq(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
+        bytes(chain.from_iterable(repeat(a, n - a) for a in range(n))),
+        bytes(chain.from_iterable(range(a, n) for a in range(n))),
+        bytes(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
+        bytes(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
     )
 
 
@@ -704,17 +667,17 @@ def _pair_codes(a_col, b_col, t):
 def _hom_tables(source, target):
     """Everything `hom_predicate` reads for maps source → target, kept per pair.
 
-    The tuple holds `small` (the byte-code kernels apply), the source's
-    `_pair_table`, the target's join, meet and way-below tables (its
-    `_byte_tables` when small, else its rows and the oracle's), the source's
-    `_way_below_pairs` and the compact elements of both (`_compact_bytes`
-    when small, else `_compact_set`). Every hom of a search shares it.
+    The tuple holds `small` (the target has at most 16 elements, so the
+    nibble kernels apply), the source's `_pair_table`, the target's join,
+    meet and way-below tables (its `_byte_tables` when small, else its rows
+    and the oracle's), the source's `_way_below_pairs` and the
+    `_compact_bytes` of both. Every hom of a search shares it.
     """
-    if target.size <= 16 and source.size <= 256:
-        return (True, _pair_table(source), _byte_tables(target), _way_below_pairs(source),
-                _compact_bytes(source), _compact_bytes(target))
-    return (False, _pair_table(source), (target.join, target.meet, way_below_rows_oracle(target)),
-            _way_below_pairs(source), _compact_set(source), _compact_set(target))
+    small = target.size <= 16
+    tgt_tables = (_byte_tables(target) if small
+                  else (target.join, target.meet, way_below_rows_oracle(target)))
+    return (small, _pair_table(source), tgt_tables, _way_below_pairs(source),
+            _compact_bytes(source), _compact_bytes(target))
 
 
 def hom_predicate(hom, name):
@@ -732,14 +695,14 @@ def hom_predicate(hom, name):
     the O(|L|²) scan runs at most once per hom. Every table comes from the
     hom's shared `_tables`.
 
-    When the target has at most 16 elements (one nibble each) and the source
-    at most 256 (one byte), all three scans are byte code over the hom's
-    image table `_table`. Each pair becomes the byte 16·h(a) + h(b)
-    (`_pair_codes`), which the target's `_byte_tables` translate to
-    h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]; the source's compact
-    elements go through the image table, and deleting the target's compact
-    elements from the result leaves nothing iff h is coherent. Larger
-    lattices are scanned pair by pair and element by element.
+    The coherentHom scan is byte code over the hom's image table `_table`
+    for every target: the source's compact elements go through it, and
+    deleting the target's compact elements from the result leaves nothing
+    iff h is coherent. When the target has at most 16 elements (one nibble
+    each), the two pair scans are byte code too: each pair becomes the byte
+    16·h(a) + h(b) (`_pair_codes`), which the target's `_byte_tables`
+    translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]. Larger targets
+    are scanned pair by pair.
     """
     if name not in HOM_PREDICATES:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
@@ -772,10 +735,7 @@ def hom_predicate(hom, name):
         if ok is None:
             ok = hom_predicate(hom, "frameHom")
         if ok and name == "coherentHom":
-            if small:
-                ok = not src_compact.translate(t).translate(None, tgt_compact)
-            else:
-                ok = tgt_compact.issuperset(map(img.__getitem__, src_compact))
+            ok = not src_compact.translate(t).translate(None, tgt_compact)
         elif ok:  # properHom
             wb_a, wb_b = wb_pairs
             if small:
@@ -813,9 +773,9 @@ def enumerate_homs(source, target):
     targets map each field through a dict. The images are in range by
     construction, so the homs skip the checked constructor and share one
     `_hom_tables` tuple. Each is checked once against the literal predicate
-    `hom_predicate` for frameHom. Image bytes sort as the image tuples do
-    (every image has one byte per source element), so the bytes are the key
-    where the target has at most 256 elements.
+    `hom_predicate` for frameHom. The homs are sorted by their `_table`:
+    image bytes sort as the image tuples do, since every image has one byte
+    per source element.
     """
     from .duality import priestley_space_of  # duality imports this module
 
@@ -850,7 +810,7 @@ def enumerate_homs(source, target):
 
         def image_of(packed):
             image = tuple([element_of[packed >> s & field] for s in shifts])
-            return image, (bytes(image).ljust(256, b"\0") if target.size <= 256 else None)
+            return image, bytes(image).ljust(256, b"\0")
     spread = [sum(1 << width * a for a in bits(m)) for m in src_rec.point_filters]
     lift = [[s << y for s in spread] for y in range(w)]
     tables, new = _hom_tables(source, target), object.__new__
@@ -861,5 +821,5 @@ def enumerate_homs(source, target):
         hom.image, hom._table = image_of(packed)
         if hom_predicate(hom, "frameHom"):
             results.append(hom)
-    results.sort(key=attrgetter("_table" if target.size <= 256 else "image"))
+    results.sort(key=attrgetter("_table"))
     return results

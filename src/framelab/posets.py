@@ -341,7 +341,7 @@ class Poset:
         if not isinstance(doc, dict) or "size" not in doc:
             raise ValueError("not a poset document")
         size = doc["size"]
-        if not isinstance(size, int) or size < 0:
+        if type(size) is not int or size < 0:
             raise ValueError(f"poset size {size!r} is not a non-negative int")
         # refused before anything is allocated: 2^size upsets must fit the bound
         if size >= config.MAX_UPSET_FAMILY.bit_length():
@@ -351,7 +351,7 @@ class Poset:
             raise ValueError("poset covers must be a list")
         for c in covers:
             if not (isinstance(c, (list, tuple)) and len(c) == 2
-                    and all(isinstance(x, int) and 0 <= x < size for x in c)):
+                    and all(type(x) is int and 0 <= x < size for x in c)):
                 raise ValueError(f"cover {c!r} is not a pair of points in 0..{size - 1}")
         return cls.from_covers(covers, size)
 

@@ -377,7 +377,7 @@ def test_chain_predicates_agree_with_lattice_predicates_on_all_fin():
 
 
 def test_materialize_is_bounded_by_the_search_space():
-    # fin:1023 has 1,025 elements: 1,025² join/meet pairs exceed 2^20
+    # fin:1023 has 1,025 elements, over the 256 a bytes join/meet row holds
     with pytest.raises(CapacityError):
         materialize(parse_chain("fin:1023"))
 

@@ -108,6 +108,22 @@ def _covers_not_a_list(doc):
     doc["entries"][2]["poset"]["covers"] = 5
 
 
+def _count_disagrees(doc):
+    doc["manifest"]["count"] = 999
+
+
+def _count_missing(doc):
+    del doc["manifest"]["count"]
+
+
+def _max_size_below_an_entry(doc):
+    doc["manifest"]["max_size"] = 1
+
+
+def _max_size_not_an_int(doc):
+    doc["manifest"]["max_size"] = "x"
+
+
 @pytest.mark.parametrize(
     "malform",
     [
@@ -117,6 +133,10 @@ def _covers_not_a_list(doc):
         _entry_without_id,
         _manifest_not_an_object,
         _covers_not_a_list,
+        _count_disagrees,
+        _count_missing,
+        _max_size_below_an_entry,
+        _max_size_not_an_int,
     ],
     ids=lambda f: f.__name__.strip("_"),
 )

@@ -144,22 +144,26 @@ def test_birkhoff_capacity(monkeypatch):
             birkhoff_lattice(p)
 
 
-def test_birkhoff_refuses_tables_over_the_search_bound(monkeypatch):
-    # 2^n upsets need 4^n join/meet pairs: 64² fits a bound of 4,096, 128² not
-    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 4096)
-    assert birkhoff_lattice(Poset.antichain(6)).size == 64
-    with pytest.raises(CapacityError):
-        birkhoff_lattice(Poset.antichain(7))
-    with pytest.raises(CapacityError):
-        FinDLat.from_doc({"birkhoff": Poset.antichain(7).to_doc()})
+def test_birkhoff_refuses_tables_over_the_search_bound():
+    # a lattice's tables are bounded by the 256 elements a bytes row holds:
+    # the 8-antichain's 256 upsets fit (test_birkhoff_tables_at_256_elements),
+    # the 9-antichain's 512 do not
+    with pytest.raises(CapacityError, match="256"):
+        birkhoff_lattice(Poset.antichain(9))
+    with pytest.raises(CapacityError, match="256"):
+        FinDLat.from_doc({"birkhoff": Poset.antichain(9).to_doc()})
 
 
-def test_chain_refuses_tables_over_the_search_bound(monkeypatch):
-    # a chain of n needs n² join/meet pairs: 10² fits a bound of 100, 11² not
-    monkeypatch.setattr(config, "MAX_SEARCH_SPACE", 100)
-    assert FinDLat.chain(10).size == 10
-    with pytest.raises(CapacityError):
-        FinDLat.chain(11)
+def test_chain_refuses_tables_over_the_search_bound():
+    # refused before any of the n² join/meet entries is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="256"):
+            FinDLat.chain(10**9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 # -- explicit construction and the distributivity error path -------------------
@@ -179,8 +183,12 @@ def n5():
 
 @pytest.mark.parametrize("n", [256, 257])
 def test_chain_tables_at_the_row_width_boundary(n):
+    if n > 256:
+        with pytest.raises(CapacityError, match="256"):
+            FinDLat.chain(n)
+        return
     lat = FinDLat.chain(n)
-    assert isinstance(lat.join[0], bytes) == isinstance(lat.meet[0], bytes) == (n <= 256)
+    assert isinstance(lat.join[0], bytes) and isinstance(lat.meet[0], bytes)
     corners = (0, 1, n - 2, n - 1)
     for a in corners:
         for b in corners:
@@ -200,7 +208,8 @@ def test_birkhoff_tables_at_256_elements():
 
 
 def m3_below_chain(n):
-    """M3 on elements 0..4, under a chain 5 < ... < n-1: tuple rows past 256."""
+    """M3 on elements 0..4, under a chain 5 < ... < n-1, built by the raw
+    constructor."""
     small = m3()
     up = [small.up[x] | ((1 << n) - 1) >> 5 << 5 for x in range(5)]
     up += [((1 << n) - 1) >> x << x for x in range(5, n)]
@@ -221,13 +230,15 @@ def first_distributivity_failure(lat):
 def test_non_distributive_input_is_constructible_then_rejected():
     # M4's first failing (a, b) = (1, 2) fails at c = 3 and at c = 4
     m4 = FinDLat.from_leq_pairs(6, [(0, i) for i in range(6)] + [(i, 5) for i in range(6)])
-    for lat in (m3(), n5(), m4, m3_below_chain(257)):
+    for lat in (m3(), n5(), m4, m3_below_chain(256)):
         assert not lat.is_distributive()
         with pytest.raises(DistributivityError) as err:
             lat.require_distributive()
-        # the row kernel (bytes rows) and the scan (tuple rows) both report
-        # the first failing triple in (a, b, c) order
+        # the row kernel reports the first failing triple in (a, b, c) order
         assert err.value.witness == first_distributivity_failure(lat)
+    # one element more no longer fits a bytes row
+    with pytest.raises(CapacityError, match="256"):
+        m3_below_chain(257)
 
 
 def test_pseudocomplement_consistency_guard_fires_on_m3():
@@ -610,8 +621,8 @@ def test_proper_hom_fails_when_the_target_loses_a_way_below_pair(size, monkeypat
 @pytest.mark.parametrize("size", [16, 17])
 def test_coherent_hom_fails_when_the_target_loses_a_compact_element(size, monkeypatch):
     # the oracle drops a << a for a = size - 2, an element of the image, from
-    # a fresh target before any of its caches is built; the 16-element target
-    # is decided by the byte-code kernel, the 17-element one by the set route
+    # a fresh target before any of its caches is built; the target sizes
+    # straddle the nibble kernels, which coherentHom does not use
     intact, target = FinDLat.chain(size), FinDLat.chain(size)
     oracle = lattices.way_below_rows_oracle
     lost = size - 2
@@ -628,7 +639,6 @@ def test_coherent_hom_fails_when_the_target_loses_a_compact_element(size, monkey
     reference = LatticeHom(source, intact, image)
     assert hom.is_frame_hom and reference.is_frame_hom
     assert reference.is_coherent and not hom.is_coherent
-    assert (lattices._compact_bytes in target._memo) == (size == 16)
 
 
 def test_lattice_hom_constructor_refuses_bad_images():
@@ -690,9 +700,11 @@ def test_enumerate_homs_matches_bruteforce():
 def test_enumerate_homs_on_both_sides_of_the_byte_image_boundary():
     # an image is one byte per source element while the target's dual has at
     # most 8 points, so at most 256 elements: chain(9) has 8 points and
-    # chain(10) 9, and the 8-antichain's 256 upsets are the widest target
+    # chain(10) 9, and the 8-antichain's 256 upsets are the widest target;
+    # chain(18), with 17 points and 18 elements, takes both the dict image
+    # route and the pair-by-pair hom_predicate route
     source = FinDLat.chain(3)
-    for target in (FinDLat.chain(9), FinDLat.chain(10)):
+    for target in (FinDLat.chain(9), FinDLat.chain(10), FinDLat.chain(18)):
         homs = enumerate_homs(source, target)
         assert [h.image for h in homs] == homs_brute(source, target, "frameHom")
         for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
@@ -866,29 +878,35 @@ def test_lattice_doc_round_trip_explicit():
         {"elements": 2, "leq": [[0, 7]]},
         {"elements": 2.7, "leq": []},
         {"elements": True, "leq": []},
+        {"elements": 2, "leq": [[0, True]]},
     ],
-    ids=["size-none", "leq-not-a-list", "pair-out-of-range", "size-float", "size-bool"],
+    ids=["size-none", "leq-not-a-list", "pair-out-of-range", "size-float", "size-bool",
+         "pair-bool"],
 )
 def test_malformed_lattice_doc_is_refused(doc):
     with pytest.raises(ValueError):
         FinDLat.from_doc(doc)
 
 
-def test_lattice_doc_size_is_bounded_by_the_upset_family(monkeypatch):
-    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 4)
-    square = birkhoff_lattice(Poset.antichain(2))
-    explicit = {"elements": 4, "leq": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]}
-    assert FinDLat.from_doc(explicit).size == 4
-    assert FinDLat.from_doc(square.to_doc()).size == 4
-    with pytest.raises(CapacityError):
-        FinDLat.from_doc(m3().to_doc())
-    with pytest.raises(CapacityError):
-        FinDLat.from_doc(birkhoff_lattice(Poset.chain(4)).to_doc())
+def m_shape(n):
+    """Explicit order pairs of M_{n-2}: 0 below n-2 atoms below n-1."""
+    return [[0, i] for i in range(1, n)] + [[i, n - 1] for i in range(1, n - 1)]
+
+
+def test_lattice_doc_size_is_bounded_by_the_row_width():
+    # 256 elements fit a bytes row and 257 do not, from a document or from
+    # the order pairs themselves
+    assert FinDLat.from_doc({"elements": 256, "leq": m_shape(256)}).size == 256
+    with pytest.raises(CapacityError, match="256"):
+        FinDLat.from_doc({"elements": 257, "leq": m_shape(257)})
+    with pytest.raises(CapacityError, match="256"):
+        FinDLat.from_leq_pairs(257, [tuple(p) for p in m_shape(257)])
 
 
 def test_lattice_doc_size_is_bounded_by_the_search_space(monkeypatch):
-    # the lub/glb search visits size² pairs, so the size is refused before
-    # the order or the join/meet tables are allocated
+    # a size over 256 is refused before the order or the join/meet tables
+    # are allocated, and the order pairs of a smaller one count against the
+    # search bound
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):

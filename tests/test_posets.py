@@ -459,14 +459,17 @@ _NOT_A_COVER = "is not a pair of points"
         ({"size": None}, _NOT_A_SIZE),
         ({"size": "3"}, _NOT_A_SIZE),
         ({"size": -1}, _NOT_A_SIZE),
+        ({"size": True, "covers": []}, _NOT_A_SIZE),
         ({"size": 3, "covers": [5]}, _NOT_A_COVER),
         ({"size": 3, "covers": [[0, 9]]}, _NOT_A_COVER),
         ({"size": 3, "covers": [[0, -1]]}, _NOT_A_COVER),
         ({"size": 3, "covers": [[0, 1, 2]]}, _NOT_A_COVER),
         ({"size": 3, "covers": [[0, "1"]]}, _NOT_A_COVER),
+        ({"size": 3, "covers": [[False, 1]]}, _NOT_A_COVER),
     ],
-    ids=["size-null", "size-string", "size-negative", "cover-not-a-pair",
-         "cover-out-of-range", "cover-negative", "cover-triple", "cover-string"],
+    ids=["size-null", "size-string", "size-negative", "size-bool", "cover-not-a-pair",
+         "cover-out-of-range", "cover-negative", "cover-triple", "cover-string",
+         "cover-bool"],
 )
 def test_doc_refuses_malformed_input_with_value_error(doc, message):
     # the message pins the refusal to from_doc's own checks, not to an

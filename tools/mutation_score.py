@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 37 mutants. 35 are expected to be killed, and two,
+The list holds 40 mutants. 38 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -77,8 +77,8 @@ MUTANTS = (
     Mutant(
         "byte-kernel-threshold-17",
         "src/framelab/lattices.py",
-        "if target.size <= 16 and",
-        "if target.size <= 17 and",
+        "small = target.size <= 16",
+        "small = target.size <= 17",
         "killed",
     ),
     Mutant(
@@ -117,8 +117,8 @@ MUTANTS = (
     Mutant(
         "hom-tables-read-the-source-byte-tables",
         "src/framelab/lattices.py",
-        "_byte_tables(target), _way_below_pairs(source)",
-        "_byte_tables(source), _way_below_pairs(source)",
+        "_byte_tables(target) if small",
+        "_byte_tables(source) if small",
         "killed",
     ),
     Mutant(
@@ -178,17 +178,10 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "birkhoff-tables-unbounded",
+        "lattice-row-width-257",
         "src/framelab/lattices.py",
-        "\n    if n * n > config.MAX_SEARCH_SPACE:",
-        "\n    if False:",
-        "killed",
-    ),
-    Mutant(
-        "chain-tables-unbounded",
-        "src/framelab/lattices.py",
-        "\n        if n * n > config.MAX_SEARCH_SPACE:",
-        "\n        if False:",
+        "    if n > 256:\n",
+        "    if n > 257:\n",
         "killed",
     ),
     Mutant(
@@ -281,6 +274,34 @@ MUTANTS = (
         "lattice-doc-size-unchecked",
         "src/framelab/lattices.py",
         "if type(size) is not int or not isinstance(pairs, list):",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "poset-doc-size-accepts-bool",
+        "src/framelab/posets.py",
+        "if type(size) is not int or size < 0:",
+        "if not isinstance(size, int) or size < 0:",
+        "killed",
+    ),
+    Mutant(
+        "lattice-doc-pair-accepts-bool",
+        "src/framelab/lattices.py",
+        "all(type(x) is int and 0 <= x < size for x in p)",
+        "all(isinstance(x, int) and 0 <= x < size for x in p)",
+        "killed",
+    ),
+    Mutant(
+        "corpus-manifest-count-unchecked",
+        "src/framelab/corpus.py",
+        "if type(count) is not int or count != len(entries):",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "corpus-manifest-max-size-unchecked",
+        "src/framelab/corpus.py",
+        "if type(max_size) is not int or max_size < largest:",
         "if False:",
         "killed",
     ),
