@@ -8,7 +8,8 @@ as infinite witnesses, and per-theorem validators run over a generated corpus.
 
 Every set of points is an int mask, bit i for point i; there is no set
 class. A finite Priestley space is the `Poset` of its points, and a map of
-spaces is a `MonotoneMap`. The space operators (`spaces.kernel`, `core`,
+spaces is a `MonotoneMap`; it and `lattices.LatticeHom` share one checked
+base, `posets.PointwiseMap`. The space operators (`spaces.kernel`, `core`,
 `reg_part`, `center`) take and return upset masks and raise ValueError on a
 mask that is not an upset of the space or has a bit outside its points.
 """

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NormalizationError, UnknownPredicate
-from .lattices import FinDLat
+from .lattices import FinDLat, _require_row_width
 
 CHAIN_PREDICATES = (
     "compactFrame",
@@ -366,10 +366,12 @@ def element_index(chain, x):
 
 
 def all_elements(chain):
-    """Every element of a finite (all-fin) chain, in order."""
+    """Every element of a finite (all-fin) chain, in order. A chain of more
+    than 256 elements, which does not materialize, raises CapacityError."""
     size = chain_size(chain)
     if size is None:
         raise NormalizationError("infinite chains cannot be listed")
+    _require_row_width(size)
     if chain.degenerate:
         return [chain.bottom()]
     out = [chain.bottom()]
@@ -391,8 +393,10 @@ def sample_elements(chain):
     """A representative finite sample: bounds, block coordinates, retained sups.
 
     An omega block contributes its first three coordinates and a dense block
-    the rationals 1/4, 1/2 and 2/3.
+    the rationals 1/4, 1/2 and 2/3; a repeat is kept where first seen. Over
+    256 candidates, repeats counted, raise CapacityError before any is built.
     """
+    _require_row_width(2 + sum(b[1] if b[0] == FIN else 4 for b in chain.blocks))
     out = [chain.bottom(), chain.top()]
     for i, b in enumerate(chain.blocks):
         if b[0] == FIN:
@@ -405,11 +409,7 @@ def sample_elements(chain):
             )
         if b[0] in (OMEGA, DENSE):
             out.append(chain.block_sup(i))
-    seen = []
-    for x in out:
-        if x not in seen:
-            seen.append(x)
-    return seen
+    return list(dict.fromkeys(out))
 
 
 # -- the witness fixtures ----------------------------------------------------------------

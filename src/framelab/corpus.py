@@ -15,7 +15,7 @@ from . import config
 from .duality import poset_content_id, priestley_space_of, sha256
 from .errors import CapacityError
 from .lattices import birkhoff_lattice
-from .posets import Poset, enumerate_posets
+from .posets import Poset, _check_size, enumerate_posets
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,10 @@ class Corpus:
 
 
 def gen_corpus(max_size=5):
-    """One entry per isomorphism class of posets of size 0..max_size."""
+    """One entry per isomorphism class of posets of size 0..max_size; a
+    max_size that is not an int >= 0 (a bool included) raises ValueError."""
     cap = config.MAX_POSET_SIZE
-    if max_size < 0:
-        raise ValueError("corpus size must be >= 0")
+    _check_size(max_size)
     if max_size > cap:
         raise CapacityError(f"corpus size {max_size} exceeds the configured cap {cap}")
     entries = []

@@ -2,7 +2,12 @@
 
 
 class FrameLabError(Exception):
-    """Base class for all framelab errors."""
+    """Base class for all framelab errors; a failed check puts the
+    counterexample it found in `witness`, which is None otherwise."""
+
+    def __init__(self, *args, witness=None):
+        super().__init__(*args)
+        self.witness = witness
 
 
 class CycleError(FrameLabError):
@@ -20,10 +25,6 @@ class NotLatticeError(FrameLabError):
 class DistributivityError(FrameLabError):
     """A lattice failed the distributive law; carries a witness triple."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class UnknownPredicate(FrameLabError):
     """A predicate name outside the supported set was requested."""
@@ -39,10 +40,6 @@ class NormalizationError(FrameLabError):
 
 class IsoFailure(FrameLabError):
     """A round-trip isomorphism check failed; carries a counterexample."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class ConsistencyError(FrameLabError):

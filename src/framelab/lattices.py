@@ -23,7 +23,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, bits, cached, iter_monotone_maps, upset_masks
+from .posets import Poset, PointwiseMap, bits, cached, iter_monotone_maps, upset_masks
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -49,22 +49,20 @@ class FinDLat:
     Each `join[a]` and `meet[a]` row is `bytes` (97 bytes for 64 elements,
     against a tuple's 552), so the size is at most 256: every constructor,
     this one included, refuses a larger lattice with CapacityError before
-    its tables are built. Everything derived from the tables (the carrier
-    poset, J(L), the ideals, the way-below rows, the dual space, the frame
-    predicates per name, ...) is computed on first use and kept in the one
-    `_memo` dict by `posets.cached`.
+    its tables are built. The order rows `up` and `down` are those of the
+    one carrier `Poset` that `carrier_poset` returns. Everything derived
+    from the tables (J(L), the ideals, the way-below rows, the dual space,
+    the frame predicates per name, ...) is computed on first use and kept in
+    the one `_memo` dict by `posets.cached`.
     """
 
-    __slots__ = ("size", "up", "down", "join", "meet", "bottom", "top", "_memo")
+    __slots__ = ("size", "up", "down", "join", "meet", "bottom", "top", "_carrier", "_memo")
 
     def __init__(self, up, join, meet, bottom, top):
-        self.up = tuple(up)
-        self.size = _require_row_width(len(self.up))
-        down = [0] * self.size
-        for i in range(self.size):
-            for j in bits(self.up[i]):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        up = tuple(up)
+        self.size = _require_row_width(len(up))
+        self._carrier = Poset(up, _trusted=True)
+        self.up, self.down = self._carrier.up, self._carrier.down
         self.join = tuple(map(bytes, join))
         self.meet = tuple(map(bytes, meet))
         self.bottom = bottom
@@ -90,16 +88,16 @@ class FinDLat:
         for i in range(n):
             for j in range(i, n):
                 common = up[i] & up[j]
-                lub = _least_of(common, up)
+                lub = _extreme_of(common, up)
                 if lub is None:
                     raise NotLatticeError(f"elements {i}, {j} have no least upper bound")
-                glb = _greatest_of(down[i] & down[j], down)
+                glb = _extreme_of(down[i] & down[j], down)
                 if glb is None:
                     raise NotLatticeError(f"elements {i}, {j} have no greatest lower bound")
                 join[i][j] = join[j][i] = lub
                 meet[i][j] = meet[j][i] = glb
-        bot = _least_of((1 << n) - 1, up)
-        tp = _greatest_of((1 << n) - 1, down)
+        bot = _extreme_of((1 << n) - 1, up)
+        tp = _extreme_of((1 << n) - 1, down)
         if bot is None or tp is None:
             raise NotLatticeError("order has no bottom or no top")
         if bottom is not None and bottom != bot:
@@ -110,7 +108,10 @@ class FinDLat:
 
     @classmethod
     def chain(cls, n):
-        """The n-element chain 0 < 1 < ... < n-1."""
+        """The n-element chain 0 < 1 < ... < n-1; an n that is not an int (a
+        bool included) raises ValueError."""
+        if type(n) is not int:
+            raise ValueError(f"chain size {n!r} is not an int")
         if n < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
         _require_row_width(n)
@@ -131,9 +132,8 @@ class FinDLat:
             out = self.join[out][a]
         return out
 
-    @cached
     def carrier_poset(self):
-        return Poset(self.up, _trusted=True)
+        return self._carrier
 
     @property
     def full_mask(self):
@@ -224,16 +224,11 @@ def _require_row_width(n):
     return n
 
 
-def _least_of(mask, up):
+def _extreme_of(mask, rows):
+    """The member of `mask` whose row holds all of `mask`, or None: the least
+    member when `rows` are `up` rows, the greatest when they are `down`."""
     for u in bits(mask):
-        if mask & ~up[u] == 0:
-            return u
-    return None
-
-
-def _greatest_of(mask, down):
-    for u in bits(mask):
-        if mask & ~down[u] == 0:
+        if mask & ~rows[u] == 0:
             return u
     return None
 
@@ -495,10 +490,7 @@ def _frame_predicate_witness(lattice, name):
         for a in range(n):
             if (rows[a] >> a) & 1:
                 compact |= 1 << a
-        for a in range(n):
-            if lattice.join_of(bits(compact & lattice.down[a])) != a:
-                return False, {"element": a}
-        return True, None
+        return _join_sweep(lattice, lambda a: bits(compact & lattice.down[a]))
     if name == "arithmetic":
         ok, w = frame_predicate_witness(lattice, "algebraic")
         if not ok:
@@ -527,18 +519,12 @@ def _frame_predicate_witness(lattice, name):
     if name == "regular":
         # b ≺ a iff b* ∨ a = 1; each b*'s join row is read once per call
         star_rows = [lattice.join[pseudocomplement(lattice, b)] for b in range(n)]
-        for a in range(n):
-            below = [b for b in range(n) if star_rows[b][a] == lattice.top]
-            if lattice.join_of(below) != a:
-                return False, {"element": a}
-        return True, None
+        return _join_sweep(
+            lattice, lambda a: [b for b in range(n) if star_rows[b][a] == lattice.top]
+        )
     if name == "zeroDimensional":
         comp = complemented_elements(lattice)
-        for a in range(n):
-            below = [b for b in comp if lattice.leq(b, a)]
-            if lattice.join_of(below) != a:
-                return False, {"element": a}
-        return True, None
+        return _join_sweep(lattice, lambda a: [b for b in comp if lattice.leq(b, a)])
     if name == "stone":
         ok, w = frame_predicate_witness(lattice, "compactFrame")
         if not ok:
@@ -559,14 +545,22 @@ def _frame_predicate_witness(lattice, name):
     raise UnknownPredicate(f"unknown frame predicate {name!r}")
 
 
+def _join_sweep(lattice, below):
+    """(True, None) if every a is the join of ``below(a)``, else (False,
+    {"element": a}) for the first a that is not; `spaces._density_sweep`'s twin."""
+    for a in range(lattice.size):
+        if lattice.join_of(below(a)) != a:
+            return False, {"element": a}
+    return True, None
+
+
 # -- homomorphisms ---------------------------------------------------------------
 
 
-class LatticeHom:
+class LatticeHom(PointwiseMap):
     """Element-wise map between lattices with cached predicate flags.
 
-    The public constructor refuses an image of the wrong length with
-    ValueError and an element outside the target with IndexError.
+    The constructor is the checked one of `posets.PointwiseMap`.
     `enumerate_homs` builds its homs without it, from images in range by
     construction. `image` is a tuple; `_table`, the image as bytes padded to
     256, is the `translate` table of `hom_predicate`'s byte-code kernels and
@@ -574,28 +568,13 @@ class LatticeHom:
     by every hom of a search; `_flags` holds what `hom_predicate` decided.
     """
 
-    __slots__ = ("source", "target", "image", "_table", "_tables", "_flags")
+    __slots__ = ("_table", "_tables", "_flags")
 
     def __init__(self, source, target, image):
-        image = tuple(image)
-        if len(image) != source.size:
-            raise ValueError("image length does not match the source size")
-        for v in image:
-            if not 0 <= v < target.size:
-                raise IndexError(f"image element {v} outside the target")
-        self.source = source
-        self.target = target
-        self.image = image
-        self._table = bytes(image).ljust(256, b"\0")
+        super().__init__(source, target, image)
+        self._table = bytes(self.image).ljust(256, b"\0")
         self._tables = _hom_tables(source, target)
         self._flags = {}
-
-    @classmethod
-    def identity(cls, lattice):
-        return cls(lattice, lattice, tuple(range(lattice.size)))
-
-    def __call__(self, a):
-        return self.image[a]
 
     @property
     def is_frame_hom(self):
@@ -611,20 +590,6 @@ class LatticeHom:
     def is_proper(self):
         flag = self._flags.get("properHom")
         return hom_predicate(self, "properHom") if flag is None else flag
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeHom)
-            and other.source is self.source
-            and other.target is self.target
-            and other.image == self.image
-        )
-
-    def __hash__(self):
-        return hash((id(self.source), id(self.target), self.image))
-
-    def __repr__(self):
-        return f"LatticeHom({self.image})"
 
 
 @cached

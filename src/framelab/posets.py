@@ -4,8 +4,10 @@ Points are the integers 0..size-1, and a set of points is an int mask: bit i
 stands for point i. The library has no other set type. The order is stored
 as one mask per point (``up[i]`` is the set of points above-or-equal to
 ``i``), so up- and down-closure (`Poset.up_mask`, `Poset.down_mask`) and the
-upset family (`upset_masks`) are integer operations. All values are
-immutable after construction and safe to share.
+upset family (`upset_masks`) are integer operations. A map is stored
+pointwise on `PointwiseMap`, the one checked base of `MonotoneMap` and
+`lattices.LatticeHom`. All values are immutable after construction and safe
+to share.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ def mask_order_key(mask):
 class Poset:
     """Finite partial order. The empty poset (size 0) is a first-class value.
 
-    `from_covers`, `from_leq_pairs`, `chain` and `antichain` refuse a negative
-    size (ValueError) and size² > `config.MAX_SEARCH_SPACE` (CapacityError).
+    `from_covers`, `from_leq_pairs`, `chain` and `antichain` refuse a size
+    that is not an int >= 0, a bool included (ValueError), and size² >
+    `config.MAX_SEARCH_SPACE` (CapacityError).
     """
 
     __slots__ = ("size", "up", "down", "_memo")
@@ -360,8 +363,8 @@ class Poset:
 
 
 def _check_size(n):
-    if n < 0:
-        raise ValueError("size must be >= 0")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"size {n!r} is not an int >= 0")
     if n * n > config.MAX_SEARCH_SPACE:
         raise CapacityError(f"{n} points have {n * n} order pairs, over the search bound")
 
@@ -405,42 +408,36 @@ def _arrangements(groups):
             yield tuple(order)
 
 
-class MonotoneMap:
-    """Order-preserving map between two posets, stored pointwise."""
+class PointwiseMap:
+    """A map stored pointwise, ``image[i]`` for source point i: the checked
+    base of `MonotoneMap` and `lattices.LatticeHom`. An image of the wrong
+    length raises ValueError, an entry outside the target IndexError. Maps
+    are equal when their class, source and target objects and image agree.
+    """
 
     __slots__ = ("source", "target", "image")
 
     def __init__(self, source, target, image):
         image = tuple(image)
         if len(image) != source.size:
-            raise ValueError("image length does not match source size")
-        for q in image:
-            if not 0 <= q < target.size:
-                raise IndexError(f"image point {q} outside the target")
-        for i, j in source.covers():
-            if not target.leq(image[i], image[j]):
-                raise ValueError(f"map is not monotone on cover ({i}, {j})")
+            raise ValueError("image length does not match the source size")
+        for v in image:
+            if not 0 <= v < target.size:
+                raise IndexError(f"image entry {v} outside the target")
         self.source = source
         self.target = target
         self.image = image
 
     @classmethod
-    def identity(cls, poset):
-        return cls(poset, poset, tuple(range(poset.size)))
+    def identity(cls, obj):
+        return cls(obj, obj, range(obj.size))
 
     def __call__(self, point):
         return self.image[point]
 
-    def preimage_mask(self, mask):
-        out = 0
-        for i, q in enumerate(self.image):
-            if (mask >> q) & 1:
-                out |= 1 << i
-        return out
-
     def __eq__(self, other):
         return (
-            isinstance(other, MonotoneMap)
+            type(other) is type(self)
             and other.source is self.source
             and other.target is self.target
             and other.image == self.image
@@ -450,7 +447,26 @@ class MonotoneMap:
         return hash((id(self.source), id(self.target), self.image))
 
     def __repr__(self):
-        return f"MonotoneMap({self.image})"
+        return f"{type(self).__name__}({self.image})"
+
+
+class MonotoneMap(PointwiseMap):
+    """Order-preserving map between posets; one that breaks a cover raises ValueError."""
+
+    __slots__ = ()
+
+    def __init__(self, source, target, image):
+        super().__init__(source, target, image)
+        for i, j in source.covers():
+            if not target.leq(self.image[i], self.image[j]):
+                raise ValueError(f"map is not monotone on cover ({i}, {j})")
+
+    def preimage_mask(self, mask):
+        out = 0
+        for i, q in enumerate(self.image):
+            if (mask >> q) & 1:
+                out |= 1 << i
+        return out
 
 
 # -- upsets ------------------------------------------------------------------

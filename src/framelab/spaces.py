@@ -353,19 +353,12 @@ def map_predicate(f, name):
     lMorphism is not one: f⁻¹(cl U) = cl f⁻¹(U) holds on every finite map."""
     if name not in MAP_PREDICATES:
         raise UnknownPredicate(f"unknown space-map predicate {name!r}")
+    # f⁻¹(part U) ⊆ part f⁻¹(U), with the kernel for properL and the core
+    # for coherentL
+    part = _kernel_mask if name == "properL" else _core_mask
     src, tgt = f.source, f.target
-    if name == "properL":
-        for um in clop_upset_masks(tgt):
-            if f.preimage_mask(_kernel_mask(tgt, um)) & ~_kernel_mask(
-                src, f.preimage_mask(um)
-            ):
-                return False
-        return True
-    # coherentL
     for um in clop_upset_masks(tgt):
-        if f.preimage_mask(_core_mask(tgt, um)) & ~_core_mask(
-            src, f.preimage_mask(um)
-        ):
+        if f.preimage_mask(part(tgt, um)) & ~part(src, f.preimage_mask(um)):
             return False
     return True
 
@@ -433,11 +426,7 @@ def _point_space_predicate_witness(point_space, name):
     if name == "zeroDimensional":
         clopens = point_space.clopen_sets()
         for o in opens:
-            union = 0
-            for b in clopens:
-                if b & ~o == 0:
-                    union |= b
-            if union != o:
+            if _union_inside(clopens, o) != o:
                 return False, {"open": o}
         return True, None
     # hausdorff: y is separated from x iff y ∈ reach[x], the union over the

@@ -142,6 +142,29 @@ def test_cmp_examples():
     assert cmp(m, m.coord(0, 1), m.coord(1, Fraction(1, 2))) == -1
 
 
+def test_listings_are_bounded_by_the_row_width():
+    listed = parse_chain("fin:254")
+    assert len(sample_elements(listed)) == len(all_elements(listed)) == 256
+    refused = parse_chain("fin:255")
+    with pytest.raises(CapacityError):
+        sample_elements(refused)
+    with pytest.raises(CapacityError):
+        all_elements(refused)
+    with pytest.raises(CapacityError):
+        all_elements(parse_chain("fin:100000"))
+
+
+def test_sample_elements_drop_duplicates_in_first_seen_order():
+    # the sup of block 0 is coordinate 0 of block 1, and the sup of block 1
+    # is the top: each is listed once, where it is first produced
+    c = parse_chain("omega+omega")
+    assert sample_elements(c) == [
+        c.bottom(), c.top(), c.coord(0, 0), c.coord(0, 1), c.coord(0, 2),
+        c.coord(1, 0), c.coord(1, 1), c.coord(1, 2),
+    ]
+    assert sample_elements(ChainFrame.trivial()) == [ChainFrame.trivial().bottom()]
+
+
 def test_cmp_is_a_total_order_on_samples():
     c = ChainFrame([("fin", 2), ("omega",), ("dense",), ("fin", 1)])
     sample = sample_elements(c)

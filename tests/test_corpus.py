@@ -75,6 +75,15 @@ def test_gen_corpus_refuses_a_negative_size():
         gen_corpus(-1)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", None],
+                         ids=["true", "false", "float", "string", "none"])
+def test_gen_corpus_refuses_bool_and_non_int_sizes(size):
+    # True would reach the manifest as "max_size": true, which
+    # corpus_from_json refuses
+    with pytest.raises(ValueError, match=">= 0"):
+        gen_corpus(size)
+
+
 def test_entry_size_bound_is_the_configured_poset_size(monkeypatch):
     text = corpus_to_json(_CORPUS)  # entries of up to 3 points
     monkeypatch.setattr(config, "MAX_POSET_SIZE", 3)

@@ -12,6 +12,7 @@ from framelab import (
     CapacityError,
     ConsistencyError,
     DistributivityError,
+    MonotoneMap,
     NotLatticeError,
     Poset,
     UnknownPredicate,
@@ -649,6 +650,51 @@ def test_lattice_hom_constructor_refuses_bad_images():
         LatticeHom(three, two, (0, 1, 2))
     with pytest.raises(IndexError, match="outside the target"):
         LatticeHom(three, two, (0, -1, 1))
+
+
+@pytest.mark.parametrize(
+    "cls, source, target",
+    [
+        (MonotoneMap, Poset.chain(3), Poset.chain(2)),
+        (LatticeHom, FinDLat.chain(3), FinDLat.chain(2)),
+    ],
+    ids=["MonotoneMap", "LatticeHom"],
+)
+def test_maps_share_the_checked_pointwise_base(cls, source, target):
+    with pytest.raises(ValueError, match="length"):
+        cls(source, target, (0, 1))
+    with pytest.raises(IndexError, match="outside the target"):
+        cls(source, target, (0, 1, 2))
+    with pytest.raises(IndexError, match="outside the target"):
+        cls(source, target, (0, -1, 1))
+    f = cls(source, target, [0, 1, 1])
+    assert repr(f) == f"{cls.__name__}((0, 1, 1))"
+    assert f(2) == 1 and f.image == (0, 1, 1)
+    same = cls(source, target, (0, 1, 1))
+    assert f == same and hash(f) == hash(same)
+    assert f != cls(source, target, (0, 0, 1))
+    assert f != cls(source, type(target).chain(2), (0, 1, 1))  # another target object
+    assert cls.identity(source).image == (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "lat",
+    [FinDLat.chain(1), FinDLat.chain(4), b2(), n5(),
+     FinDLat.from_leq_pairs(3, [(0, 1), (0, 2), (1, 2)]),
+     birkhoff_lattice(Poset.antichain(3))],
+    ids=["chain1", "chain4", "b2", "n5", "leq-pairs", "b3"],
+)
+def test_carrier_poset_is_one_object_with_the_lattices_rows(lat):
+    carrier = lat.carrier_poset()
+    assert carrier is lat.carrier_poset()
+    assert carrier.up is lat.up and carrier.down is lat.down
+
+
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", None],
+                         ids=["true", "false", "float", "string", "none"])
+def test_chain_lattice_refuses_bool_and_non_int_sizes(size):
+    with pytest.raises(ValueError, match="not an int"):
+        FinDLat.chain(size)
 
 
 def test_unknown_hom_predicate():

@@ -392,6 +392,14 @@ def test_constructors_refuse_negative_sizes():
                 build(n)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.0, "3", None],
+                         ids=["true", "false", "float", "string", "none"])
+def test_constructors_refuse_bool_and_non_int_sizes(size):
+    for build in (*_SIZED_CONSTRUCTORS, enumerate_posets):
+        with pytest.raises(ValueError, match=">= 0"):
+            build(size)
+
+
 def test_constructors_refuse_more_order_pairs_than_the_search_bound(monkeypatch):
     # the bound FinDLat.chain applies: 1025 points have 1025² > 2^20 pairs
     with pytest.raises(CapacityError, match="order pairs"):
@@ -410,6 +418,10 @@ def test_monotone_map_validation():
         MonotoneMap(chain2, chain2, (1, 0))
     with pytest.raises(IndexError):
         MonotoneMap(chain2, chain2, (0, 5))
+    with pytest.raises(ValueError, match="length"):
+        MonotoneMap(chain2, chain2, (0,))
+    with pytest.raises(IndexError, match="outside the target"):
+        MonotoneMap(chain2, chain2, (-1, 0))
 
 
 def test_monotone_map_composition_and_preimage():
