@@ -101,12 +101,12 @@ class ChainFrame:
         kind = self.blocks[block][0]
         if kind == FIN:
             size = self.blocks[block][1]
-            if not isinstance(value, int) or not 0 <= value < size:
+            if type(value) is not int or not 0 <= value < size:
                 raise NormalizationError(
                     f"fin block {block} has coordinates 0..{size - 1}"
                 )
         elif kind == OMEGA:
-            if not isinstance(value, int) or value < 0:
+            if type(value) is not int or value < 0:
                 raise NormalizationError("omega coordinates are naturals")
         else:
             value = Fraction(value)
@@ -196,7 +196,7 @@ class ChainFrame:
 def _check_block(b):
     if isinstance(b, tuple):
         if b[0] == FIN:
-            if len(b) != 2 or not isinstance(b[1], int) or b[1] < 1:
+            if len(b) != 2 or type(b[1]) is not int or b[1] < 1:
                 raise NormalizationError("fin blocks need a size of at least 1")
             return (FIN, b[1])
         if b == (OMEGA,) or b == (DENSE,):

@@ -36,6 +36,7 @@ from . import config
 from .errors import ConsistencyError, IsoFailure, NotFrameHom
 from .lattices import (
     birkhoff_lattice,
+    compact_elements,
     enumerate_homs,
     frame_predicate,
     hom_predicate,
@@ -123,7 +124,7 @@ def priestley_space_of(lattice):
 
 def _check_against_oracle(record, oracle_filters):
     lattice = record.lattice
-    if sorted(record.point_filters) != oracle_filters:
+    if tuple(sorted(record.point_filters)) != oracle_filters:
         lattice.require_distributive()
         raise ConsistencyError(
             "join-irreducible principal filters differ from the enumerated prime filters"
@@ -326,11 +327,7 @@ def _v_compact_characterization(lattice, corpus, cap):
 def _v_algebraic_equivalence(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
-    rows = way_below_rows_oracle(lattice)
-    compact = 0
-    for b in range(lattice.size):
-        if (rows[b] >> b) & 1:
-            compact |= 1 << b
+    compact = sum(1 << b for b in compact_elements(lattice))
     frame_side = True
     for a in range(lattice.size):
         lhs = lattice.join_of(bits(compact & lattice.down[a])) == a

@@ -7,7 +7,9 @@ is `bytes`, one byte per element, so a lattice has at most 256 elements, and
 a larger one is refused with CapacityError before any table is built.
 
 Way-below is read from one route, the definitional oracle quantifying over
-all ideals, never from the finite shortcut `a <= b`.
+all ideals, never from the finite shortcut `a <= b`. A derived fact kept by
+`posets.cached` (J(L), the ideals, the prime filters, the compact elements)
+is returned as the tuple it is kept as.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, PointwiseMap, bits, cached, iter_monotone_maps, upset_masks
+from .posets import Poset, PointwiseMap, bits, cached, conjunction, iter_monotone_maps, upset_masks
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -77,12 +79,8 @@ class FinDLat:
         if size < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
         _require_row_width(size)
-        return cls._from_carrier(Poset.from_leq_pairs(pairs, size), bottom, top)
-
-    @classmethod
-    def _from_carrier(cls, carrier, bottom=None, top=None):
-        n = carrier.size
-        up, down = carrier.up, carrier.down
+        carrier = Poset.from_leq_pairs(pairs, size)
+        n, up, down = size, carrier.up, carrier.down
         join = [[0] * n for _ in range(n)]
         meet = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -96,10 +94,9 @@ class FinDLat:
                     raise NotLatticeError(f"elements {i}, {j} have no greatest lower bound")
                 join[i][j] = join[j][i] = lub
                 meet[i][j] = meet[j][i] = glb
+        # every pair has a meet and a join, so a least and a greatest element exist
         bot = _extreme_of((1 << n) - 1, up)
         tp = _extreme_of((1 << n) - 1, down)
-        if bot is None or tp is None:
-            raise NotLatticeError("order has no bottom or no top")
         if bottom is not None and bottom != bot:
             raise NotLatticeError(f"declared bottom {bottom} is not the least element")
         if top is not None and top != tp:
@@ -258,6 +255,7 @@ def birkhoff_lattice(points):
     return FinDLat(up, join, meet, index[0], index[points.full_mask])
 
 
+@cached
 def join_irreducibles(lattice):
     """Elements j that are not the join of the elements strictly below them.
 
@@ -266,11 +264,6 @@ def join_irreducibles(lattice):
     empty join, so it is excluded with no special case. One join per element
     below j: O(n²), and valid on any finite lattice, distributive or not.
     """
-    return list(_join_irreducibles(lattice))
-
-
-@cached
-def _join_irreducibles(lattice):
     return tuple(
         j for j in range(lattice.size)
         if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j
@@ -333,13 +326,9 @@ def _closure_family(lattice, seed, table, rows):
     return sorted(seen)
 
 
+@cached
 def all_ideals(lattice):
     """All ideals: nonempty downsets closed under binary joins, as masks."""
-    return list(_ideals(lattice))
-
-
-@cached
-def _ideals(lattice):
     return tuple(_closure_family(
         lattice, lattice.down[lattice.bottom], lattice.join, lattice.down
     ))
@@ -350,37 +339,18 @@ def all_filters(lattice):
     return _closure_family(lattice, lattice.up[lattice.top], lattice.meet, lattice.up)
 
 
+@cached
 def prime_filters(lattice):
     """Proper filters whose complement is closed under the existing joins.
 
-    On a finite lattice closure of the complement under binary joins is
-    closure under all joins, so these are exactly the completely prime
-    filters. The search never consults join irreducibles, so the dual
-    space's fast path can be checked against it.
+    The complement of a proper filter is a nonempty downset, so it is closed
+    under binary joins iff it is an ideal. On a finite lattice closure under
+    binary joins is closure under all joins, so these are exactly the
+    completely prime filters. The search never consults join irreducibles,
+    so the dual space's fast path can be checked against it.
     """
-    return list(_prime_filters(lattice))
-
-
-@cached
-def _prime_filters(lattice):
-    out = []
-    for f in all_filters(lattice):
-        if f == lattice.full_mask:
-            continue
-        complement = lattice.full_mask & ~f
-        members = bits(complement)
-        prime = True
-        for i, a in enumerate(members):
-            row = lattice.join[a]
-            for b in members[i:]:
-                if (f >> row[b]) & 1:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(f)
-    return tuple(sorted(out))
+    full, ideals = lattice.full_mask, set(all_ideals(lattice))
+    return tuple(f for f in all_filters(lattice) if f != full and full & ~f in ideals)
 
 
 # -- way below ------------------------------------------------------------------
@@ -416,10 +386,11 @@ def _way_below_pairs(lattice):
     )
 
 
+@cached
 def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
     rows = way_below_rows_oracle(lattice)
-    return [a for a in range(lattice.size) if (rows[a] >> a) & 1]
+    return tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
 
 
 @cached
@@ -479,17 +450,24 @@ def frame_predicate_witness(lattice, name):
     return _frame_predicate_witness(lattice, name)
 
 
+# Composite frame predicates: each is the conjunction of the listed
+# predicates, and its witness is that of the first one to fail.
+_CONJUNCTIONS = {
+    "coherent": ("arithmetic", "compactFrame"),
+    "stone": ("compactFrame", "zeroDimensional"),
+}
+
+
 def _frame_predicate_witness(lattice, name):
+    if name in _CONJUNCTIONS:
+        return conjunction(frame_predicate_witness, lattice, _CONJUNCTIONS[name])
     n = lattice.size
     rows = way_below_rows_oracle(lattice)
     if name == "compactFrame":
         ok = bool((rows[lattice.top] >> lattice.top) & 1)
         return ok, (None if ok else {"element": lattice.top})
     if name == "algebraic":
-        compact = 0
-        for a in range(n):
-            if (rows[a] >> a) & 1:
-                compact |= 1 << a
+        compact = sum(1 << a for a in compact_elements(lattice))
         return _join_sweep(lattice, lambda a: bits(compact & lattice.down[a]))
     if name == "arithmetic":
         ok, w = frame_predicate_witness(lattice, "algebraic")
@@ -511,11 +489,6 @@ def _frame_predicate_witness(lattice, name):
                     if not inside[lattice.meet[b][c]]:
                         return False, {"triple": (a, b, c)}
         return True, None
-    if name == "coherent":
-        ok, w = frame_predicate_witness(lattice, "arithmetic")
-        if not ok:
-            return ok, w
-        return frame_predicate_witness(lattice, "compactFrame")
     if name == "regular":
         # b ≺ a iff b* ∨ a = 1; each b*'s join row is read once per call
         star_rows = [lattice.join[pseudocomplement(lattice, b)] for b in range(n)]
@@ -525,11 +498,6 @@ def _frame_predicate_witness(lattice, name):
     if name == "zeroDimensional":
         comp = complemented_elements(lattice)
         return _join_sweep(lattice, lambda a: [b for b in comp if lattice.leq(b, a)])
-    if name == "stone":
-        ok, w = frame_predicate_witness(lattice, "compactFrame")
-        if not ok:
-            return ok, w
-        return frame_predicate_witness(lattice, "zeroDimensional")
     if name == "spatial":
         # key each element by its prime filters (bit i for the i-th); the
         # witness is the first element that shares its key, with the next

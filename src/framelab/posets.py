@@ -90,6 +90,16 @@ def cached(fn):
     return functools.wraps(fn)(memoized)
 
 
+def conjunction(witness, subject, names):
+    """The first failing ``witness(subject, name)`` over `names`, else (True, None):
+    the one route of every composite frame, L-space and point-space predicate."""
+    for name in names:
+        ok, w = witness(subject, name)
+        if not ok:
+            return ok, w
+    return True, None
+
+
 def popcount(mask):
     return mask.bit_count()
 

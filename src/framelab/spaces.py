@@ -22,7 +22,7 @@ every derived fact is kept on the poset of points by `posets.cached`.
 from __future__ import annotations
 
 from .errors import UnknownPredicate
-from .posets import bits, cached, mask_order_key, upset_masks
+from .posets import bits, cached, conjunction, mask_order_key, upset_masks
 
 LSPACE_PREDICATES = (
     "continuousL",
@@ -76,7 +76,11 @@ def _upset_mask_of(space, um):
 
 
 class PointSpace:
-    """The spatial part with its space-of-points topology, opens listed."""
+    """The spatial part with its space-of-points topology, opens listed.
+
+    The opens must be closed under finite unions and intersections, as
+    every `spatial_part` is: `sober` relies on it.
+    """
 
     __slots__ = ("poset", "opens", "_memo")
 
@@ -286,14 +290,6 @@ _CONJUNCTIONS = {
 }
 
 
-def _conjunction(witness, subject, names):
-    for name in names:
-        ok, w = witness(subject, name)
-        if not ok:
-            return ok, w
-    return True, None
-
-
 def lspace_predicate(space, name):
     ok, _ = lspace_predicate_witness(space, name)
     return ok
@@ -310,7 +306,7 @@ def lspace_predicate_witness(space, name):
     if name not in LSPACE_PREDICATES:
         raise UnknownPredicate(f"unknown L-space predicate {name!r}")
     if name in _CONJUNCTIONS:
-        return _conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
+        return conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
     ups = clop_upset_masks(space)
     if name == "continuousL":
         return _density_sweep(space, ups, _kernel_mask)
@@ -367,22 +363,14 @@ def map_predicate(f, name):
 
 
 def _irreducible_closed_sets(point_space):
-    """Nonempty closed sets that are not the union of two proper closed subsets."""
+    """Nonempty closed sets that are not the union of two proper closed subsets.
+
+    The closed sets are closed under finite unions, so c is such a union iff
+    the closed sets strictly inside c cover it.
+    """
     closed = point_space.closed_sets()
-    out = []
-    for c in closed:
-        if c == 0:
-            continue
-        reducible = any(
-            a | b == c
-            for a in closed
-            if a != c and a & ~c == 0
-            for b in closed
-            if b != c and b & ~c == 0
-        )
-        if not reducible:
-            out.append(c)
-    return out
+    return [c for c in closed
+            if c and _union_inside([a for a in closed if a != c], c) != c]
 
 
 def point_space_predicate(point_space, name):
@@ -406,16 +394,14 @@ def point_space_predicate_witness(point_space, name):
 
 def _point_space_predicate_witness(point_space, name):
     if name in _CONJUNCTIONS:
-        return _conjunction(point_space_predicate_witness, point_space,
-                            _CONJUNCTIONS[name])
+        return conjunction(point_space_predicate_witness, point_space, _CONJUNCTIONS[name])
     opens = point_space.opens
     n = point_space.poset.size
     if name == "sober":
+        # a point y is a generic point of c iff its closure is c
+        closures = [point_space.point_closure(y) for y in range(n)]
         for c in _irreducible_closed_sets(point_space):
-            generic = [
-                y for y in bits(c) if point_space.point_closure(y) == c
-            ]
-            if len(generic) != 1:
+            if closures.count(c) != 1:
                 return False, {"closed": c}
         return True, None
     # Every subset of a finite space is compact, so compactness conditions

@@ -57,6 +57,18 @@ def test_malformed_blocks_rejected():
         ChainFrame([("fin", 1)], degenerate=True)
 
 
+def test_bools_are_refused_where_an_int_is_wanted():
+    # bool is a subclass of int, but fin:True would not read back
+    with pytest.raises(NormalizationError):
+        ChainFrame([("fin", True)])
+    c = ChainFrame([("fin", 2), ("omega",)])
+    for block in (0, 1):
+        for value in (True, False):
+            with pytest.raises(NormalizationError):
+                c.coord(block, value)
+    assert omega_chain().coord(0, 1).coord == 1
+
+
 def test_parse_round_trip():
     for spec in ("one", "two", "fin:3", "omega", "dense", "fin:2+omega+dense"):
         c = parse_chain(spec)

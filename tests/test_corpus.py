@@ -15,6 +15,11 @@ def test_manifest_of_the_n5_corpus_is_pinned():
     assert gen_corpus(5).manifest == {"max_size": 5, "count": 88, "hash": "d76e4c6f5c6df0ab"}
 
 
+def test_corpus_over_the_poset_size_cap_is_refused():
+    with pytest.raises(CapacityError, match="cap"):
+        gen_corpus(config.MAX_POSET_SIZE + 1)
+
+
 def test_json_round_trip_keeps_ids_and_manifest():
     loaded = corpus_from_json(corpus_to_json(_CORPUS))
     assert [e.entry_id for e in loaded.entries] == [e.entry_id for e in _CORPUS.entries]

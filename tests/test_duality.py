@@ -102,7 +102,7 @@ def test_prime_filter_oracle_matches_fast_path_everywhere_small():
                 )
             ):
                 scan.append(mask)
-        assert prime_filters(lat) == scan
+        assert prime_filters(lat) == tuple(scan)
         assert sorted(priestley_space_of(lat).point_filters) == scan
 
 

@@ -4,7 +4,9 @@ Each reference below is the plain loop the kernel stands for: arithmetic
 scans every triple a, b, c with b, c ∈ ↟a; the closure step ORs the rows
 over every member; spatial keys each element by a tuple; the
 pseudocomplement joins its row afresh; compactlyBased and hausdorff
-quantify over the opens point by point; s4 of scottExtensions scans
+quantify over the opens point by point; the irreducible closed sets try
+every pair of proper closed subsets, and sober lists each closed set's
+generic points; s4 of scottExtensions scans
 `inside` for every Scott upset. Each kernel must return the same
 `(ok, witness)` as its reference, on failing inputs too, so the first
 witness in the reference's order is the one reported.
@@ -114,6 +116,38 @@ def _ref_hausdorff(point_space):
     return True, None
 
 
+def _ref_irreducible_closed_sets(point_space):
+    closed = point_space.closed_sets()
+    return [
+        c for c in closed
+        if c and not any(
+            a | b == c
+            for a in closed if a != c and a & ~c == 0
+            for b in closed if b != c and b & ~c == 0
+        )
+    ]
+
+
+def _ref_sober(point_space):
+    for c in _ref_irreducible_closed_sets(point_space):
+        generic = [y for y in bits(c) if point_space.point_closure(y) == c]
+        if len(generic) != 1:
+            return False, {"closed": c}
+    return True, None
+
+
+def _random_topology(rng, n):
+    # a few random opens with the empty set and the whole space, closed
+    # under unions and intersections, as the opens of a point space must be
+    opens = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(rng.randint(0, 4))}
+    while True:
+        grown = opens | {a | b for a in opens for b in opens}
+        grown |= {a & b for a in opens for b in opens}
+        if grown == opens:
+            return opens
+        opens = grown
+
+
 def _ref_scott_extensions(lattice):
     space = priestley_space_of(lattice).space
     continuous, _ = lspace_predicate_witness(space, "continuousL")
@@ -166,14 +200,14 @@ def test_point_space_kernels_match_references_on_the_corpus():
 @pytest.mark.parametrize("make", [m3, n5])
 def test_ideals_and_filters_match_the_full_closure_off_the_corpus(make):
     lat = make()
-    assert all_ideals(lat) == _ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down)
+    assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
     assert all_filters(lat) == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up)
 
 
 def test_ideals_and_filters_match_the_full_closure_on_the_corpus():
     for entry in _ENTRIES:
         lat = entry.lattice
-        assert all_ideals(lat) == _ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down)
+        assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
         assert all_filters(lat) == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up)
 
 
@@ -288,3 +322,18 @@ def test_point_space_kernels_match_references_on_random_open_families():
         witnesses.add(expected[1] and expected[1]["points"])
     # passing families, and failing ones at many first pairs
     assert None in witnesses and len(witnesses) > 8
+
+
+def test_irreducible_closed_sets_and_sober_match_references_on_random_topologies():
+    rng = random.Random(22)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        ps = PointSpace(Poset.antichain(n), _random_topology(rng, n))
+        assert spaces._irreducible_closed_sets(ps) == _ref_irreducible_closed_sets(ps)
+        expected = _ref_sober(ps)
+        assert _point_kernel(ps, "sober") == expected
+        outcomes.add(expected[0])
+    # sober spaces, and ones where an irreducible closed set has two or more
+    # generic points (a finite one always has at least one)
+    assert outcomes == {True, False}

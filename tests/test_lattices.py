@@ -260,15 +260,27 @@ def test_declared_bounds_are_checked():
         FinDLat.from_leq_pairs(2, [(0, 1)], bottom=1)
 
 
+def test_orders_without_a_meet_or_a_declared_top_are_refused():
+    # 0 and 1 have the join 2 but no meet, so there is no bottom; once every
+    # pair has a meet and a join, a least and a greatest element exist
+    with pytest.raises(NotLatticeError, match="no greatest lower bound"):
+        FinDLat.from_leq_pairs(3, [(0, 2), (1, 2)])
+    with pytest.raises(NotLatticeError, match="declared top 0"):
+        FinDLat.from_leq_pairs(2, [(0, 1)], top=0)
+    for empty in (lambda: FinDLat.from_leq_pairs(0, []), lambda: FinDLat.chain(0)):
+        with pytest.raises(NotLatticeError, match="at least one element"):
+            empty()
+
+
 # -- join irreducibles ----------------------------------------------------------
 
 
 def test_join_irreducibles_examples():
     lat = b2()
     # elements: 0=empty, 1={p}, 2={q}, 3=all; irreducibles are the singletons
-    assert join_irreducibles(lat) == [1, 2]
-    assert join_irreducibles(FinDLat.chain(3)) == [1, 2]
-    assert join_irreducibles(FinDLat.chain(2)) == [1]
+    assert join_irreducibles(lat) == (1, 2)
+    assert join_irreducibles(FinDLat.chain(3)) == (1, 2)
+    assert join_irreducibles(FinDLat.chain(2)) == (1,)
 
 
 def hexagon():
@@ -300,7 +312,7 @@ def test_join_irreducibles_have_unique_lower_cover(lat):
     expected = [
         j for j in range(lat.size) if len(carrier.lower_covers(j)) == 1
     ]
-    assert join_irreducibles(lat) == expected
+    assert join_irreducibles(lat) == tuple(expected)
 
 
 # -- ideals, filters, way below ---------------------------------------------------
@@ -315,7 +327,7 @@ def _closure_case_id(lat):
 
 @pytest.mark.parametrize("lat", corpus_lattices(4), ids=_closure_case_id)
 def test_ideal_and_filter_enumeration_matches_bruteforce(lat):
-    assert all_ideals(lat) == ideals_brute(lat)
+    assert all_ideals(lat) == tuple(ideals_brute(lat))
     assert all_filters(lat) == filters_brute(lat)
 
 
@@ -343,9 +355,9 @@ def test_closure_family_from_a_non_bottom_seed():
 
 def test_ideals_of_b2():
     lat = b2()
-    assert all_ideals(lat) == sorted(
+    assert all_ideals(lat) == tuple(sorted(
         [0b0001, 0b0011, 0b0101, 0b1111]
-    )
+    ))
 
 
 def test_way_below_examples():
@@ -376,7 +388,7 @@ def test_way_below_oracle_collapses_to_the_order(lat):
 
 @pytest.mark.parametrize("lat", corpus_lattices(), ids=lambda l: f"m{l.size}")
 def test_compact_elements_are_the_full_carrier(lat):
-    assert compact_elements(lat) == list(range(lat.size))
+    assert compact_elements(lat) == tuple(range(lat.size))
 
 
 def test_prime_filters_match_subset_filtering():
@@ -391,7 +403,7 @@ def test_prime_filters_match_subset_filtering():
                 for b in bits(lat.full_mask & ~mask)
             )
         )
-        assert prime_filters(lat) == brute
+        assert prime_filters(lat) == tuple(brute)
 
 
 # -- pseudocomplement, well inside, complemented ----------------------------------
@@ -931,6 +943,20 @@ def test_lattice_doc_round_trip_explicit():
 )
 def test_malformed_lattice_doc_is_refused(doc):
     with pytest.raises(ValueError):
+        FinDLat.from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"elements": 3, "leq": [[0, 1], [1, 2]]}, "transitive"),
+        ({"elements": 2, "leq": [[0, 1], [1, 0]]}, "antisymmetric"),
+        ([{"elements": 1}], "not a lattice document"),
+    ],
+    ids=["not-transitive", "not-antisymmetric", "not-a-dict"],
+)
+def test_lattice_doc_that_is_not_an_order_is_refused(doc, message):
+    with pytest.raises(ValueError, match=message):
         FinDLat.from_doc(doc)
 
 

@@ -63,6 +63,26 @@ def test_out_of_range_cover_is_rejected():
         Poset.from_covers([(0, 2)], 2)
 
 
+@pytest.mark.parametrize(
+    "up, message",
+    [
+        ((0b1, 0b110), "outside"),
+        ((0b1, 0b0), "reflexive"),
+        ((0b11, 0b11), "antisymmetric"),
+        ((0b011, 0b110, 0b100), "transitive"),
+    ],
+    ids=["outside", "not-reflexive", "not-antisymmetric", "not-transitive"],
+)
+def test_up_rows_that_are_not_a_partial_order_are_refused(up, message):
+    with pytest.raises(ValueError, match=message):
+        Poset(up)
+
+
+def test_out_of_range_order_pair_is_rejected():
+    with pytest.raises(IndexError):
+        Poset.from_leq_pairs([(0, 2)], 2)
+
+
 def test_transitive_closure_of_covers():
     p = Poset.from_covers([(0, 1), (1, 2)], 3)
     assert p.leq(0, 2)

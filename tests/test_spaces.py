@@ -6,6 +6,7 @@ import pytest
 
 from framelab import MonotoneMap, Poset, UnknownPredicate, enumerate_posets, monotone_maps
 from framelab.spaces import (
+    PointSpace,
     _upsets_above_meet,
     center,
     clop_scott_upset_masks,
@@ -19,6 +20,7 @@ from framelab.spaces import (
     lspace_predicate_witness,
     map_predicate,
     point_space_predicate,
+    point_space_predicate_witness,
     reg_part,
     spatial_mask,
     spatial_part,
@@ -273,6 +275,14 @@ def test_point_space_examples():
         assert point_space_predicate(anti, "stoneSpace")
     with pytest.raises(UnknownPredicate):
         point_space_predicate(two_chain, "metrizable")
+
+
+def test_sober_fails_on_the_indiscrete_two_point_space():
+    # {0, 1} is the one nonempty closed set, irreducible, and the closure of
+    # both points, so it has two generic points
+    ps = PointSpace(Poset.antichain(2), [0, 0b11])
+    for name in ("sober", "stablyCompactlyBased", "spectral"):
+        assert point_space_predicate_witness(ps, name) == (False, {"closed": 3})
 
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))

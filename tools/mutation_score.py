@@ -16,14 +16,16 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 45 mutants. 43 are expected to be killed, and two,
+The list holds 55 mutants. 53 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
 family of opens and returns `(True, None)` outright, as `compact` does.
 Nor has `spaces.map_predicate`'s choice between the kernel (properL) and
 the core (coherentL): on a finite space both are the identity, so reading
-one for the other changes no result.
+one for the other changes no result. Nor has the order of the parts of a
+composite frame predicate (`lattices._CONJUNCTIONS`): `compactFrame` is
+true on every finite lattice, so no test can see which part fails first.
 """
 
 from __future__ import annotations
@@ -352,6 +354,77 @@ MUTANTS = (
         "src/framelab/posets.py",
         "if type(n) is not int or n < 0:",
         "if not isinstance(n, int) or n < 0:",
+        "killed",
+    ),
+    Mutant(
+        "algebraic-mask-drops-the-last-compact",
+        "src/framelab/lattices.py",
+        "compact = sum(1 << a for a in compact_elements(lattice))",
+        "compact = sum(1 << a for a in compact_elements(lattice)[:-1])",
+        "killed",
+    ),
+    Mutant(
+        "algebraic-validator-mask-drops-the-last-compact",
+        "src/framelab/duality.py",
+        "compact = sum(1 << b for b in compact_elements(lattice))",
+        "compact = sum(1 << b for b in compact_elements(lattice)[:-1])",
+        "killed",
+    ),
+    Mutant(
+        "irreducible-closed-sets-count-the-set-itself",
+        "src/framelab/spaces.py",
+        "_union_inside([a for a in closed if a != c], c)",
+        "_union_inside(closed, c)",
+        "killed",
+    ),
+    Mutant(
+        "sober-needs-only-some-generic-point",
+        "src/framelab/spaces.py",
+        "if closures.count(c) != 1:",
+        "if closures.count(c) < 1:",
+        "killed",
+    ),
+    Mutant(
+        "chain-fin-size-accepts-bool",
+        "src/framelab/chains.py",
+        "type(b[1]) is not int",
+        "not isinstance(b[1], int)",
+        "killed",
+    ),
+    Mutant(
+        "chain-omega-coordinate-accepts-bool",
+        "src/framelab/chains.py",
+        "if type(value) is not int or value < 0:",
+        "if not isinstance(value, int) or value < 0:",
+        "killed",
+    ),
+    Mutant(
+        "poset-transitivity-unchecked",
+        "src/framelab/posets.py",
+        "                if self.up[j] & ~m:\n"
+        '                    raise ValueError(f"relation is not transitive at {i} <= {j}")\n',
+        "",
+        "killed",
+    ),
+    Mutant(
+        "lattice-declared-top-unchecked",
+        "src/framelab/lattices.py",
+        "if top is not None and top != tp:",
+        "if False:",
+        "killed",
+    ),
+    Mutant(
+        "dual-space-point-order-reversed",
+        "src/framelab/lattices.py",
+        "up[pos[j]] |= 1 << pos[i]",
+        "up[pos[i]] |= 1 << pos[j]",
+        "killed",
+    ),
+    Mutant(
+        "dual-space-stone-map-drops-point-0",
+        "src/framelab/duality.py",
+        "        phi.append(mask)\n",
+        "        phi.append(mask & ~1)\n",
         "killed",
     ),
     Mutant(
