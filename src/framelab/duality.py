@@ -47,15 +47,16 @@ from .lattices import (
 )
 from .posets import MonotoneMap, bits, cached
 from .spaces import (
-    _core_mask,
-    _kernel_mask,
-    center,
+    _center_table,
+    _core_table,
+    _kernel_table,
+    _reg_table,
+    _upset_index,
     clop_scott_upset_masks,
     clop_upset_masks,
     clopen_biset_masks,
     lspace_predicate_witness,
     point_space_predicate_witness,
-    reg_part,
     spatial_mask,
     spatial_part,
 )
@@ -297,9 +298,8 @@ def validate_all(lattice, corpus=None, lattice_id=None):
 def _v_core_chain(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
-    for um in clop_upset_masks(space):
-        core_m = _core_mask(space, um)
-        ker_m = _kernel_mask(space, um)
+    ups = clop_upset_masks(space)
+    for um, core_m, ker_m in zip(ups, _core_table(space), _kernel_table(space)):
         if core_m & ~ker_m or ker_m & ~um:
             return {"upset": um, "core": core_m, "kernel": ker_m}
     return None
@@ -310,10 +310,11 @@ def _v_compact_characterization(lattice, corpus, cap):
     space = record.space
     rows = way_below_rows_oracle(lattice)
     scott = clop_scott_upset_masks(space)
+    ker, index = _kernel_table(space), _upset_index(space)
     for a in range(lattice.size):
         phi_a = record.phi[a]
         s1 = bool((rows[a] >> a) & 1)
-        s2 = _kernel_mask(space, phi_a) == phi_a
+        s2 = ker[index[phi_a]] == phi_a
         s3 = phi_a in scott
         if not s1 == s2 == s3:
             return {"element": a, "sides": [s1, s2, s3]}
@@ -328,11 +329,12 @@ def _v_algebraic_equivalence(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
     compact = sum(1 << b for b in compact_elements(lattice))
+    core, index = _core_table(space), _upset_index(space)
     frame_side = True
     for a in range(lattice.size):
         lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
         phi_a = record.phi[a]
-        rhs = _core_mask(space, phi_a) == phi_a
+        rhs = core[index[phi_a]] == phi_a
         if lhs != rhs:
             return {"element": a, "sides": [lhs, rhs]}
         frame_side = frame_side and lhs
@@ -351,9 +353,7 @@ def _v_scott_extensions(lattice, corpus, cap):
     ups = clop_upset_masks(space)
     scott = clop_scott_upset_masks(space)
     y_mask = spatial_mask(space)
-    for um in ups:
-        ker_m = _kernel_mask(space, um)
-        core_m = _core_mask(space, um)
+    for um, ker_m, core_m in zip(ups, _kernel_table(space), _core_table(space)):
         inside = [v for v in scott if v & ~um == 0]
         covered = 0
         for v in inside:
@@ -407,7 +407,7 @@ def _v_scott_stable(lattice, corpus, cap):
     algebraic, _ = lspace_predicate_witness(space, "algebraicL")
     stable, _ = lspace_predicate_witness(space, "kernelStable")
     scott = set(clop_scott_upset_masks(space))
-    closed_under_meets = all(a & b in scott for a in scott for b in scott)
+    closed_under_meets = all(scott.issuperset(map(a.__and__, scott)) for a in scott)
     if (algebraic and stable) != closed_under_meets:
         return {"sides": [algebraic and stable, closed_under_meets]}
     return None
@@ -455,8 +455,9 @@ def _v_coherent_equivalence(lattice, corpus, cap):
 def _v_cen_sub_reg(lattice, corpus, cap):
     record = priestley_space_of(lattice)
     space = record.space
-    for um in clop_upset_masks(space):
-        if center(space, um) & ~reg_part(space, um):
+    ups = clop_upset_masks(space)
+    for um, cen_m, reg_m in zip(ups, _center_table(space), _reg_table(space)):
+        if cen_m & ~reg_m:
             return {"upset": um}
     frame_regular = frame_predicate(lattice, "regular")
     space_regular, _ = lspace_predicate_witness(space, "regularL")
@@ -473,8 +474,9 @@ def _v_stone_collapse(lattice, corpus, cap):
         return None  # statement premise
     if sorted(clop_scott_upset_masks(space)) != sorted(clopen_biset_masks(space)):
         return {"families": "ClopSUp != ClopBi"}
-    for um in clop_upset_masks(space):
-        if center(space, um) != _core_mask(space, um):
+    ups = clop_upset_masks(space)
+    for um, cen_m, core_m in zip(ups, _center_table(space), _core_table(space)):
+        if cen_m != core_m:
             return {"upset": um}
     return None
 

@@ -62,9 +62,13 @@ class FinDLat:
 
     def __init__(self, up, join, meet, bottom, top):
         up = tuple(up)
-        self.size = _require_row_width(len(up))
-        self._carrier = Poset(up, _trusted=True)
-        self.up, self.down = self._carrier.up, self._carrier.down
+        _require_row_width(len(up))
+        self._fill(Poset(up, _trusted=True), join, meet, bottom, top)
+
+    def _fill(self, carrier, join, meet, bottom, top):
+        self.size = carrier.size
+        self._carrier = carrier
+        self.up, self.down = carrier.up, carrier.down
         self.join = tuple(map(bytes, join))
         self.meet = tuple(map(bytes, meet))
         self.bottom = bottom
@@ -101,7 +105,10 @@ class FinDLat:
             raise NotLatticeError(f"declared bottom {bottom} is not the least element")
         if top is not None and top != tp:
             raise NotLatticeError(f"declared top {top} is not the greatest element")
-        return cls(up, join, meet, bot, tp)
+        # the checked carrier is the lattice's own, not rebuilt from its rows
+        lattice = object.__new__(cls)
+        lattice._fill(carrier, join, meet, bot, tp)
+        return lattice
 
     @classmethod
     def chain(cls, n):
@@ -703,7 +710,9 @@ def enumerate_homs(source, target):
     points (so M has at most 256 elements, and every corpus lattice up to 8
     points qualifies), a field is one byte, and the whole image is one
     `translate` of the integer's bytes through the table φ_M(e) ↦ e; wider
-    targets map each field through a dict. The images are in range by
+    targets map each field through a dict. The table is kept on M
+    (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
+    search builds neither. The images are in range by
     construction, so the homs skip the checked constructor and share one
     `_hom_tables` tuple. Each is checked once against the literal predicate
     `hom_predicate` for frameHom. The homs are sorted by their `_table`:
@@ -717,38 +726,25 @@ def enumerate_homs(source, target):
     space = len(join_irreducibles(source)) ** len(join_irreducibles(target))
     if space > config.MAX_SEARCH_SPACE:
         raise CapacityError("hom search space exceeds the configured bound")
-    src_rec = priestley_space_of(source)
-    tgt_rec = priestley_space_of(target)
-    # the images are packed into one integer, `width` bits per source
-    # element: bit y of field a is set iff f(y) ∈ φ_L(a), so field a is
-    # φ_M(h(a)); spread[x] has bit 0 of field a set for each a with
-    # x ∈ φ_L(a), and f(y) = x contributes spread[x] << y
-    w = tgt_rec.space.size
+    src_space = priestley_space_of(source).space
+    tgt_space = priestley_space_of(target).space
+    w = tgt_space.size
     n = source.size
-    if w <= 8:  # then M, the upsets of X_M, has at most 256 elements
-        width = 8
-        table = bytearray(256)
-        for e, m in enumerate(tgt_rec.phi):
-            table[m] = e
-        table = bytes(table)
-
+    element_of = _element_table(target)
+    if w <= 8:
         def image_of(packed):
-            image = packed.to_bytes(n, "little").translate(table)
+            image = packed.to_bytes(n, "little").translate(element_of)
             return tuple(image), image.ljust(256, b"\0")
     else:
-        width = w
-        element_of = {m: e for e, m in enumerate(tgt_rec.phi)}
         shifts = [w * a for a in range(n)]
         field = (1 << w) - 1
 
         def image_of(packed):
             image = tuple([element_of[packed >> s & field] for s in shifts])
             return image, bytes(image).ljust(256, b"\0")
-    spread = [sum(1 << width * a for a in bits(m)) for m in src_rec.point_filters]
-    lift = [[s << y for s in spread] for y in range(w)]
     tables, new = _hom_tables(source, target), object.__new__
     results = []
-    for packed, _ in iter_monotone_maps(tgt_rec.space, src_rec.space, lift):
+    for packed, _ in iter_monotone_maps(tgt_space, src_space, _lift(source, w)):
         hom = new(LatticeHom)
         hom.source, hom.target, hom._tables, hom._flags = source, target, tables, {}
         hom.image, hom._table = image_of(packed)
@@ -756,3 +752,38 @@ def enumerate_homs(source, target):
             results.append(hom)
     results.sort(key=attrgetter("_table"))
     return results
+
+
+@cached
+def _element_table(lattice):
+    """φ(e) ↦ e over the elements e: 256 bytes for `translate` when the dual
+    space has at most 8 points (then the lattice, the upsets of its dual,
+    has at most 256 elements), a dict otherwise."""
+    from .duality import priestley_space_of  # duality imports this module
+
+    record = priestley_space_of(lattice)
+    if record.space.size > 8:
+        return {m: e for e, m in enumerate(record.phi)}
+    table = bytearray(256)
+    for e, m in enumerate(record.phi):
+        table[m] = e
+    return bytes(table)
+
+
+@cached
+def _lift(lattice, w):
+    """The search terms of homs h out of the lattice L into a lattice M whose
+    dual has w points.
+
+    An image is packed into one integer, one field per element of L, 8 bits
+    wide when w <= 8 and w bits otherwise: bit y of field a is set iff
+    f(y) ∈ φ_L(a), so field a is φ_M(h(a)). f(y) = x contributes
+    ``lift[y][x]``, that is spread[x] << y, where spread[x] has bit 0 of
+    field a set for each a with x ∈ φ_L(a).
+    """
+    from .duality import priestley_space_of  # duality imports this module
+
+    width = 8 if w <= 8 else w
+    spread = [sum(1 << width * a for a in bits(m))
+              for m in priestley_space_of(lattice).point_filters]
+    return tuple([s << y for s in spread] for y in range(w))

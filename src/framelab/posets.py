@@ -487,8 +487,10 @@ def upset_masks(poset):
 
     Canonical order: by cardinality, then by the sorted tuple of members.
     Everything downstream that enumerates clopen upsets inherits this order.
-    A poset with more than `config.MAX_UPSET_FAMILY` subsets raises
-    CapacityError, even when its upsets are already cached.
+    The upsets are generated top-down by `_upset_rows`, as `enumerate_posets`
+    builds its rows, so the work grows with the number of upsets rather than
+    with the 2^n subsets. A poset with more than `config.MAX_UPSET_FAMILY`
+    subsets raises CapacityError, even when its upsets are already cached.
     """
     bound = config.MAX_UPSET_FAMILY
     n = poset.size
@@ -499,9 +501,24 @@ def upset_masks(poset):
 
 @cached
 def _upset_masks(poset):
-    masks = [m for m in range(1 << poset.size) if poset.up_mask(m) == m]
+    up = poset.up
+    # a point above j has a strictly smaller up-set, so it comes before j
+    order = sorted(range(poset.size), key=lambda j: popcount(up[j]))
+    masks = _upset_rows([m ^ (1 << j) for j, m in enumerate(up)], order)
     masks.sort(key=mask_order_key)
     return tuple(masks)
+
+
+def _upset_rows(strict, points):
+    """Every upset of the order on `points`, as masks, given the strict up-set
+    `strict[j]` of each point. `points` lists each point after every point
+    above it, so every point above j is decided before j is, and j joins
+    exactly the sets built so far that hold its strict up-set."""
+    rows = [0]
+    for j in points:
+        above = strict[j]
+        rows += [row | (1 << j) for row in rows if not above & ~row]
+    return rows
 
 
 # -- enumeration up to isomorphism ----------------------------------------
@@ -532,13 +549,8 @@ def enumerate_posets(n):
             if key not in reps:
                 reps[key] = p.canonical()
             return
-        # the upsets of the order on i+1..n-1, deciding j = n-1 first: j may
-        # join a set that already holds every point above j
-        rows = [0]
-        for j in range(n - 1, i, -1):
-            above = strict[j]
-            rows += [row | (1 << j) for row in rows if not above & ~row]
-        for row in rows:
+        # the upsets of the order on i+1..n-1, deciding j = n-1 first
+        for row in _upset_rows(strict, range(n - 1, i, -1)):
             strict[i] = row
             place(i - 1)
 
@@ -556,10 +568,11 @@ def iter_monotone_maps(p, q, terms):
     addition per assigned point; ``image`` is the search's own list holding
     f, which changes as the search goes on (copy it to keep it).
 
-    Backtracks along a linear extension of p; a point's candidates are the
-    common upper bounds of the images of its lower covers. An explicit stack
-    keeps one iterator over the candidates of each assigned point, and
-    ``sums[k]`` is the total of the first k points of the extension.
+    Backtracks along a linear extension of p, which `_search_plan` keeps on
+    p with each point's lower covers; a point's candidates are the common
+    upper bounds of the images of its lower covers. An explicit stack keeps
+    one iterator over the candidates of each assigned point, and ``sums[k]``
+    is the total of the first k points of the extension.
     """
     n = p.size
     if n == 0:
@@ -567,9 +580,7 @@ def iter_monotone_maps(p, q, terms):
         return
     if q.size == 0:
         return
-    heights = p.heights()
-    order = sorted(range(n), key=lambda i: (heights[i], i))
-    lower = [p.lower_covers(v) for v in order]
+    order, lower = _search_plan(p)
     rows = [terms[v] for v in order]
     image = [0] * n
     sums = [0] * n
@@ -594,6 +605,15 @@ def iter_monotone_maps(p, q, terms):
                 break
         else:
             stack.pop()
+
+
+@cached
+def _search_plan(p):
+    """The order `iter_monotone_maps` assigns p's points in, a linear
+    extension by height, and the lower covers of each point in that order."""
+    heights = p.heights()
+    order = tuple(sorted(range(p.size), key=lambda i: (heights[i], i)))
+    return order, tuple(tuple(p.lower_covers(v)) for v in order)
 
 
 def monotone_maps(p, q):

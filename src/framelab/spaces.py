@@ -11,12 +11,17 @@ own closed-form backend (ROADMAP item 1) rather than a topology layer here.
 A set of points is an int mask, bit i for point i, as in `posets`.
 Operators on clopen upsets: kernel (union of clopen upsets way below U),
 core (union of clopen Scott upsets inside U), regular part (union of clopen
-upsets well inside U), center (union of clopen bisets inside U). Each of
-`kernel`, `core`, `reg_part` and `center` takes an upset mask and returns
-one; a mask that is not an upset of the space, or that has a bit outside its
-points (a negative mask included), raises ValueError. Space, map, and
-point-space predicates evaluate the defining conditions literally, and
-every derived fact is kept on the poset of points by `posets.cached`.
+upsets well inside U), center (union of clopen bisets inside U). Each
+operator is evaluated on every clopen upset of a space at once, into one
+table per space: a tuple aligned with `clop_upset_masks(space)`, with
+`_upset_index` giving each upset's position. The validators and the
+L-space predicates that sweep every upset read the tables; each of
+`kernel`, `core`, `reg_part` and `center` takes one upset mask and reads
+its entry, and a mask that is not an upset of the space, or that has a bit
+outside its points (a negative mask included), raises ValueError. Space,
+map, and point-space predicates evaluate the defining conditions
+literally, and every derived fact is kept on the poset of points by
+`posets.cached`.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ POINT_SPACE_PREDICATES = (
 def clop_upset_masks(space):
     """Masks of the clopen upsets (= all upsets, discretely), canonical order."""
     return upset_masks(space)
+
+
+@cached
+def _upset_index(space):
+    """The position of each clopen upset in `clop_upset_masks(space)`, which
+    is its position in every operator table of the space."""
+    return {um: i for i, um in enumerate(clop_upset_masks(space))}
 
 
 def _is_upset_mask(space, mask):
@@ -132,28 +144,35 @@ def spatial_part(space):
 # -- way below / kernel ----------------------------------------------------------
 
 
-def _upsets_above_meet(space, um):
-    """⋂{W clopen upset : U ⊆ W}. V ≪ U iff every upset W with U ⊆ W
-    (= cl W) already contains V, that is iff V lies inside it."""
-    out = space.full_mask
-    for w in clop_upset_masks(space):
+def _upsets_above_meet(ups, um, full):
+    """⋂{W ∈ ups : U ⊆ W}, starting from the full mask. V ≪ U iff every
+    upset W with U ⊆ W (= cl W) already contains V, that is iff V lies
+    inside it."""
+    out = full
+    for w in ups:
         if um & ~w == 0:
             out &= w
     return out
 
 
 def kernel(space, um):
-    """ker U: union of the clopen upsets way below U.
+    """ker U: union of the clopen upsets way below U."""
+    return _kernel_mask(space, _upset_mask_of(space, um))
+
+
+def _kernel_mask(space, um):
+    return _kernel_table(space)[_upset_index(space)[um]]
+
+
+@cached
+def _kernel_table(space):
+    """ker U for every clopen upset U, aligned with `clop_upset_masks`.
 
     V ≪ U iff V ⊆ ⋂{W clopen upset : U ⊆ W}, so the intersection is formed
     once per U and ker U is the union of the clopen upsets inside it.
     """
-    return _kernel_mask(space, _upset_mask_of(space, um))
-
-
-@cached
-def _kernel_mask(space, um):
-    return _union_inside(clop_upset_masks(space), _upsets_above_meet(space, um))
+    ups, full = clop_upset_masks(space), space.full_mask
+    return tuple(_union_inside(ups, _upsets_above_meet(ups, um, full)) for um in ups)
 
 
 def _union_inside(family, bound):
@@ -175,19 +194,24 @@ def is_scott_upset(space, mask):
     (F ⊆ cl W implies F ⊆ W) holds by construction while cl W = W. A mask
     that is not an upset is not a Scott upset; one with a bit outside the
     space raises ValueError."""
-    if not _is_upset_mask(space, mask):
-        return False
+    return _is_upset_mask(space, mask) and _minimal_points_spatial(space, mask)
+
+
+def _minimal_points_spatial(space, um):
+    """Whether the minimal points of the upset lie in the spatial part."""
     down = space.down
     min_mask = 0
-    for i in bits(mask):
-        if down[i] & mask == 1 << i:
+    for i in bits(um):
+        if down[i] & um == 1 << i:
             min_mask |= 1 << i
     return min_mask & ~spatial_mask(space) == 0
 
 
 @cached
 def clop_scott_upset_masks(space):
-    return tuple(m for m in clop_upset_masks(space) if is_scott_upset(space, m))
+    """The clopen Scott upsets: the clopen upsets, known to be upsets, that
+    pass the minimal-point test of `is_scott_upset`."""
+    return tuple(m for m in clop_upset_masks(space) if _minimal_points_spatial(space, m))
 
 
 def core(space, um):
@@ -195,9 +219,15 @@ def core(space, um):
     return _core_mask(space, _upset_mask_of(space, um))
 
 
-@cached
 def _core_mask(space, um):
-    return _union_inside(clop_scott_upset_masks(space), um)
+    return _core_table(space)[_upset_index(space)[um]]
+
+
+@cached
+def _core_table(space):
+    """core U for every clopen upset U, aligned with `clop_upset_masks`."""
+    scott = clop_scott_upset_masks(space)
+    return tuple(_union_inside(scott, um) for um in clop_upset_masks(space))
 
 
 # -- well inside / regular part ------------------------------------------------------
@@ -205,25 +235,28 @@ def _core_mask(space, um):
 
 def reg_part(space, um):
     """reg U: union of the clopen upsets V well inside U (V ≺ U), that is
-    with ↓V ⊆ U.
-
-    The downset of each clopen upset is computed once per space.
-    """
+    with ↓V ⊆ U."""
     return _reg_mask(space, _upset_mask_of(space, um))
 
 
-@cached
 def _reg_mask(space, um):
-    out = 0
-    for vm, dm in zip(clop_upset_masks(space), _downsets(space)):
-        if dm & ~um == 0:
-            out |= vm
-    return out
+    return _reg_table(space)[_upset_index(space)[um]]
 
 
 @cached
-def _downsets(space):
-    return tuple(map(space.down_mask, clop_upset_masks(space)))
+def _reg_table(space):
+    """reg U for every clopen upset U, aligned with `clop_upset_masks`; the
+    downset of each clopen upset is computed once."""
+    ups = clop_upset_masks(space)
+    pairs = tuple(zip(ups, map(space.down_mask, ups)))
+    table = []
+    for um in ups:
+        out = 0
+        for vm, dm in pairs:
+            if dm & ~um == 0:
+                out |= vm
+        table.append(out)
+    return tuple(table)
 
 
 # -- bisets / center --------------------------------------------------------------------
@@ -268,9 +301,15 @@ def center(space, um):
     return _center_mask(space, _upset_mask_of(space, um))
 
 
-@cached
 def _center_mask(space, um):
-    return _union_inside(clopen_biset_masks(space), um)
+    return _center_table(space)[_upset_index(space)[um]]
+
+
+@cached
+def _center_table(space):
+    """cen U for every clopen upset U, aligned with `clop_upset_masks`."""
+    bisets = clopen_biset_masks(space)
+    return tuple(_union_inside(bisets, um) for um in clop_upset_masks(space))
 
 
 # -- space predicates ---------------------------------------------------------------
@@ -309,22 +348,21 @@ def lspace_predicate_witness(space, name):
         return conjunction(lspace_predicate_witness, space, _CONJUNCTIONS[name])
     ups = clop_upset_masks(space)
     if name == "continuousL":
-        return _density_sweep(space, ups, _kernel_mask)
+        return _density_sweep(ups, _kernel_table(space))
     if name == "algebraicL":
-        return _density_sweep(space, ups, _core_mask)
+        return _density_sweep(ups, _core_table(space))
     if name == "regularL":
-        return _density_sweep(space, ups, _reg_mask)
+        return _density_sweep(ups, _reg_table(space))
     if name == "zeroDimL":
-        return _density_sweep(space, ups, _center_mask)
+        return _density_sweep(ups, _center_table(space))
     if name == "kernelStable":
-        # ker(U ∩ V) = ker U ∩ ker V, with each kernel read once from
-        # _kernel_mask (V ≪ U iff V ⊆ ⋂{W : U ⊆ W}). The condition is symmetric
-        # in U and V, so the first failing pair in row-major order has V at
-        # or after U.
-        ker = {um: _kernel_mask(space, um) for um in ups}
-        for i, um in enumerate(ups):
-            for vm in ups[i:]:
-                if ker[um & vm] != ker[um] & ker[vm]:
+        # ker(U ∩ V) = ker U ∩ ker V, read from the kernel table. The
+        # condition is symmetric in U and V, so the first failing pair in
+        # row-major order has V at or after U.
+        ker, index = _kernel_table(space), _upset_index(space)
+        for i, (um, ku) in enumerate(zip(ups, ker)):
+            for vm, kv in zip(ups[i:], ker[i:]):
+                if ker[index[um & vm]] != ku & kv:
                     return False, {"upsets": (um, vm)}
         return True, None
     # lCompact
@@ -333,10 +371,13 @@ def lspace_predicate_witness(space, name):
     return ok, (None if ok else {"upset": full})
 
 
-def _density_sweep(space, ups, part):
-    for um in ups:
-        if part(space, um) != um:
-            return False, {"upset": um}
+def _density_sweep(ups, table):
+    """Whether the operator fixes every clopen upset (its table is `ups`),
+    else the first upset it does not fix."""
+    if table != ups:
+        for um, part in zip(ups, table):
+            if part != um:
+                return False, {"upset": um}
     return True, None
 
 
@@ -369,8 +410,16 @@ def _irreducible_closed_sets(point_space):
     the closed sets strictly inside c cover it.
     """
     closed = point_space.closed_sets()
-    return [c for c in closed
-            if c and _union_inside([a for a in closed if a != c], c) != c]
+    irreducible = []
+    for c in closed:
+        inside = 0
+        for a in closed:
+            if a & ~c == 0 and a != c:
+                inside |= a
+        # the empty set has nothing strictly inside it and so is left out
+        if inside != c:
+            irreducible.append(c)
+    return irreducible
 
 
 def point_space_predicate(point_space, name):

@@ -272,6 +272,21 @@ def test_orders_without_a_meet_or_a_declared_top_are_refused():
             empty()
 
 
+def test_from_leq_pairs_builds_the_carrier_order_once(monkeypatch):
+    built = []
+    original = Poset.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counting)
+    lat = FinDLat.from_leq_pairs(3, [(0, 1), (0, 2), (1, 2)])
+    assert len(built) == 1
+    assert lat.carrier_poset().up == lat.up == (0b111, 0b110, 0b100)
+    assert lat.down == (0b001, 0b011, 0b111)
+
+
 # -- join irreducibles ----------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ Sets of points are int masks, bit i for point i."""
 import pytest
 
 from framelab import MonotoneMap, Poset, UnknownPredicate, enumerate_posets, monotone_maps
+from framelab import spaces
 from framelab.spaces import (
     PointSpace,
     _upsets_above_meet,
@@ -62,7 +63,7 @@ def test_point_space_topology_is_the_upset_topology():
 def test_clop_way_below_examples():
     # V << U iff V lies inside the meet of the clopen upsets above U
     x = Poset.chain(2)
-    above_top = _upsets_above_meet(x, 0b10)
+    above_top = _upsets_above_meet(clop_upset_masks(x), 0b10, x.full_mask)
     assert is_subset(0b00, above_top)
     assert is_subset(0b10, above_top)
     assert not is_subset(0b11, above_top)
@@ -105,6 +106,22 @@ def test_scott_upset_examples():
     assert is_scott_upset(x, 0b11)
     assert is_scott_upset(x, 0b10)
     assert not is_scott_upset(x, 0b01)  # not an upset
+
+
+def test_scott_upsets_are_those_with_spatial_minimal_points(monkeypatch):
+    # with point y taken out of the spatial part, the clopen Scott upsets are
+    # the upsets that do not have y as a minimal point
+    for p in spaces_up_to(3):
+        for y in range(p.size):
+            fresh = Poset(p.up)
+            monkeypatch.setattr(spaces, "spatial_mask", lambda s, y=y: s.full_mask & ~(1 << y))
+            expected = tuple(
+                u for u in clop_upset_masks(fresh)
+                if not ((u >> y) & 1 and fresh.down[y] & u == 1 << y)
+            )
+            assert clop_scott_upset_masks(fresh) == expected
+            assert expected == tuple(u for u in clop_upset_masks(fresh) if is_scott_upset(fresh, u))
+            monkeypatch.undo()
 
 
 def test_core_examples():

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 55 mutants. 53 are expected to be killed, and two,
+The list holds 58 mutants. 56 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -54,15 +54,16 @@ MUTANTS = (
     Mutant(
         "core-identity",
         "src/framelab/spaces.py",
-        "def _core_mask(space, um):\n",
-        "def _core_mask(space, um):\n    return um\n",
+        "    scott = clop_scott_upset_masks(space)\n"
+        "    return tuple(_union_inside(scott, um) for um in clop_upset_masks(space))\n",
+        "    return clop_upset_masks(space)\n",
         "survived",
     ),
     Mutant(
         "kernel-identity",
         "src/framelab/spaces.py",
-        "def _kernel_mask(space, um):\n",
-        "def _kernel_mask(space, um):\n    return um\n",
+        "    return tuple(_union_inside(ups, _upsets_above_meet(ups, um, full)) for um in ups)\n",
+        "    return ups\n",
         "survived",
     ),
     Mutant(
@@ -373,8 +374,8 @@ MUTANTS = (
     Mutant(
         "irreducible-closed-sets-count-the-set-itself",
         "src/framelab/spaces.py",
-        "_union_inside([a for a in closed if a != c], c)",
-        "_union_inside(closed, c)",
+        "if a & ~c == 0 and a != c:",
+        "if a & ~c == 0:",
         "killed",
     ),
     Mutant(
@@ -425,6 +426,27 @@ MUTANTS = (
         "src/framelab/duality.py",
         "        phi.append(mask)\n",
         "        phi.append(mask & ~1)\n",
+        "killed",
+    ),
+    Mutant(
+        "upset-generator-admits-points-without-their-up-sets",
+        "src/framelab/posets.py",
+        "masks = _upset_rows([m ^ (1 << j) for j, m in enumerate(up)], order)",
+        "masks = _upset_rows([0] * len(up), order)",
+        "killed",
+    ),
+    Mutant(
+        "continuous-density-sweep-reads-the-core-table",
+        "src/framelab/spaces.py",
+        "return _density_sweep(ups, _kernel_table(space))",
+        "return _density_sweep(ups, _core_table(space))",
+        "killed",
+    ),
+    Mutant(
+        "scott-upsets-skip-the-minimal-point-test",
+        "src/framelab/spaces.py",
+        "return tuple(m for m in clop_upset_masks(space) if _minimal_points_spatial(space, m))",
+        "return clop_upset_masks(space)",
         "killed",
     ),
     Mutant(
