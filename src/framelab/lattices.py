@@ -540,7 +540,9 @@ class LatticeHom(PointwiseMap):
     construction. `image` is a tuple; `_table`, the image as bytes padded to
     256, is the `translate` table of `hom_predicate`'s byte-code kernels and
     the order in which `enumerate_homs` sorts; `_tables` is `_hom_tables`, shared
-    by every hom of a search; `_flags` holds what `hom_predicate` decided.
+    by every hom of a search; `_flags` is None until `hom_predicate` first
+    sees the hom, and then the four flags it decided, in `HOM_PREDICATES`
+    order, which the properties read.
     """
 
     __slots__ = ("_table", "_tables", "_flags")
@@ -549,22 +551,19 @@ class LatticeHom(PointwiseMap):
         super().__init__(source, target, image)
         self._table = bytes(self.image).ljust(256, b"\0")
         self._tables = _hom_tables(source, target)
-        self._flags = {}
+        self._flags = None
 
     @property
     def is_frame_hom(self):
-        flag = self._flags.get("frameHom")
-        return hom_predicate(self, "frameHom") if flag is None else flag
+        return hom_predicate(self, "frameHom") if self._flags is None else self._flags[1]
 
     @property
     def is_coherent(self):
-        flag = self._flags.get("coherentHom")
-        return hom_predicate(self, "coherentHom") if flag is None else flag
+        return hom_predicate(self, "coherentHom") if self._flags is None else self._flags[2]
 
     @property
     def is_proper(self):
-        flag = self._flags.get("properHom")
-        return hom_predicate(self, "properHom") if flag is None else flag
+        return hom_predicate(self, "properHom") if self._flags is None else self._flags[3]
 
 
 @cached
@@ -610,30 +609,36 @@ def _hom_tables(source, target):
     The tuple holds `small` (the target has at most 16 elements, so the
     nibble kernels apply), the source's `_pair_table`, the target's join,
     meet and way-below tables (its `_byte_tables` when small, else its rows
-    and the oracle's), the source's `_way_below_pairs` and the
-    `_compact_bytes` of both. Every hom of a search shares it.
+    and the oracle's), the source's `_way_below_pairs`, the
+    `_compact_bytes` of both, and the bottom and top of the source and then
+    of the target. Every hom of a search shares it.
     """
     small = target.size <= 16
     tgt_tables = (_byte_tables(target) if small
                   else (target.join, target.meet, way_below_rows_oracle(target)))
     return (small, _pair_table(source), tgt_tables, _way_below_pairs(source),
-            _compact_bytes(source), _compact_bytes(target))
+            _compact_bytes(source), _compact_bytes(target),
+            (source.bottom, source.top, target.bottom, target.top))
+
+
+_FLAG_INDEX = {name: i for i, name in enumerate(HOM_PREDICATES)}
 
 
 def hom_predicate(hom, name):
     """Literal evaluation of a homomorphism property, kept in ``hom._flags``.
 
-    Each predicate adds its own condition to the one below it: latticeHom
-    checks h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every index
-    pair a <= b of the source's `_pair_table`, frameHom the two bounds and
-    then latticeHom, and coherentHom and properHom start from frameHom;
+    The first call on a hom decides all four predicates in one pass and
+    keeps them as one tuple in `HOM_PREDICATES` order; every later call, and
+    every flag property, reads that tuple, so the O(|L|²) scans run at most
+    once per hom. latticeHom checks h(a ∨ b) = h(a) ∨ h(b) and
+    h(a ∧ b) = h(a) ∧ h(b) on every index pair a <= b of the source's
+    `_pair_table`; frameHom is latticeHom with the two bounds kept;
+    coherentHom and properHom are False whenever frameHom is, and otherwise
     coherentHom checks that h maps every compact element of the source to a
     compact element of the target, and properHom checks h(a) << h(b) on
     every pair a << b of the source, both by the ideal oracle. Only this
-    function evaluates a flag: it stores each result under its name and
-    reads the flag below from there, evaluating it only when missing, so
-    the O(|L|²) scan runs at most once per hom. Every table comes from the
-    hom's shared `_tables`.
+    function sets the flags, and every table comes from the hom's shared
+    `_tables`.
 
     The coherentHom scan is byte code over the hom's image table `_table`
     for every target: the source's compact elements go through it, and
@@ -644,49 +649,41 @@ def hom_predicate(hom, name):
     translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]. Larger targets
     are scanned pair by pair.
     """
-    if name not in HOM_PREDICATES:
+    index = _FLAG_INDEX.get(name)
+    if index is None:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
-    img, t, flags = hom.image, hom._table, hom._flags
-    small, pairs, (tgt_join, tgt_meet, tgt_wb), wb_pairs, src_compact, tgt_compact = hom._tables
-    if name == "latticeHom":
-        a_col, b_col, join_col, meet_col = pairs
-        if small:
-            codes = _pair_codes(a_col, b_col, t)
-            ok = (
-                codes.translate(tgt_join) == join_col.translate(t)
-                and codes.translate(tgt_meet) == meet_col.translate(t)
-            )
-        else:
-            ok = True
-            for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
-                ha, hb = img[a], img[b]
-                if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
-                    ok = False
-                    break
-    elif name == "frameHom":
-        src, tgt = hom.source, hom.target
-        ok = img[src.bottom] == tgt.bottom and img[src.top] == tgt.top
-        if ok:
-            ok = flags.get("latticeHom")
-            if ok is None:
-                ok = hom_predicate(hom, "latticeHom")
+    flags = hom._flags
+    if flags is not None:
+        return flags[index]
+    img, t = hom.image, hom._table
+    (small, (a_col, b_col, join_col, meet_col), (tgt_join, tgt_meet, tgt_wb), (wb_a, wb_b),
+     src_compact, tgt_compact, (src_bottom, src_top, tgt_bottom, tgt_top)) = hom._tables
+    if small:
+        codes = _pair_codes(a_col, b_col, t)
+        lattice_hom = (
+            codes.translate(tgt_join) == join_col.translate(t)
+            and codes.translate(tgt_meet) == meet_col.translate(t)
+        )
     else:
-        ok = flags.get("frameHom")
-        if ok is None:
-            ok = hom_predicate(hom, "frameHom")
-        if ok and name == "coherentHom":
-            ok = not src_compact.translate(t).translate(None, tgt_compact)
-        elif ok:  # properHom
-            wb_a, wb_b = wb_pairs
-            if small:
-                ok = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)
-            else:
-                for a, b in zip(wb_a, wb_b):
-                    if not (tgt_wb[img[a]] >> img[b]) & 1:
-                        ok = False
-                        break
-    flags[name] = ok
-    return ok
+        lattice_hom = True
+        for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
+            ha, hb = img[a], img[b]
+            if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
+                lattice_hom = False
+                break
+    frame_hom = lattice_hom and img[src_bottom] == tgt_bottom and img[src_top] == tgt_top
+    coherent = proper = frame_hom
+    if frame_hom:
+        coherent = not src_compact.translate(t).translate(None, tgt_compact)
+        if small:
+            proper = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)
+        else:
+            for a, b in zip(wb_a, wb_b):
+                if not (tgt_wb[img[a]] >> img[b]) & 1:
+                    proper = False
+                    break
+    hom._flags = flags = (lattice_hom, frame_hom, coherent, proper)
+    return flags[index]
 
 
 def enumerate_homs(source, target):
@@ -714,8 +711,10 @@ def enumerate_homs(source, target):
     (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
     search builds neither. The images are in range by
     construction, so the homs skip the checked constructor and share one
-    `_hom_tables` tuple. Each is checked once against the literal predicate
-    `hom_predicate` for frameHom. The homs are sorted by their `_table`:
+    `_hom_tables` tuple. Each is checked by one call of the literal predicate
+    `hom_predicate` for frameHom, which decides all four of its flags, so
+    the `is_coherent` and `is_proper` reads that follow make no further
+    call. The homs are sorted by their `_table`:
     image bytes sort as the image tuples do, since every image has one byte
     per source element.
     """
@@ -746,7 +745,7 @@ def enumerate_homs(source, target):
     results = []
     for packed, _ in iter_monotone_maps(tgt_space, src_space, _lift(source, w)):
         hom = new(LatticeHom)
-        hom.source, hom.target, hom._tables, hom._flags = source, target, tables, {}
+        hom.source, hom.target, hom._tables, hom._flags = source, target, tables, None
         hom.image, hom._table = image_of(packed)
         if hom_predicate(hom, "frameHom"):
             results.append(hom)

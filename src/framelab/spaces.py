@@ -90,15 +90,26 @@ def _upset_mask_of(space, um):
 class PointSpace:
     """The spatial part with its space-of-points topology, opens listed.
 
-    The opens must be closed under finite unions and intersections, as
-    every `spatial_part` is: `sober` relies on it.
+    The opens must be closed under binary unions and intersections, as
+    every `spatial_part` is: `sober` relies on it. The constructor raises
+    ValueError on a family that is not, naming a pair whose union or
+    intersection is missing; `spatial_part` passes `_trusted=True`, as its
+    clopen upsets always are closed, and skips the check.
     """
 
     __slots__ = ("poset", "opens", "_memo")
 
-    def __init__(self, poset, opens):
+    def __init__(self, poset, opens, _trusted=False):
+        opens = set(opens)
+        if not _trusted:
+            for a in opens:
+                for b in opens:
+                    if a | b not in opens or a & b not in opens:
+                        raise ValueError(
+                            f"opens {a:#b} and {b:#b} lack their union or intersection"
+                        )
         self.poset = poset
-        self.opens = tuple(sorted(set(opens), key=mask_order_key))
+        self.opens = tuple(sorted(opens, key=mask_order_key))
         self._memo = {}
 
     @property
@@ -138,7 +149,7 @@ def spatial_part(space):
     upsets: the upset (Alexandroff) topology of the order. It is built once
     per space, so its predicate memo is shared by every caller.
     """
-    return PointSpace(space, clop_upset_masks(space))
+    return PointSpace(space, clop_upset_masks(space), _trusted=True)
 
 
 # -- way below / kernel ----------------------------------------------------------

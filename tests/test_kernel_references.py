@@ -136,16 +136,24 @@ def _ref_sober(point_space):
     return True, None
 
 
-def _random_topology(rng, n):
-    # a few random opens with the empty set and the whole space, closed
-    # under unions and intersections, as the opens of a point space must be
-    opens = {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(rng.randint(0, 4))}
+def _closed_family(opens):
+    """The least family holding `opens` and closed under binary unions and
+    intersections, as the opens of a point space must be."""
+    opens = set(opens)
     while True:
         grown = opens | {a | b for a in opens for b in opens}
         grown |= {a & b for a in opens for b in opens}
         if grown == opens:
             return opens
         opens = grown
+
+
+def _random_topology(rng, n):
+    # a few random opens with the empty set and the whole space, closed
+    # under unions and intersections
+    return _closed_family(
+        {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(rng.randint(0, 4))}
+    )
 
 
 def _ref_scott_extensions(lattice):
@@ -296,14 +304,14 @@ def test_pseudocomplement_raises_only_for_its_own_element():
 
 def test_hausdorff_witness_is_past_the_first_pair():
     # 2 and 3 are separated by {2, 4} and {3}; every open holding 2 holds 4
-    ps = PointSpace(Poset.antichain(5), [0, 0b1, 0b10, 0b1000, 0b10100, 0b11111])
+    ps = PointSpace(Poset.antichain(5), _closed_family([0b1, 0b10, 0b1000, 0b10100]))
     assert _ref_hausdorff(ps) == (False, {"points": (2, 4)})
     assert point_space_predicate_witness(ps, "hausdorff") == _ref_hausdorff(ps)
     # the Sierpinski space: the only open holding 0 is the whole space
     ps = PointSpace(Poset.chain(2), [0, 0b10, 0b11])
     assert point_space_predicate_witness(ps, "hausdorff") == (False, {"points": (0, 1)})
     # four points where only 2 and 3 fail to separate
-    ps = PointSpace(Poset.antichain(4), [0, 0b1, 0b10, 0b1100, 0b1111])
+    ps = PointSpace(Poset.antichain(4), _closed_family([0b1, 0b10, 0b1100]))
     assert point_space_predicate_witness(ps, "hausdorff") == (False, {"points": (2, 3)})
 
 
@@ -314,7 +322,7 @@ def test_point_space_kernels_match_references_on_random_open_families():
     witnesses = set()
     for _ in range(300):
         n = rng.randint(1, 6)
-        opens = [rng.getrandbits(n) for _ in range(rng.randint(1, 8))]
+        opens = _closed_family(rng.getrandbits(n) for _ in range(rng.randint(1, 8)))
         ps = PointSpace(Poset.antichain(n), opens)
         assert _point_kernel(ps, "compactlyBased") == _ref_compactly_based(ps) == (True, None)
         expected = _ref_hausdorff(ps)

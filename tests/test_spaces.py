@@ -302,6 +302,21 @@ def test_sober_fails_on_the_indiscrete_two_point_space():
         assert point_space_predicate_witness(ps, name) == (False, {"closed": 3})
 
 
+def test_point_space_refuses_opens_not_closed_under_unions_and_intersections():
+    # {0, 1} ∪ {0, 2} = {0, 1, 2} is missing: `sober`'s union test would read
+    # this family as sober, where the pair search finds {0, 1, 2} irreducible
+    # with no generic point
+    with pytest.raises(ValueError, match="union or intersection"):
+        PointSpace(Poset.antichain(3), [0, 0b011, 0b101, 0b110])
+    # unions alone are not enough: {0, 1} ∩ {1, 2} = {1} is missing
+    with pytest.raises(ValueError, match="union or intersection"):
+        PointSpace(Poset.antichain(3), [0, 0b011, 0b110, 0b111])
+    closed = PointSpace(Poset.antichain(3), [0, 0b001, 0b011, 0b111])
+    assert closed.opens == (0, 0b001, 0b011, 0b111)
+    # the spatial part's clopen upsets are a topology, and pass unchecked
+    assert spatial_part(Poset.antichain(3)).opens == clop_upset_masks(Poset.antichain(3))
+
+
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))
 def test_point_space_finite_facts(x):
     ps = spatial_part(x)

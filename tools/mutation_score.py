@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 58 mutants. 56 are expected to be killed, and two,
+The list holds 60 mutants. 58 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -69,8 +69,14 @@ MUTANTS = (
     Mutant(
         "properHom-true",
         "src/framelab/lattices.py",
-        "        elif ok:  # properHom\n",
-        "        elif False:  # properHom\n",
+        "        if small:\n"
+        "            proper = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)\n"
+        "        else:\n"
+        "            for a, b in zip(wb_a, wb_b):\n"
+        "                if not (tgt_wb[img[a]] >> img[b]) & 1:\n"
+        "                    proper = False\n"
+        "                    break\n",
+        "",
         "killed",
     ),
     Mutant(
@@ -90,7 +96,7 @@ MUTANTS = (
     Mutant(
         "lattice-hom-skips-meets",
         "src/framelab/lattices.py",
-        "\n                and codes.translate(tgt_meet) == meet_col.translate(t)",
+        "\n            and codes.translate(tgt_meet) == meet_col.translate(t)",
         "",
         "killed",
     ),
@@ -125,17 +131,36 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "frame-hom-takes-a-missing-lattice-flag-as-true",
+        "frame-hom-ignores-the-pair-scan",
         "src/framelab/lattices.py",
-        'ok = flags.get("latticeHom")',
-        'ok = flags.get("latticeHom", True)',
+        "frame_hom = lattice_hom and img[src_bottom]",
+        "frame_hom = img[src_bottom]",
         "killed",
     ),
     Mutant(
         "coherent-hom-skips-its-frame-guard",
         "src/framelab/lattices.py",
-        'if ok and name == "coherentHom":',
-        'if name == "coherentHom":',
+        "    coherent = proper = frame_hom\n"
+        "    if frame_hom:\n"
+        "        coherent = not src_compact.translate(t).translate(None, tgt_compact)\n",
+        "    proper = frame_hom\n"
+        "    coherent = not src_compact.translate(t).translate(None, tgt_compact)\n"
+        "    if frame_hom:\n",
+        "killed",
+    ),
+    Mutant(
+        "point-space-opens-unchecked",
+        "src/framelab/spaces.py",
+        "        if not _trusted:\n            for a in opens:\n",
+        "        if False:\n            for a in opens:\n",
+        "killed",
+    ),
+    Mutant(
+        "dualize-membership-from-the-wrong-point",
+        "src/framelab/duality.py",
+        "    for f in priestley_space_of(lattice).point_filters:\n        table = bytearray(256)\n",
+        "    for f in priestley_space_of(lattice).point_filters[::-1]:\n"
+        "        table = bytearray(256)\n",
         "killed",
     ),
     Mutant(
