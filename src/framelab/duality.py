@@ -152,46 +152,24 @@ def _check_against_oracle(record, oracle_filters):
 
 
 def dualize_hom(hom):
-    """A frame homomorphism h : L -> M dualizes to h^{-1} : X_M -> X_L.
-
-    The preimage of a point x of X_M is one `translate` of h's image bytes
-    through x's membership table (`_membership_tables` of M), and it is
-    looked up among the prime filters of L keyed the same way
-    (`_filter_index` of L); a preimage that is no prime filter of L raises
-    ConsistencyError.
-    """
+    """A frame homomorphism h : L -> M dualizes to h^{-1} : X_M -> X_L."""
     if not hom_predicate(hom, "frameHom"):
         raise NotFrameHom("only frame homomorphisms dualize")
-    index = _filter_index(hom.source)
-    image = bytes(hom.image)
-    images = [index.get(image.translate(member)) for member in _membership_tables(hom.target)]
-    if None in images:
-        raise ConsistencyError(
-            "preimage of a prime filter under a frame hom must be a prime filter"
-        )
-    return MonotoneMap(priestley_space_of(hom.target).space,
-                       priestley_space_of(hom.source).space, images)
-
-
-@cached
-def _membership_tables(lattice):
-    """Per dual point, the 256-byte `translate` table that maps each element
-    of the lattice to 1 when it lies in the point's prime filter, else 0."""
-    tables = []
-    for f in priestley_space_of(lattice).point_filters:
-        table = bytearray(256)
-        for a in bits(f):
-            table[a] = 1
-        tables.append(bytes(table))
-    return tuple(tables)
-
-
-@cached
-def _filter_index(lattice):
-    """Each dual point's prime filter as one 0/1 byte per element, mapped to
-    the point: the key `dualize_hom` builds for a preimage."""
-    n = lattice.size
-    return {table[:n]: p for p, table in enumerate(_membership_tables(lattice))}
+    rec_src = priestley_space_of(hom.source)
+    rec_tgt = priestley_space_of(hom.target)
+    index = {f: p for p, f in enumerate(rec_src.point_filters)}
+    images = []
+    for x_filter in rec_tgt.point_filters:
+        preimage = 0
+        for a in range(hom.source.size):
+            if (x_filter >> hom.image[a]) & 1:
+                preimage |= 1 << a
+        if preimage not in index:
+            raise ConsistencyError(
+                "preimage of a prime filter under a frame hom must be a prime filter"
+            )
+        images.append(index[preimage])
+    return MonotoneMap(rec_tgt.space, rec_src.space, images)
 
 
 # -- round trips --------------------------------------------------------------------

@@ -39,6 +39,7 @@ FRAME_PREDICATES = (
 )
 
 HOM_PREDICATES = ("latticeHom", "frameHom", "coherentHom", "properHom")
+_FLAG_INDEX = {name: i for i, name in enumerate(HOM_PREDICATES)}
 
 
 class FinDLat:
@@ -532,6 +533,17 @@ def _join_sweep(lattice, below):
 # -- homomorphisms ---------------------------------------------------------------
 
 
+def _flag_property(name):
+    """The `LatticeHom` property that reads the `_flags` entry of `name`."""
+    index = _FLAG_INDEX[name]
+
+    def read(hom):
+        flags = hom._flags
+        return hom_predicate(hom, name) if flags is None else flags[index]
+
+    return property(read)
+
+
 class LatticeHom(PointwiseMap):
     """Element-wise map between lattices with cached predicate flags.
 
@@ -553,17 +565,9 @@ class LatticeHom(PointwiseMap):
         self._tables = _hom_tables(source, target)
         self._flags = None
 
-    @property
-    def is_frame_hom(self):
-        return hom_predicate(self, "frameHom") if self._flags is None else self._flags[1]
-
-    @property
-    def is_coherent(self):
-        return hom_predicate(self, "coherentHom") if self._flags is None else self._flags[2]
-
-    @property
-    def is_proper(self):
-        return hom_predicate(self, "properHom") if self._flags is None else self._flags[3]
+    is_frame_hom = _flag_property("frameHom")
+    is_coherent = _flag_property("coherentHom")
+    is_proper = _flag_property("properHom")
 
 
 @cached
@@ -619,9 +623,6 @@ def _hom_tables(source, target):
     return (small, _pair_table(source), tgt_tables, _way_below_pairs(source),
             _compact_bytes(source), _compact_bytes(target),
             (source.bottom, source.top, target.bottom, target.top))
-
-
-_FLAG_INDEX = {name: i for i, name in enumerate(HOM_PREDICATES)}
 
 
 def hom_predicate(hom, name):

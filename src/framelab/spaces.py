@@ -90,26 +90,28 @@ def _upset_mask_of(space, um):
 class PointSpace:
     """The spatial part with its space-of-points topology, opens listed.
 
-    The opens must be closed under binary unions and intersections, as
-    every `spatial_part` is: `sober` relies on it. The constructor raises
-    ValueError on a family that is not, naming a pair whose union or
-    intersection is missing; `spatial_part` passes `_trusted=True`, as its
-    clopen upsets always are closed, and skips the check.
+    The opens must be a topology on the poset's points: subsets of them,
+    holding ∅ and the whole set and closed under binary unions and
+    intersections, as every `spatial_part` is. `sober` and `point_closure`
+    rely on it, and the constructor raises ValueError on a family that is
+    not.
     """
 
     __slots__ = ("poset", "opens", "_memo")
 
-    def __init__(self, poset, opens, _trusted=False):
+    def __init__(self, poset, opens):
         opens = set(opens)
-        if not _trusted:
-            for a in opens:
-                for b in opens:
-                    if a | b not in opens or a & b not in opens:
-                        raise ValueError(
-                            f"opens {a:#b} and {b:#b} lack their union or intersection"
-                        )
         self.poset = poset
         self.opens = tuple(sorted(opens, key=mask_order_key))
+        for i, a in enumerate(self.opens):
+            for b in self.opens[i + 1:]:
+                if a | b not in opens or a & b not in opens:
+                    raise ValueError(
+                        f"opens {a:#b} and {b:#b} lack their union or intersection"
+                    )
+        full = poset.full_mask
+        if 0 not in opens or full not in opens or any(o & ~full for o in opens):
+            raise ValueError("opens must lie in the points and hold ∅ and the whole set")
         self._memo = {}
 
     @property
@@ -149,7 +151,7 @@ def spatial_part(space):
     upsets: the upset (Alexandroff) topology of the order. It is built once
     per space, so its predicate memo is shared by every caller.
     """
-    return PointSpace(space, clop_upset_masks(space), _trusted=True)
+    return PointSpace(space, clop_upset_masks(space))
 
 
 # -- way below / kernel ----------------------------------------------------------

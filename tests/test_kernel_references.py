@@ -322,7 +322,9 @@ def test_point_space_kernels_match_references_on_random_open_families():
     witnesses = set()
     for _ in range(300):
         n = rng.randint(1, 6)
-        opens = _closed_family(rng.getrandbits(n) for _ in range(rng.randint(1, 8)))
+        opens = _closed_family(
+            {0, (1 << n) - 1} | {rng.getrandbits(n) for _ in range(rng.randint(1, 8))}
+        )
         ps = PointSpace(Poset.antichain(n), opens)
         assert _point_kernel(ps, "compactlyBased") == _ref_compactly_based(ps) == (True, None)
         expected = _ref_hausdorff(ps)

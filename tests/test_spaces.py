@@ -313,8 +313,17 @@ def test_point_space_refuses_opens_not_closed_under_unions_and_intersections():
         PointSpace(Poset.antichain(3), [0, 0b011, 0b110, 0b111])
     closed = PointSpace(Poset.antichain(3), [0, 0b001, 0b011, 0b111])
     assert closed.opens == (0, 0b001, 0b011, 0b111)
-    # the spatial part's clopen upsets are a topology, and pass unchecked
+    # the spatial part's clopen upsets are a topology
     assert spatial_part(Poset.antichain(3)).opens == clop_upset_masks(Poset.antichain(3))
+
+
+def test_point_space_refuses_opens_without_the_bounds_or_outside_the_points():
+    # closed under ∪ and ∩, but without the whole set its closed sets leave
+    # out ∅, without ∅ they leave out the whole set, and 0b100 is no point
+    for opens in ([0b01], [0, 0b01], [0b01, 0b11], [0, 0b11, 0b100, 0b111]):
+        with pytest.raises(ValueError, match="hold ∅ and the whole set"):
+            PointSpace(Poset.antichain(2), opens)
+    assert PointSpace(Poset.antichain(2), [0, 0b11]).opens == (0, 0b11)
 
 
 @pytest.mark.parametrize("x", spaces_up_to(), ids=lambda x: repr(x.covers()))

@@ -151,16 +151,15 @@ MUTANTS = (
     Mutant(
         "point-space-opens-unchecked",
         "src/framelab/spaces.py",
-        "        if not _trusted:\n            for a in opens:\n",
-        "        if False:\n            for a in opens:\n",
+        "                if a | b not in opens or a & b not in opens:",
+        "                if False:",
         "killed",
     ),
     Mutant(
-        "dualize-membership-from-the-wrong-point",
-        "src/framelab/duality.py",
-        "    for f in priestley_space_of(lattice).point_filters:\n        table = bytearray(256)\n",
-        "    for f in priestley_space_of(lattice).point_filters[::-1]:\n"
-        "        table = bytearray(256)\n",
+        "point-space-opens-without-the-bounds",
+        "src/framelab/spaces.py",
+        "if 0 not in opens or full not in opens or any(o & ~full for o in opens):",
+        "if False:",
         "killed",
     ),
     Mutant(
