@@ -14,7 +14,7 @@ is returned as the tuple it is kept as.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, product, repeat
 from operator import attrgetter
 
 from . import config
@@ -401,12 +401,6 @@ def compact_elements(lattice):
     return tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
 
 
-@cached
-def _compact_bytes(lattice):
-    """compact_elements as increasing `bytes`, built once per lattice."""
-    return bytes(compact_elements(lattice))
-
-
 # -- pseudocomplement and well inside ----------------------------------------------
 
 
@@ -550,11 +544,10 @@ class LatticeHom(PointwiseMap):
     The constructor is the checked one of `posets.PointwiseMap`.
     `enumerate_homs` builds its homs without it, from images in range by
     construction. `image` is a tuple; `_table`, the image as bytes padded to
-    256, is the `translate` table of `hom_predicate`'s byte-code kernels and
+    256, is the `translate` table of `_decide_flags`' byte-code kernels and
     the order in which `enumerate_homs` sorts; `_tables` is `_hom_tables`, shared
-    by every hom of a search; `_flags` is None until `hom_predicate` first
-    sees the hom, and then the four flags it decided, in `HOM_PREDICATES`
-    order, which the properties read.
+    by every hom of a search; `_flags` is None until `_decide_flags` decides
+    the hom, and then its four flags, which the properties read.
     """
 
     __slots__ = ("_table", "_tables", "_flags")
@@ -573,7 +566,7 @@ class LatticeHom(PointwiseMap):
 @cached
 def _pair_table(lattice):
     """Every index pair a <= b as four `bytes`: a, b, a ∨ b and a ∧ b, so the
-    byte-code kernel of `hom_predicate` can `translate` them."""
+    byte-code kernels of `_decide_flags` can `translate` them."""
     n = lattice.size
     return (
         bytes(chain.from_iterable(repeat(a, n - a) for a in range(n))),
@@ -597,94 +590,101 @@ def _byte_tables(lattice):
     return bytes(join), bytes(meet), bytes(wb)
 
 
-def _pair_codes(a_col, b_col, t):
-    """16·h(a) + h(b) for each pair (a, b), where t is the hom's image table:
-    every h(x) < 16, so shifting the h(a) integer left by 4 bits moves each
-    h(a) into its byte's high nibble, and OR-ing adds them without a carry."""
-    high = int.from_bytes(a_col.translate(t), "big") << 4
-    low = int.from_bytes(b_col.translate(t), "big")
-    return (high | low).to_bytes(len(a_col), "big")
+def _gather(col, tables):
+    """`col` through each image table in turn, joined into one `bytes`."""
+    return b"".join([col.translate(t) for t in tables])
+
+
+def _pair_codes(a_col, b_col, tables):
+    """16·h(a) + h(b) for each pair (a, b) of each hom h: every h(x) < 16, so
+    each h(a), 4 bits up in its byte's high nibble, ORs in without a carry."""
+    high = int.from_bytes(_gather(a_col, tables), "big") << 4
+    low = int.from_bytes(_gather(b_col, tables), "big")
+    return (high | low).to_bytes(len(a_col) * len(tables), "big")
 
 
 @cached
 def _hom_tables(source, target):
-    """Everything `hom_predicate` reads for maps source → target, kept per pair.
-
-    The tuple holds `small` (the target has at most 16 elements, so the
-    nibble kernels apply), the source's `_pair_table`, the target's join,
-    meet and way-below tables (its `_byte_tables` when small, else its rows
-    and the oracle's), the source's `_way_below_pairs`, the
-    `_compact_bytes` of both, and the bottom and top of the source and then
-    of the target. Every hom of a search shares it.
+    """Everything `_decide_flags` reads for maps source → target, kept per pair
+    and shared by every hom of a search: `small` (the target has at most 16
+    elements, so the nibble kernels apply), the source's `_pair_table`, the
+    target's `_byte_tables` when small and else its rows and the oracle's,
+    the source's `_way_below_pairs`, and the compact elements and the bounds
+    of both, as `bytes`.
     """
     small = target.size <= 16
     tgt_tables = (_byte_tables(target) if small
                   else (target.join, target.meet, way_below_rows_oracle(target)))
     return (small, _pair_table(source), tgt_tables, _way_below_pairs(source),
-            _compact_bytes(source), _compact_bytes(target),
-            (source.bottom, source.top, target.bottom, target.top))
+            bytes(compact_elements(source)), bytes(compact_elements(target)),
+            bytes((source.bottom, source.top)), bytes((target.bottom, target.top)))
 
 
 def hom_predicate(hom, name):
     """Literal evaluation of a homomorphism property, kept in ``hom._flags``.
 
-    The first call on a hom decides all four predicates in one pass and
-    keeps them as one tuple in `HOM_PREDICATES` order; every later call, and
-    every flag property, reads that tuple, so the O(|L|²) scans run at most
-    once per hom. latticeHom checks h(a ∨ b) = h(a) ∨ h(b) and
-    h(a ∧ b) = h(a) ∧ h(b) on every index pair a <= b of the source's
-    `_pair_table`; frameHom is latticeHom with the two bounds kept;
-    coherentHom and properHom are False whenever frameHom is, and otherwise
-    coherentHom checks that h maps every compact element of the source to a
-    compact element of the target, and properHom checks h(a) << h(b) on
-    every pair a << b of the source, both by the ideal oracle. Only this
-    function sets the flags, and every table comes from the hom's shared
-    `_tables`.
-
-    The coherentHom scan is byte code over the hom's image table `_table`
-    for every target: the source's compact elements go through it, and
-    deleting the target's compact elements from the result leaves nothing
-    iff h is coherent. When the target has at most 16 elements (one nibble
-    each), the two pair scans are byte code too: each pair becomes the byte
-    16·h(a) + h(b) (`_pair_codes`), which the target's `_byte_tables`
-    translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)]. Larger targets
-    are scanned pair by pair.
+    latticeHom checks h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on
+    every index pair a <= b of the source's `_pair_table`; frameHom is
+    latticeHom with the two bounds kept; coherentHom and properHom are False
+    whenever frameHom is, and otherwise coherentHom checks that h maps every
+    compact element of the source to a compact element of the target, and
+    properHom checks h(a) << h(b) on every pair a << b of the source, both by
+    the ideal oracle. A hom that no search has decided is decided here, by
+    `_decide_flags((hom,))`; every later call and flag property reads it.
     """
     index = _FLAG_INDEX.get(name)
     if index is None:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
-    flags = hom._flags
-    if flags is not None:
-        return flags[index]
-    img, t = hom.image, hom._table
+    if hom._flags is None:
+        _decide_flags((hom,))
+    return hom._flags[index]
+
+
+def _decide_flags(homs):
+    """Set `_flags` (the four flags in `HOM_PREDICATES` order; only this
+    function sets them) on each of the `homs`, which share one `_tables`.
+    Each check runs once, on the source's columns gathered through every
+    image table (`_gather`): coherentHom deletes the target's compact
+    elements from the images of the source's, and up to 16 target elements
+    each pair becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
+    `_byte_tables` translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)];
+    larger targets are scanned pair by pair. If a check fails, each hom is
+    decided again alone, so its flags never depend on its batch-mates.
+    """
     (small, (a_col, b_col, join_col, meet_col), (tgt_join, tgt_meet, tgt_wb), (wb_a, wb_b),
-     src_compact, tgt_compact, (src_bottom, src_top, tgt_bottom, tgt_top)) = hom._tables
+     src_compact, tgt_compact, src_bounds, tgt_bounds) = homs[0]._tables
+    tables = [hom._table for hom in homs]
     if small:
-        codes = _pair_codes(a_col, b_col, t)
+        codes = _pair_codes(a_col, b_col, tables)
         lattice_hom = (
-            codes.translate(tgt_join) == join_col.translate(t)
-            and codes.translate(tgt_meet) == meet_col.translate(t)
+            codes.translate(tgt_join) == _gather(join_col, tables)
+            and codes.translate(tgt_meet) == _gather(meet_col, tables)
         )
     else:
         lattice_hom = True
-        for a, b, ab_join, ab_meet in zip(a_col, b_col, join_col, meet_col):
-            ha, hb = img[a], img[b]
-            if img[ab_join] != tgt_join[ha][hb] or img[ab_meet] != tgt_meet[ha][hb]:
+        for t, (a, b, ab_join, ab_meet) in product(tables, zip(a_col, b_col, join_col, meet_col)):
+            ha, hb = t[a], t[b]
+            if t[ab_join] != tgt_join[ha][hb] or t[ab_meet] != tgt_meet[ha][hb]:
                 lattice_hom = False
                 break
-    frame_hom = lattice_hom and img[src_bottom] == tgt_bottom and img[src_top] == tgt_top
+    frame_hom = lattice_hom and _gather(src_bounds, tables) == tgt_bounds * len(tables)
     coherent = proper = frame_hom
     if frame_hom:
-        coherent = not src_compact.translate(t).translate(None, tgt_compact)
+        coherent = not _gather(src_compact, tables).translate(None, tgt_compact)
         if small:
-            proper = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)
+            proper = 0 not in _pair_codes(wb_a, wb_b, tables).translate(tgt_wb)
         else:
-            for a, b in zip(wb_a, wb_b):
-                if not (tgt_wb[img[a]] >> img[b]) & 1:
+            for t, (a, b) in product(tables, zip(wb_a, wb_b)):
+                if not (tgt_wb[t[a]] >> t[b]) & 1:
                     proper = False
                     break
-    hom._flags = flags = (lattice_hom, frame_hom, coherent, proper)
-    return flags[index]
+    if len(homs) > 1 and not (coherent and proper):
+        for hom in homs:
+            _decide_flags((hom,))
+        return
+    flags = (lattice_hom, frame_hom, coherent, proper)
+    for hom in homs:
+        hom._flags = flags
 
 
 def enumerate_homs(source, target):
@@ -712,12 +712,11 @@ def enumerate_homs(source, target):
     (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
     search builds neither. The images are in range by
     construction, so the homs skip the checked constructor and share one
-    `_hom_tables` tuple. Each is checked by one call of the literal predicate
-    `hom_predicate` for frameHom, which decides all four of its flags, so
-    the `is_coherent` and `is_proper` reads that follow make no further
-    call. The homs are sorted by their `_table`:
-    image bytes sort as the image tuples do, since every image has one byte
-    per source element.
+    `_hom_tables` tuple. One `_decide_flags` batch decides every candidate,
+    and one `hom_predicate` call per candidate reads its frameHom flag; the
+    `is_coherent` and `is_proper` reads that follow make no call. The homs
+    are sorted by their `_table`: image bytes sort as the image tuples do,
+    since every image has one byte per source element.
     """
     from .duality import priestley_space_of  # duality imports this module
 
@@ -743,15 +742,16 @@ def enumerate_homs(source, target):
             image = tuple([element_of[packed >> s & field] for s in shifts])
             return image, bytes(image).ljust(256, b"\0")
     tables, new = _hom_tables(source, target), object.__new__
-    results = []
+    candidates = []
     for packed, _ in iter_monotone_maps(tgt_space, src_space, _lift(source, w)):
         hom = new(LatticeHom)
         hom.source, hom.target, hom._tables, hom._flags = source, target, tables, None
         hom.image, hom._table = image_of(packed)
-        if hom_predicate(hom, "frameHom"):
-            results.append(hom)
-    results.sort(key=attrgetter("_table"))
-    return results
+        candidates.append(hom)
+    if candidates:
+        _decide_flags(candidates)
+    candidates.sort(key=attrgetter("_table"))
+    return [hom for hom in candidates if hom_predicate(hom, "frameHom")]
 
 
 @cached

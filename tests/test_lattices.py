@@ -551,7 +551,8 @@ def hom_predicates_pairwise(hom):
     src, tgt, h = hom.source, hom.target, hom.image
     lattice_hom = preserves(hom, "join") and preserves(hom, "meet")
     frame_hom = lattice_hom and h[src.bottom] == tgt.bottom and h[src.top] == tgt.top
-    src_wb, tgt_wb = way_below_rows_oracle(src), way_below_rows_oracle(tgt)
+    # read through the module, so a test that patches the oracle patches this too
+    src_wb, tgt_wb = lattices.way_below_rows_oracle(src), lattices.way_below_rows_oracle(tgt)
     return [
         lattice_hom,
         frame_hom,
@@ -574,10 +575,13 @@ def lattice_homs_brute(src, tgt):
     return out
 
 
-def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold():
+def threshold_maps(chain16, chain17):
+    """Fresh maps out of the lattices of posets with at most 3 points, into
+    each other and into the two chains, which straddle the 16-element kernel
+    threshold: lattice homs, perturbed ones and random maps."""
     rng = random.Random(20)
     lats = corpus_lattices(3)
-    chain3, chain16, chain17 = FinDLat.chain(3), FinDLat.chain(16), FinDLat.chain(17)
+    chain3 = FinDLat.chain(3)
     maps = []
     for src in lats:
         for tgt in lats:
@@ -608,6 +612,12 @@ def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold()
                 maps.append(LatticeHom(src, tgt, image))
             for _ in range(5):
                 maps.append(LatticeHom(src, tgt, [rng.randrange(tgt.size) for _ in range(src.size)]))
+    return maps
+
+
+def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold():
+    chain16, chain17 = FinDLat.chain(16), FinDLat.chain(17)
+    maps = threshold_maps(chain16, chain17)
     kinds = ("latticeHom", "frameHom", "coherentHom", "properHom")
     for hom in maps:
         got = [hom_predicate(hom, name) for name in kinds]
@@ -621,6 +631,31 @@ def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold()
     for tgt in (chain16, chain17):
         flags = {tuple(hom_predicates_pairwise(h)[:2]) for h in maps if h.target is tgt}
         assert {(True, True), (True, False), (False, False)} <= flags
+
+
+def test_a_batch_decides_every_hom_as_it_decides_it_alone():
+    # the maps of one (source, target) pair are one batch; a batch with a
+    # failing check is decided again hom by hom, on both sides of the
+    # kernel threshold
+    chain16, chain17 = FinDLat.chain(16), FinDLat.chain(17)
+    batches = {}
+    for hom in threshold_maps(chain16, chain17):
+        batches.setdefault((hom.source, hom.target), []).append(hom)
+    # behind a frame hom of B2, monotone maps that keep the bounds but break
+    # joins or meets: every check but latticeHom passes on the whole batch
+    diamond = b2()
+    for target in (chain16, chain17):
+        top = target.size - 1
+        images = [(0, 0, top, top), (0, top - 1, top - 1, top), (0, 0, 0, top), (0, top, top, top)]
+        batches[diamond, target] = [LatticeHom(diamond, target, image) for image in images]
+    mixed = set()
+    for (source, target), homs in batches.items():
+        lattices._decide_flags(homs)
+        flags = [list(hom._flags) for hom in homs]
+        assert flags == [hom_predicates_pairwise(hom) for hom in homs], (source, target)
+        if any(f != flags[0] for f in flags):
+            mixed.add(target.size)
+    assert {16, 17} <= mixed
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -667,6 +702,37 @@ def test_coherent_hom_fails_when_the_target_loses_a_compact_element(size, monkey
     reference = LatticeHom(source, intact, image)
     assert hom.is_frame_hom and reference.is_frame_hom
     assert reference.is_coherent and not hom.is_coherent
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_a_search_batch_splits_where_the_target_loses_a_compact_element(size, monkeypatch):
+    # the oracle of the test above; of the 3-chain's homs into the target,
+    # exactly those through the lost element are neither coherent nor proper
+    # (lost << lost is gone), so the search's batch is decided hom by hom
+    target = FinDLat.chain(size)
+    oracle = lattices.way_below_rows_oracle
+    lost = size - 2
+
+    def losing(lattice):
+        rows = oracle(lattice)
+        if lattice is target:
+            rows = rows[:lost] + (rows[lost] & ~(1 << lost),) + rows[lost + 1:]
+        return rows
+
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
+    homs = enumerate_homs(FinDLat.chain(3), target)
+    assert [h.image for h in homs] == [(0, e, size - 1) for e in range(size)]
+    assert [h.image for h in homs if not h.is_coherent] == [(0, lost, size - 1)]
+    for h in homs:
+        assert list(h._flags) == hom_predicates_pairwise(h), h.image
+
+
+def test_a_search_without_candidates_decides_nothing(monkeypatch):
+    def undecidable(homs):
+        raise AssertionError("an empty search decided a batch")
+
+    monkeypatch.setattr(lattices, "_decide_flags", undecidable)
+    assert enumerate_homs(FinDLat.chain(1), FinDLat.chain(2)) == []
 
 
 def test_lattice_hom_constructor_refuses_bad_images():
@@ -812,8 +878,9 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
 
 def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     # the 81 homs from the 4-chain into B4 (the monotone maps of the
-    # 4-antichain into the 3-chain) are decided by the byte-code kernels and
-    # share one table tuple: neither table is read again per hom
+    # 4-antichain into the 3-chain) are decided by the byte-code kernels in
+    # one _decide_flags batch and share one table tuple: neither table is
+    # read again per hom
     reads = Counter()
     for name in ("_pair_table", "_byte_tables"):
         original = getattr(lattices, name)
@@ -826,11 +893,21 @@ def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     source = birkhoff_lattice(Poset.chain(3))
     target = birkhoff_lattice(Poset.antichain(4))
     assert target.size == 16
+    batches = []
+    decide = lattices._decide_flags
+
+    def counting(homs):
+        batches.append(len(homs))
+        decide(homs)
+
+    monkeypatch.setattr(lattices, "_decide_flags", counting)
     homs = enumerate_homs(source, target)
     assert len(homs) == 81
     assert all(h.is_coherent and h.is_proper for h in homs)
     assert reads == {"_pair_table": 1, "_byte_tables": 1}
     assert len({id(h._tables) for h in homs}) == 1
+    # one batch decides every hom's flags, and nothing decides them again
+    assert batches == [81]
 
 
 def test_enumerate_homs_capacity(monkeypatch):

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 60 mutants. 58 are expected to be killed, and two,
+The list holds 62 mutants. 60 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -70,10 +70,10 @@ MUTANTS = (
         "properHom-true",
         "src/framelab/lattices.py",
         "        if small:\n"
-        "            proper = 0 not in _pair_codes(wb_a, wb_b, t).translate(tgt_wb)\n"
+        "            proper = 0 not in _pair_codes(wb_a, wb_b, tables).translate(tgt_wb)\n"
         "        else:\n"
-        "            for a, b in zip(wb_a, wb_b):\n"
-        "                if not (tgt_wb[img[a]] >> img[b]) & 1:\n"
+        "            for t, (a, b) in product(tables, zip(wb_a, wb_b)):\n"
+        "                if not (tgt_wb[t[a]] >> t[b]) & 1:\n"
         "                    proper = False\n"
         "                    break\n",
         "",
@@ -82,8 +82,8 @@ MUTANTS = (
     Mutant(
         "pair-codes-without-x16",
         "src/framelab/lattices.py",
-        'int.from_bytes(a_col.translate(t), "big") << 4',
-        'int.from_bytes(a_col.translate(t), "big")',
+        'int.from_bytes(_gather(a_col, tables), "big") << 4',
+        'int.from_bytes(_gather(a_col, tables), "big")',
         "killed",
     ),
     Mutant(
@@ -96,7 +96,7 @@ MUTANTS = (
     Mutant(
         "lattice-hom-skips-meets",
         "src/framelab/lattices.py",
-        "\n            and codes.translate(tgt_meet) == meet_col.translate(t)",
+        "\n            and codes.translate(tgt_meet) == _gather(meet_col, tables)",
         "",
         "killed",
     ),
@@ -133,8 +133,8 @@ MUTANTS = (
     Mutant(
         "frame-hom-ignores-the-pair-scan",
         "src/framelab/lattices.py",
-        "frame_hom = lattice_hom and img[src_bottom]",
-        "frame_hom = img[src_bottom]",
+        "frame_hom = lattice_hom and _gather(src_bounds",
+        "frame_hom = _gather(src_bounds",
         "killed",
     ),
     Mutant(
@@ -142,10 +142,27 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "    coherent = proper = frame_hom\n"
         "    if frame_hom:\n"
-        "        coherent = not src_compact.translate(t).translate(None, tgt_compact)\n",
+        "        coherent = not _gather(src_compact, tables).translate(None, tgt_compact)\n",
         "    proper = frame_hom\n"
-        "    coherent = not src_compact.translate(t).translate(None, tgt_compact)\n"
+        "    coherent = not _gather(src_compact, tables).translate(None, tgt_compact)\n"
         "    if frame_hom:\n",
+        "killed",
+    ),
+    Mutant(
+        "decide-flags-skips-the-split",
+        "src/framelab/lattices.py",
+        "    if len(homs) > 1 and not (coherent and proper):\n"
+        "        for hom in homs:\n"
+        "            _decide_flags((hom,))\n"
+        "        return\n",
+        "",
+        "killed",
+    ),
+    Mutant(
+        "large-target-batch-checks-only-the-first-hom",
+        "src/framelab/lattices.py",
+        "product(tables, zip(a_col, b_col, join_col, meet_col))",
+        "product(tables[:1], zip(a_col, b_col, join_col, meet_col))",
         "killed",
     ),
     Mutant(
