@@ -5,7 +5,7 @@ the assignment phi(a) = {points containing a}; a space goes to its lattice of
 clopen upsets. A finite space is the `Poset` of its points, and a frame hom
 dualizes to a `MonotoneMap`. The dual space is built by the fast path
 through join irreducibles and checked, on every lattice, against the prime
-filters that `lattices.prime_filters` finds by filter closure without
+filters that `lattices.prime_filters` reads off the ideals without
 consulting join irreducibles. Round trips, hom dualization with its functor laws, and one
 named validator per characterization statement live here.
 
@@ -101,24 +101,22 @@ def priestley_space_of(lattice):
 
     Fast path: the points are `join_irreducible_poset(lattice)`, each
     carrying its principal filter, so p <= q iff that filter of p lies inside
-    that of q, and φ(a) = {p : j_p <= a}. On every lattice the prime filters
-    of `lattices.prime_filters`, which never consults join irreducibles,
-    must produce the same space up to the unique filter-preserving
-    bijection, φ included. The filter sets differ exactly when some
-    join-irreducible is not join-prime, that is when L is not distributive,
-    which raises DistributivityError with its witness triple; any other
-    mismatch raises ConsistencyError.
+    that of q, and φ(a) = {p : j_p <= a}, set one bit of a filter at a time.
+    On every lattice the prime filters of `lattices.prime_filters`, read off
+    the ideals without consulting join irreducibles, must produce the same
+    space up to the unique filter-preserving bijection, φ included. The
+    filter sets differ exactly when some join-irreducible is not join-prime,
+    that is when L is not distributive, which raises DistributivityError
+    with its witness triple; any other mismatch raises ConsistencyError.
     """
     points = join_irreducible_poset(lattice)
-    filters = [lattice.up[j] for j in join_irreducibles(lattice)]
-    phi = []
-    for a in range(lattice.size):
-        mask = 0
-        for p, f in enumerate(filters):
-            if (f >> a) & 1:
-                mask |= 1 << p
-        phi.append(mask)
-    record = StoneMapRecord(lattice, points, tuple(phi), tuple(filters))
+    filters = tuple(lattice.up[j] for j in join_irreducibles(lattice))
+    phi = [0] * lattice.size
+    for p, f in enumerate(filters):
+        bit = 1 << p
+        for a in bits(f):
+            phi[a] |= bit
+    record = StoneMapRecord(lattice, points, tuple(phi), filters)
     _check_against_oracle(record, prime_filters(lattice))
     return record
 
@@ -131,21 +129,22 @@ def _check_against_oracle(record, oracle_filters):
             "join-irreducible principal filters differ from the enumerated prime filters"
         )
     # the matching bijection is by literal filter equality; check it carries
-    # the order and the Stone map (inclusion order on both sides)
+    # the order (inclusion on both sides) row by row, and the Stone map
     index = {f: p for p, f in enumerate(record.point_filters)}
+    up = record.space.up
+    oracle_phi = [0] * lattice.size
     for fa in oracle_filters:
+        row = 0
         for fb in oracle_filters:
-            lhs = fa & ~fb == 0
-            rhs = record.space.leq(index[fa], index[fb])
-            if lhs != rhs:
-                raise ConsistencyError("oracle and fast-path point orders disagree")
-    for a in range(lattice.size):
-        oracle_mask = 0
-        for f in oracle_filters:
-            if (f >> a) & 1:
-                oracle_mask |= 1 << index[f]
-        if oracle_mask != record.phi[a]:
-            raise ConsistencyError("oracle and fast-path Stone maps disagree")
+            if not fa & ~fb:
+                row |= 1 << index[fb]
+        point = index[fa]
+        if row != up[point]:
+            raise ConsistencyError("oracle and fast-path point orders disagree")
+        for a in bits(fa):
+            oracle_phi[a] |= 1 << point
+    if tuple(oracle_phi) != record.phi:
+        raise ConsistencyError("oracle and fast-path Stone maps disagree")
 
 
 # -- the other direction ----------------------------------------------------------

@@ -310,27 +310,38 @@ def _closure_family(lattice, seed, table, rows):
     one J contains some x outside the current I, and the ideal generated by
     I and x lies inside J. Only the members in no other member's row
     (maximal in an ideal, minimal in a filter) need the OR: every member
-    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g. From the
-    bottom seed on a finite lattice, the first step already reaches every
-    ideal, since each one is principal: x gives ↓x.
+    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g. A member
+    reached as ``rows[v]`` carries its one extreme v, and a member with one
+    extreme f steps to ``rows[v]`` for v in ``table[f]``, as the table is
+    symmetric; any other member, the seed say, finds its extremes by the
+    covered loop. From the bottom seed every ideal is reached at once, since
+    each one is principal.
     """
     seen = {seed}
-    frontier = [seed]
+    frontier = [(seed, None)]
     full = lattice.full_mask
     while frontier:
-        current = frontier.pop()
-        covered = 0
-        for m in bits(current):
-            covered |= rows[m] & ~(1 << m)
-        extreme = bits(current & ~covered)
-        for x in bits(full & ~current):
-            row = table[x]
-            grown = 0
-            for f in extreme:
-                grown |= rows[row[f]]
+        current, f = frontier.pop()
+        if f is None:
+            covered = 0
+            for m in bits(current):
+                covered |= rows[m] & ~(1 << m)
+            extreme = bits(current & ~covered)
+            f = extreme[0] if len(extreme) == 1 else None
+        if f is not None:
+            reached = [(rows[v], v) for v in set(table[f])]
+        else:
+            reached = []
+            for x in bits(full & ~current):
+                row = table[x]
+                grown = 0
+                for e in extreme:
+                    grown |= rows[row[e]]
+                reached.append((grown, None))
+        for grown, v in reached:
             if grown not in seen:
                 seen.add(grown)
-                frontier.append(grown)
+                frontier.append((grown, v))
     return sorted(seen)
 
 
@@ -342,23 +353,20 @@ def all_ideals(lattice):
     ))
 
 
-def all_filters(lattice):
-    """All filters: nonempty upsets closed under binary meets, as masks."""
-    return _closure_family(lattice, lattice.up[lattice.top], lattice.meet, lattice.up)
-
-
 @cached
 def prime_filters(lattice):
-    """Proper filters whose complement is closed under the existing joins.
+    """Proper filters whose complement is an ideal, read off the ideals.
 
-    The complement of a proper filter is a nonempty downset, so it is closed
-    under binary joins iff it is an ideal. On a finite lattice closure under
-    binary joins is closure under all joins, so these are exactly the
-    completely prime filters. The search never consults join irreducibles,
-    so the dual space's fast path can be checked against it.
+    The complement F = L∖I of an ideal I is a proper nonempty upset. On a
+    finite lattice it is a filter iff it holds its meet, that is iff it is
+    a principal ``up[a]``, and then it is completely prime. The search never
+    consults join irreducibles, so the dual space's fast path can be
+    checked against it.
     """
-    full, ideals = lattice.full_mask, set(all_ideals(lattice))
-    return tuple(f for f in all_filters(lattice) if f != full and full & ~f in ideals)
+    full, principal = lattice.full_mask, set(lattice.up)
+    return tuple(sorted(
+        f for f in (full & ~ideal for ideal in all_ideals(lattice)) if f in principal
+    ))
 
 
 # -- way below ------------------------------------------------------------------

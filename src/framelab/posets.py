@@ -338,8 +338,13 @@ class Poset:
         return (self.size, self._canonicalize())
 
     def canonical(self):
-        """Canonically relabeled copy."""
-        return Poset(self._canonicalize(), _trusted=True)
+        """Canonically relabeled copy. The canonical form is a fixed point of
+        the search, so the copy keeps its rows as its own `_canonicalize` and
+        is never searched; a poset read from a document seeds nothing."""
+        rows = self._canonicalize()
+        copy = Poset(rows, _trusted=True)
+        copy._memo[Poset._canonicalize] = rows
+        return copy
 
     # -- serialization ----------------------------------------------------
 

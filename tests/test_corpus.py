@@ -1,5 +1,6 @@
 """Corpus JSON: the round trip and its tamper checks."""
 
+import hashlib
 import json
 
 import pytest
@@ -30,6 +31,21 @@ def test_json_round_trip_keeps_ids_and_manifest():
 def test_tampered_entry_id_is_rejected():
     doc = json.loads(corpus_to_json(_CORPUS))
     doc["entries"][1]["id"] = "0" * 12
+    with pytest.raises(ValueError, match="fails its content hash"):
+        corpus_from_json(json.dumps(doc))
+
+
+def test_relabelled_entry_with_the_hash_of_its_own_doc_is_rejected():
+    # reload searches each poset's canonical form; a relabelled poset whose
+    # id hashes its document as written must not pass as canonical
+    doc = json.loads(corpus_to_json(_CORPUS))
+    item = doc["entries"][-1]
+    size = item["poset"]["size"]
+    flipped = [[size - 1 - a, size - 1 - b] for a, b in item["poset"]["covers"]]
+    relabelled = Poset.from_covers(flipped, size).to_doc()
+    assert relabelled != item["poset"]
+    payload = json.dumps(relabelled, sort_keys=True, separators=(",", ":")).encode()
+    item["poset"], item["id"] = relabelled, hashlib.sha256(payload).hexdigest()[:12]
     with pytest.raises(ValueError, match="fails its content hash"):
         corpus_from_json(json.dumps(doc))
 

@@ -21,7 +21,7 @@ from framelab import duality, lattices, spaces
 from framelab.corpus import gen_corpus
 from framelab.duality import priestley_space_of
 from framelab.lattices import (
-    all_filters,
+    _closure_family,
     all_ideals,
     birkhoff_lattice,
     pseudocomplement,
@@ -209,14 +209,16 @@ def test_point_space_kernels_match_references_on_the_corpus():
 def test_ideals_and_filters_match_the_full_closure_off_the_corpus(make):
     lat = make()
     assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-    assert all_filters(lat) == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up)
+    assert (_closure_family(lat, lat.up[lat.top], lat.meet, lat.up)
+            == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 
 def test_ideals_and_filters_match_the_full_closure_on_the_corpus():
     for entry in _ENTRIES:
         lat = entry.lattice
         assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-        assert all_filters(lat) == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up)
+        assert (_closure_family(lat, lat.up[lat.top], lat.meet, lat.up)
+                == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 
 # -- failing inputs -----------------------------------------------------------------

@@ -367,6 +367,15 @@ def test_canonical_key_matches_the_reference_search():
         assert p._canonicalize() == _reference_key(p), p
 
 
+def test_a_canonical_copy_seeds_what_a_fresh_search_finds():
+    # canonical() stores the rows it found as the copy's own canonical form,
+    # so the copy is never searched again; that holds only because the
+    # canonical form is a fixed point of the search
+    for n in range(7):
+        for c in enumerate_posets(n):
+            assert Poset(c.up, _trusted=True)._canonicalize() == c._memo[Poset._canonicalize]
+
+
 # -- monotone maps ------------------------------------------------------------
 
 

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 62 mutants. 60 are expected to be killed, and two,
+The list holds 65 mutants. 63 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -465,8 +465,29 @@ MUTANTS = (
     Mutant(
         "dual-space-stone-map-drops-point-0",
         "src/framelab/duality.py",
-        "        phi.append(mask)\n",
-        "        phi.append(mask & ~1)\n",
+        "            phi[a] |= bit\n",
+        "            phi[a] |= bit & ~1\n",
+        "killed",
+    ),
+    Mutant(
+        "canonical-copy-seeds-the-input-rows",
+        "src/framelab/posets.py",
+        "copy._memo[Poset._canonicalize] = rows",
+        "copy._memo[Poset._canonicalize] = self.up",
+        "killed",
+    ),
+    Mutant(
+        "prime-filters-skip-the-filter-test",
+        "src/framelab/lattices.py",
+        "if f in principal",
+        "if f",
+        "killed",
+    ),
+    Mutant(
+        "closure-shortcut-drops-a-column",
+        "src/framelab/lattices.py",
+        "for v in set(table[f])]",
+        "for v in set(table[f][1:])]",
         "killed",
     ),
     Mutant(
