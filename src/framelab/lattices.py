@@ -299,58 +299,34 @@ def join_irreducible_poset(lattice):
 # -- ideals, filters, prime filters --------------------------------------------
 
 
-def _closure_family(lattice, seed, table, rows):
-    """Every ideal (or filter) reachable from `seed` by adding one element.
+def _closure_family(seed, table, rows):
+    """Every ideal (or filter) reachable from the principal one of `seed`.
 
-    The filter generated by a filter F and an element x is
-    ↑{f ∧ x : f ∈ F}, and dually the ideal generated by an ideal I and x is
-    ↓{i ∨ x : i ∈ I}. So one step ORs the `rows` (`up` for filters, `down`
-    for ideals) of the `table` row of x (`meet` or `join`) over the members.
-    Every ideal (filter) containing the seed is reached: a strictly larger
-    one J contains some x outside the current I, and the ideal generated by
-    I and x lies inside J. Only the members in no other member's row
-    (maximal in an ideal, minimal in a filter) need the OR: every member
-    lies below (above) one of them, and x ∨ f ≤ x ∨ g when f ≤ g. A member
-    reached as ``rows[v]`` carries its one extreme v, and a member with one
-    extreme f steps to ``rows[v]`` for v in ``table[f]``, as the table is
-    symmetric; any other member, the seed say, finds its extremes by the
-    covered loop. From the bottom seed every ideal is reached at once, since
-    each one is principal.
+    The ideal generated by an ideal I and an element x is ↓{i ∨ x : i ∈ I},
+    and dually the filter generated by a filter F and x is ↑{f ∧ x : f ∈ F}.
+    For a principal member ``rows[f]`` (`down` for ideals, `up` for filters)
+    that is ``rows[v]`` with v the entry of x in the `table` row of f
+    (`join` or `meet`; the table is symmetric), so every member reached is
+    principal and is kept as its element. Every ideal (filter) containing
+    the seed's is reached: a strictly larger one J contains some x outside
+    the current I, and the ideal generated by I and x lies inside J. From
+    the bottom every ideal is reached in the first step, as ↓x.
     """
     seen = {seed}
-    frontier = [(seed, None)]
-    full = lattice.full_mask
+    frontier = [seed]
     while frontier:
-        current, f = frontier.pop()
-        if f is None:
-            covered = 0
-            for m in bits(current):
-                covered |= rows[m] & ~(1 << m)
-            extreme = bits(current & ~covered)
-            f = extreme[0] if len(extreme) == 1 else None
-        if f is not None:
-            reached = [(rows[v], v) for v in set(table[f])]
-        else:
-            reached = []
-            for x in bits(full & ~current):
-                row = table[x]
-                grown = 0
-                for e in extreme:
-                    grown |= rows[row[e]]
-                reached.append((grown, None))
-        for grown, v in reached:
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append((grown, v))
-    return sorted(seen)
+        f = frontier.pop()
+        for v in set(table[f]):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return sorted(rows[v] for v in seen)
 
 
 @cached
 def all_ideals(lattice):
     """All ideals: nonempty downsets closed under binary joins, as masks."""
-    return tuple(_closure_family(
-        lattice, lattice.down[lattice.bottom], lattice.join, lattice.down
-    ))
+    return tuple(_closure_family(lattice.bottom, lattice.join, lattice.down))
 
 
 @cached

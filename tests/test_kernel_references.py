@@ -209,7 +209,7 @@ def test_point_space_kernels_match_references_on_the_corpus():
 def test_ideals_and_filters_match_the_full_closure_off_the_corpus(make):
     lat = make()
     assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-    assert (_closure_family(lat, lat.up[lat.top], lat.meet, lat.up)
+    assert (_closure_family(lat.top, lat.meet, lat.up)
             == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 
@@ -217,7 +217,7 @@ def test_ideals_and_filters_match_the_full_closure_on_the_corpus():
     for entry in _ENTRIES:
         lat = entry.lattice
         assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-        assert (_closure_family(lat, lat.up[lat.top], lat.meet, lat.up)
+        assert (_closure_family(lat.top, lat.meet, lat.up)
                 == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 

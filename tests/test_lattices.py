@@ -342,29 +342,27 @@ def _closure_case_id(lat):
 @pytest.mark.parametrize("lat", corpus_lattices(4), ids=_closure_case_id)
 def test_ideal_and_filter_enumeration_matches_bruteforce(lat):
     assert all_ideals(lat) == tuple(ideals_brute(lat))
-    assert _closure_family(lat, lat.up[lat.top], lat.meet, lat.up) == filters_brute(lat)
+    assert _closure_family(lat.top, lat.meet, lat.up) == filters_brute(lat)
 
 
 def test_bruteforce_check_catches_an_ideal_step_over_up_rows():
-    # mutant: the ideal step ORs `up` rows where it should OR `down` rows
+    # mutant: the ideal step reads `up` rows where it should read `down` rows
     assert any(
-        _closure_family(lat, lat.down[lat.bottom], lat.join, lat.up)
+        _closure_family(lat.bottom, lat.join, lat.up)
         != ideals_brute(lat)
         for lat in corpus_lattices(4)
     )
 
 
 def test_closure_family_from_a_non_bottom_seed():
-    # from the bottom seed the first step reaches every (principal) ideal, so
-    # only a larger seed exercises how a step ORs its rows: from the seed ↓a
-    # the family is exactly the ideals ↓b with b >= a, and, dually, from ↑a
-    # the filters ↑b with b <= a
+    # from the seed a the family is exactly the ideals ↓b with b >= a, and,
+    # dually, the filters ↑b with b <= a
     lat = birkhoff_lattice(Poset.antichain(3))
     for a in range(lat.size):
         above = sorted(lat.down[b] for b in range(lat.size) if lat.leq(a, b))
-        assert _closure_family(lat, lat.down[a], lat.join, lat.down) == above
+        assert _closure_family(a, lat.join, lat.down) == above
         below = sorted(lat.up[b] for b in range(lat.size) if lat.leq(b, a))
-        assert _closure_family(lat, lat.up[a], lat.meet, lat.up) == below
+        assert _closure_family(a, lat.meet, lat.up) == below
 
 
 def test_ideals_of_b2():
