@@ -249,18 +249,74 @@ def birkhoff_lattice(points):
     i is the i-th mask of `upset_masks(points)`. The upset family is bounded
     by `config.MAX_UPSET_FAMILY`, and more than 256 upsets raise
     CapacityError before the join/meet tables are allocated.
+
+    The tables are composed row by row. Only the join and up rows of each
+    principal upset ↑q and the meet row of each co-principal one X∖↓q are
+    filled pair by pair: one of each per point, at most 16. Let m be the
+    first point of a nonempty upset U in a linear extension of P (bottom
+    first). Nothing below m is in U, so m is minimal in U, U∖{m} is an
+    upset, and
+
+        U = (U∖{m}) ∪ ↑m, so U ∪ W = (U∖{m}) ∪ (↑m ∪ W) for every W:
+
+    the join row of U is the row of ↑m read through the row of U∖{m}, one
+    `bytes.translate`, and the up row of U is that of U∖{m} cut to the
+    upsets holding m. Dually, let m' be the last point outside an upset
+    U ≠ X in that extension. Everything above m' is in U, so U ∪ {m'} is an
+    upset, no point below m' is in U, and
+
+        U = (U ∪ {m'}) ∩ (X∖↓m'), so U ∩ W = (U ∪ {m'}) ∩ ((X∖↓m') ∩ W):
+
+    the meet row of U is the row of X∖↓m' read through the row of
+    U ∪ {m'}, and the down row of U is that of U ∪ {m'} cut to the upsets
+    without m'. U∖{m} comes before U in the canonical order (it has fewer
+    points), and U ∪ {m'} after it, so the join rows are built upwards
+    from the empty upset and the meet rows downwards from X. The carrier
+    keeps the `down` rows built here.
     """
     masks = upset_masks(points)
     n = _require_row_width(len(masks))
     index = {m: i for i, m in enumerate(masks)}
-    up = [0] * n
-    for i, mi in enumerate(masks):
-        for j, mj in enumerate(masks):
-            if mi & ~mj == 0:
-                up[i] |= 1 << j
-    join = [[index[mi | mj] for mj in masks] for mi in masks]
-    meet = [[index[mi & mj] for mj in masks] for mi in masks]
-    return FinDLat(up, join, meet, index[0], index[points.full_mask])
+    full = (1 << n) - 1
+    # a point strictly below p has a strictly smaller down-set
+    lin = sorted(range(points.size), key=lambda p: points.down[p].bit_count())
+    top_first = lin[::-1]
+    # the join row of ↑q, the meet row of X∖↓q, and the upsets holding q
+    # (the up row of ↑q; the upsets without q are the down row of X∖↓q)
+    cover, hull, contains = [], [], []
+    for q in range(points.size):
+        above, outside = points.up[q], points.full_mask & ~points.down[q]
+        cover.append(bytes([index[above | w] for w in masks]))
+        hull.append(bytes([index[outside & w] for w in masks]))
+        contains.append(sum(1 << j for j, w in enumerate(masks) if w >> q & 1))
+    ident = bytes(range(n))
+    # each row is kept padded to the 256 bytes a translate table needs
+    tables = [ident.ljust(256, b"\0")] * n
+    join, up = [ident] * n, [full] * n
+    for i in range(1, n):
+        u = masks[i]
+        for m in lin:
+            if u >> m & 1:
+                break
+        rest = index[u ^ (1 << m)]
+        join[i] = row = cover[m].translate(tables[rest])
+        tables[i] = row.ljust(256, b"\0")
+        up[i] = up[rest] & contains[m]
+    tables = [tables[0]] * n
+    meet, down = [ident] * n, [full] * n
+    for i in range(n - 2, -1, -1):
+        u = masks[i]
+        for m in top_first:
+            if not u >> m & 1:
+                break
+        rest = index[u | (1 << m)]
+        meet[i] = row = hull[m].translate(tables[rest])
+        tables[i] = row.ljust(256, b"\0")
+        down[i] = down[rest] & ~contains[m]
+    lattice = object.__new__(FinDLat)
+    lattice._fill(Poset(up, _trusted=True, _down=tuple(down)), join, meet,
+                  index[0], index[points.full_mask])
+    return lattice
 
 
 @cached
@@ -310,11 +366,14 @@ def _closure_family(seed, table, rows):
     principal and is kept as its element. Every ideal (filter) containing
     the seed's is reached: a strictly larger one J contains some x outside
     the current I, and the ideal generated by I and x lies inside J. From
-    the bottom every ideal is reached in the first step, as ↓x.
+    the bottom every ideal is reached in the first step, as ↓x, so the
+    search stops as soon as every element has been reached: no step can
+    add to a family that holds them all, from any seed.
     """
     seen = {seed}
     frontier = [seed]
-    while frontier:
+    size = len(table)
+    while frontier and len(seen) < size:
         f = frontier.pop()
         for v in set(table[f]):
             if v not in seen:

@@ -119,19 +119,23 @@ class Poset:
 
     __slots__ = ("size", "up", "down", "_memo")
 
-    def __init__(self, up, _trusted=False):
+    def __init__(self, up, _trusted=False, _down=None):
         up = tuple(up)
         n = len(up)
         self.size = n
         self.up = up
         if not _trusted:
             self._validate()
-        down = [0] * n
-        for i in range(n):
-            m = up[i]
-            for j in bits(m):
-                down[j] |= 1 << i
-        self.down = tuple(down)
+        # a trusted caller that already holds the transposed rows passes them
+        # as the tuple `_down`, and they are kept as given
+        if _down is None:
+            down = [0] * n
+            for i in range(n):
+                m = up[i]
+                for j in bits(m):
+                    down[j] |= 1 << i
+            _down = tuple(down)
+        self.down = _down
         self._memo = {}
 
     def _validate(self):

@@ -1,6 +1,7 @@
 """Frame and point-space kernels against the literal loops they replaced.
 
-Each reference below is the plain loop the kernel stands for: arithmetic
+Each reference below is the plain loop the kernel stands for: the Birkhoff
+tables compare, join and meet every pair of upsets; arithmetic
 scans every triple a, b, c with b, c ∈ ↟a; the closure step ORs the rows
 over every member; spatial keys each element by a tuple; the
 pseudocomplement joins its row afresh; compactlyBased and hausdorff
@@ -16,7 +17,7 @@ import random
 
 import pytest
 
-from framelab import ConsistencyError, Poset
+from framelab import ConsistencyError, Poset, enumerate_posets
 from framelab import duality, lattices, spaces
 from framelab.corpus import gen_corpus
 from framelab.duality import priestley_space_of
@@ -26,7 +27,7 @@ from framelab.lattices import (
     birkhoff_lattice,
     pseudocomplement,
 )
-from framelab.posets import bits
+from framelab.posets import bits, upset_masks
 from framelab.spaces import (
     PointSpace,
     _core_mask,
@@ -45,6 +46,17 @@ _ENTRIES = gen_corpus(5).entries
 
 
 # -- references --------------------------------------------------------------
+
+
+def _ref_birkhoff(points):
+    """The tables of the upset lattice, one pair of upsets at a time."""
+    masks = upset_masks(points)
+    index = {m: i for i, m in enumerate(masks)}
+    up = tuple(sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks)
+    down = tuple(sum(1 << j for j, b in enumerate(masks) if not b & ~a) for a in masks)
+    join = tuple(bytes(index[a | b] for b in masks) for a in masks)
+    meet = tuple(bytes(index[a & b] for b in masks) for a in masks)
+    return up, down, join, meet, index[0], index[points.full_mask]
 
 
 def _ref_arithmetic(lattice):
@@ -186,6 +198,37 @@ def _point_kernel(point_space, name):
 
 
 # -- the corpus ----------------------------------------------------------------
+
+
+def _shuffled_posets(seed, count):
+    """Random posets of 9-16 points with at most 256 upsets (the widest
+    lattice a bytes row holds), their labels shuffled, so a point is not
+    always numbered below the points above it."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 9 + len(out) % 8
+        density = rng.choice((0.15, 0.3, 0.5))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = Poset.from_covers([(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                               if rng.random() < density], n)
+        if len(upset_masks(p)) <= 256:
+            out.append(p)
+    return out
+
+
+def test_birkhoff_tables_match_the_pairwise_definitions():
+    # every n <= 6 corpus poset is labelled along its order, so the shuffled
+    # ones, and the two points of 1 < 0, are what tell a minimal point of an
+    # upset from its lowest-numbered one
+    posets = [p for n in range(7) for p in enumerate_posets(n)]
+    shuffled = [Poset.from_covers([(1, 0)], 2)] + _shuffled_posets(27, 48)
+    assert any(p.up[i] & ((1 << i) - 1) for p in shuffled for i in range(p.size))
+    for p in posets + [Poset.antichain(8)] + shuffled:
+        lat = birkhoff_lattice(p)
+        tables = (lat.up, lat.down, lat.join, lat.meet, lat.bottom, lat.top)
+        assert tables == _ref_birkhoff(p), p.up
 
 
 def test_lattice_kernels_match_references_on_the_corpus():

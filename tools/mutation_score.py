@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 63 mutants. 61 are expected to be killed, and two,
+The list holds 66 mutants. 64 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -474,6 +474,29 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "for v in set(table[f]):",
         "for v in set(table[f][1:]):",
+        "killed",
+    ),
+    Mutant(
+        "birkhoff-join-takes-the-lowest-set-bit",
+        "src/framelab/lattices.py",
+        "        for m in lin:\n"
+        "            if u >> m & 1:\n"
+        "                break\n",
+        "        m = (u & -u).bit_length() - 1\n",
+        "killed",
+    ),
+    Mutant(
+        "birkhoff-meet-takes-a-minimal-point-outside",
+        "src/framelab/lattices.py",
+        "        for m in top_first:\n",
+        "        for m in lin:\n",
+        "killed",
+    ),
+    Mutant(
+        "birkhoff-down-rows-keep-the-point",
+        "src/framelab/lattices.py",
+        "down[i] = down[rest] & ~contains[m]",
+        "down[i] = down[rest]",
         "killed",
     ),
     Mutant(
