@@ -231,29 +231,42 @@ class Poset:
         return out
 
     @cached
+    def _cover_rows(self):
+        """Per point, the mask of its upper covers and the mask of its lower
+        covers: one `_cover_masks` pass over the strict up rows, transposed.
+        `covers`, `lower_covers`, `heights`, the canonical search and
+        `_search_plan` all read this pair."""
+        upper = _cover_masks([m ^ (1 << i) for i, m in enumerate(self.up)])
+        lower = [0] * self.size
+        for i, m in enumerate(upper):
+            for j in bits(m):
+                lower[j] |= 1 << i
+        return tuple(upper), tuple(lower)
+
+    @cached
     def covers(self):
         """Cover pairs (i, j) meaning j covers i, sorted lexicographically."""
-        strict_up = [m ^ (1 << i) for i, m in enumerate(self.up)]
-        return tuple(
-            (i, j) for i, m in enumerate(_cover_masks(strict_up)) for j in bits(m)
-        )
+        upper = self._cover_rows()[0]
+        return tuple((i, j) for i, m in enumerate(upper) for j in bits(m))
 
     def lower_covers(self, j):
-        return [i for i, jj in self.covers() if jj == j]
+        return list(bits(self._cover_rows()[1][j]))
 
     @cached
     def heights(self):
         """Length of the longest strictly increasing chain below each point.
 
-        Peels off the minimal points of what is left: layer k has height k.
+        A minimal point has height 0, any other 1 + the greatest height of
+        its lower covers. Points are taken by down-set size, a linear
+        extension: a lower cover's down-set is strictly smaller, so its
+        height is known first.
         """
+        lower = self._cover_rows()[1]
+        sizes = [m.bit_count() for m in self.down]
         h = [0] * self.size
-        rest = self.full_mask
-        for height in range(self.size):
-            layer = [i for i in bits(rest) if self.down[i] & rest == 1 << i]
-            for i in layer:
-                h[i] = height
-                rest ^= 1 << i
+        for i in sorted(range(self.size), key=sizes.__getitem__):
+            if lower[i]:
+                h[i] = 1 + max([h[j] for j in bits(lower[i])])
         return tuple(h)
 
     # -- canonical form -------------------------------------------------
@@ -262,33 +275,34 @@ class Poset:
         """Iteratively refined structural colors; returns vertex lists per color.
 
         A point starts from (strict down count, strict up count, height) and
-        is refined by the sorted colors of its lower and of its upper covers.
-        The cover masks are computed here, once per poset, with bit
-        operations.
+        is refined by the sorted colors of its lower and of its upper covers,
+        read from `_cover_rows`, until a round splits no class. A signature
+        leads with the point's color, so a round that splits no class keeps
+        every color as it was, and a round after every point has a color of
+        its own can split nothing: a discrete coloring, the starting one
+        included, ends the refinement without that round.
         """
         n = self.size
-        strict_up = [m ^ (1 << i) for i, m in enumerate(self.up)]
-        strict_down = [m ^ (1 << i) for i, m in enumerate(self.down)]
-        lower = [bits(m) for m in _cover_masks(strict_down)]
-        upper = [bits(m) for m in _cover_masks(strict_up)]
+        up, down = self.up, self.down
         heights = self.heights()
-        colors = _index_signatures([
-            (popcount(strict_down[i]), popcount(strict_up[i]), heights[i])
-            for i in range(n)
+        # the counts include the point itself, which shifts every one alike
+        colors, count = _index_signatures([
+            (down[i].bit_count(), up[i].bit_count(), heights[i]) for i in range(n)
         ])
-        while True:
-            sig = [
+        if count < n:
+            upper, lower = ([bits(m) for m in rows] for rows in self._cover_rows())
+        while count < n:
+            colors, split = _index_signatures([
                 (
                     colors[i],
                     tuple(sorted([colors[j] for j in lower[i]])),
                     tuple(sorted([colors[j] for j in upper[i]])),
                 )
                 for i in range(n)
-            ]
-            refined = _index_signatures(sig)
-            if refined == colors:
+            ])
+            if split == count:
                 break
-            colors = refined
+            count = split
         classes = {}
         for i, c in enumerate(colors):
             classes.setdefault(c, []).append(i)
@@ -306,6 +320,11 @@ class Poset:
         in increasing order, in place of every permutation of its points. A
         search over more orderings than `config.MAX_SEARCH_SPACE` raises
         CapacityError before it starts.
+
+        When every class of two or more points is a single twin group, there
+        is one arrangement, each class in increasing order, and its key is
+        computed directly. That is exact: the search would try that ordering
+        alone, so its key is the least.
         """
         n = self.size
         up, down = self.up, self.down
@@ -327,16 +346,19 @@ class Poset:
             raise CapacityError("canonical form search exceeds the configured bound")
         rows = [bits(m) for m in up]
         pos = [0] * n
-        best_key = None
-        for parts in itertools.product(*map(_arrangements, classes)):
-            order = [v for part in parts for v in part]
+
+        def key_of(order):
             for k, old in enumerate(order):
                 pos[old] = 1 << k
             # a row's bits are distinct powers of two, so their sum is their union
-            key = tuple([sum(map(pos.__getitem__, rows[old])) for old in order])
-            if best_key is None or key < best_key:
-                best_key = key
-        return best_key
+            return tuple([sum(map(pos.__getitem__, rows[old])) for old in order])
+
+        if space == 1:
+            return key_of([v for groups in classes for v in groups[0]])
+        return min(
+            key_of([v for part in parts for v in part])
+            for parts in itertools.product(*map(_arrangements, classes))
+        )
 
     def canonical_key(self):
         return (self.size, self._canonicalize())
@@ -389,14 +411,16 @@ def _check_size(n):
 
 
 def _index_signatures(sig):
+    """Each signature's rank among the distinct ones, and their number."""
     ordered = sorted(set(sig))
     index = {s: k for k, s in enumerate(ordered)}
-    return [index[s] for s in sig]
+    return [index[s] for s in sig], len(ordered)
 
 
 def _cover_masks(strict):
-    """Per point, its strict row without what the row's points reach: the
-    covers, given the strict up rows (upper covers) or down rows (lower)."""
+    """Per point, its strict up row without what the row's points reach: the
+    upper covers. `Poset._cover_rows` makes this one pass per poset and reads
+    the lower covers off it by transposing."""
     out = []
     for row in strict:
         reach = 0
@@ -621,8 +645,9 @@ def _search_plan(p):
     """The order `iter_monotone_maps` assigns p's points in, a linear
     extension by height, and the lower covers of each point in that order."""
     heights = p.heights()
+    lower = p._cover_rows()[1]
     order = tuple(sorted(range(p.size), key=lambda i: (heights[i], i)))
-    return order, tuple(tuple(p.lower_covers(v)) for v in order)
+    return order, tuple(bits(lower[v]) for v in order)
 
 
 def monotone_maps(p, q):

@@ -320,10 +320,86 @@ def test_canonical_key_capacity(monkeypatch):
     assert Poset.antichain(6).canonical_key() == (6, tuple(1 << i for i in range(6)))
 
 
+def _reference_covers(p):
+    """Per point, its upper and its lower covers, from the definition:
+    j covers i when i < j and no k lies strictly between them."""
+    n = p.size
+
+    def less(i, j):
+        return i != j and p.leq(i, j)
+
+    def covered(i, j):
+        return less(i, j) and not any(less(i, k) and less(k, j) for k in range(n))
+
+    upper = [[j for j in range(n) if covered(i, j)] for i in range(n)]
+    lower = [[i for i in range(n) if covered(i, j)] for j in range(n)]
+    return upper, lower
+
+
+def _reference_heights(p):
+    """Peels off the minimal points of what is left: layer k has height k."""
+    h = [0] * p.size
+    rest = set(range(p.size))
+    height = 0
+    while rest:
+        layer = [i for i in rest if not any(j != i and p.leq(j, i) for j in rest)]
+        for i in layer:
+            h[i] = height
+        rest -= set(layer)
+        height += 1
+    return tuple(h)
+
+
+def _reference_color_classes(p):
+    """Color refinement from (strict down count, strict up count, height),
+    by the sorted colors of the lower and of the upper covers, one round at
+    a time until a round leaves every color as it was."""
+    n = p.size
+    upper, lower = _reference_covers(p)
+    heights = _reference_heights(p)
+
+    def ranks(sig):
+        ordered = sorted(set(sig))
+        return [ordered.index(s) for s in sig]
+
+    colors = ranks([
+        (sum(p.leq(j, i) for j in range(n)) - 1, sum(p.leq(i, j) for j in range(n)) - 1,
+         heights[i])
+        for i in range(n)
+    ])
+    while True:
+        refined = ranks([
+            (colors[i], tuple(sorted(colors[j] for j in lower[i])),
+             tuple(sorted(colors[j] for j in upper[i])))
+            for i in range(n)
+        ])
+        if refined == colors:
+            break
+        colors = refined
+    return [[i for i in range(n) if colors[i] == c] for c in sorted(set(colors))]
+
+
+def _reference_posets():
+    """Every natural labelling up to 5 points, the n <= 6 representatives
+    and the seeded random posets."""
+    return ([Poset(up) for n in range(6) for up in _natural_labellings(n)]
+            + [p for n in range(7) for p in enumerate_posets(n)]
+            + _random_posets(15, 150))
+
+
+def test_covers_heights_and_color_classes_match_the_reference():
+    for p in _reference_posets():
+        upper, lower = _reference_covers(p)
+        assert p.covers() == tuple((i, j) for i in range(p.size) for j in upper[i]), p
+        assert [p.lower_covers(j) for j in range(p.size)] == lower, p
+        assert p.heights() == _reference_heights(p), p
+        assert p._color_classes() == _reference_color_classes(p), p
+
+
 def _reference_key(p):
     """The least key over every ordering that keeps the color classes in order."""
     best = None
-    for parts in itertools.product(*map(itertools.permutations, p._color_classes())):
+    for parts in itertools.product(*map(itertools.permutations, _reference_color_classes(p))):
         order = [v for part in parts for v in part]
         new = {old: k for k, old in enumerate(order)}
         key = tuple(
@@ -362,8 +438,7 @@ def _random_posets(seed, count):
 
 
 def test_canonical_key_matches_the_reference_search():
-    labellings = [Poset(up) for n in range(6) for up in _natural_labellings(n)]
-    for p in labellings + _random_posets(15, 150):
+    for p in _reference_posets():
         assert p._canonicalize() == _reference_key(p), p
 
 

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 66 mutants. 64 are expected to be killed, and two,
+The list holds 69 mutants. 67 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -26,6 +26,10 @@ the core (coherentL): on a finite space both are the identity, so reading
 one for the other changes no result. Nor has the order of the parts of a
 composite frame predicate (`lattices._CONJUNCTIONS`): `compactFrame` is
 true on every finite lattice, so no test can see which part fails first.
+The single-key shortcut of `Poset._canonicalize` is widened to four
+orderings, not two, because a search over exactly two cannot occur: two
+points alone in a stable color class, with every other point alone in its
+own, have the same covers and so are twins.
 """
 
 from __future__ import annotations
@@ -262,6 +266,27 @@ MUTANTS = (
         "src/framelab/posets.py",
         "twins.setdefault((up[i] ^ (1 << i), down[i] ^ (1 << i)), [])",
         "twins.setdefault(up[i] ^ (1 << i), [])",
+        "killed",
+    ),
+    Mutant(
+        "heights-read-from-the-upper-covers",
+        "src/framelab/posets.py",
+        "        lower = self._cover_rows()[1]\n        sizes = ",
+        "        lower = self._cover_rows()[0]\n        sizes = ",
+        "killed",
+    ),
+    Mutant(
+        "refinement-stops-one-class-short-of-discrete",
+        "src/framelab/posets.py",
+        "        while count < n:\n",
+        "        while count < n - 1:\n",
+        "killed",
+    ),
+    Mutant(
+        "single-key-shortcut-at-four-orderings",
+        "src/framelab/posets.py",
+        "        if space == 1:\n",
+        "        if space <= 4:\n",
         "killed",
     ),
     Mutant(
