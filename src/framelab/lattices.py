@@ -352,40 +352,20 @@ def join_irreducible_poset(lattice):
     return Poset(up, _trusted=True)
 
 
-# -- ideals, filters, prime filters --------------------------------------------
-
-
-def _closure_family(seed, table, rows):
-    """Every ideal (or filter) reachable from the principal one of `seed`.
-
-    The ideal generated by an ideal I and an element x is ↓{i ∨ x : i ∈ I},
-    and dually the filter generated by a filter F and x is ↑{f ∧ x : f ∈ F}.
-    For a principal member ``rows[f]`` (`down` for ideals, `up` for filters)
-    that is ``rows[v]`` with v the entry of x in the `table` row of f
-    (`join` or `meet`; the table is symmetric), so every member reached is
-    principal and is kept as its element. Every ideal (filter) containing
-    the seed's is reached: a strictly larger one J contains some x outside
-    the current I, and the ideal generated by I and x lies inside J. From
-    the bottom every ideal is reached in the first step, as ↓x, so the
-    search stops as soon as every element has been reached: no step can
-    add to a family that holds them all, from any seed.
-    """
-    seen = {seed}
-    frontier = [seed]
-    size = len(table)
-    while frontier and len(seen) < size:
-        f = frontier.pop()
-        for v in set(table[f]):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return sorted(rows[v] for v in seen)
+# -- ideals and prime filters ------------------------------------------------
 
 
 @cached
 def all_ideals(lattice):
-    """All ideals: nonempty downsets closed under binary joins, as masks."""
-    return tuple(_closure_family(lattice.bottom, lattice.join, lattice.down))
+    """All ideals: nonempty downsets closed under binary joins, as masks.
+
+    On a finite lattice they are the principal down-sets ↓a (Idl(L) ≅ L). An
+    ideal I is nonempty and closed under binary joins, so it holds the join
+    ⋁I of its finitely many members; as a down-set it then holds ↓⋁I, and
+    every member lies below ⋁I, so I = ↓⋁I. Conversely each ↓a is a nonempty
+    down-set closed under joins. So the ideals are the `down` rows, sorted.
+    """
+    return tuple(sorted(lattice.down))
 
 
 @cached
@@ -413,7 +393,8 @@ def way_below_rows_oracle(lattice):
 
     a << b iff every ideal whose join dominates b contains a. This is the
     brute-force authority used by the predicates and validators; it never
-    consults the order shortcut.
+    consults the order shortcut. It quantifies over every ideal of
+    `all_ideals`, each the principal ↓a, and takes each one's join literally.
     """
     n = lattice.size
     full = lattice.full_mask

@@ -364,10 +364,14 @@ class Poset:
         return (self.size, self._canonicalize())
 
     def canonical(self):
-        """Canonically relabeled copy. The canonical form is a fixed point of
-        the search, so the copy keeps its rows as its own `_canonicalize` and
-        is never searched; a poset read from a document seeds nothing."""
+        """Canonically relabeled poset: the poset itself when its `up` rows
+        are already its canonical form (an `enumerate_posets` representative,
+        or one read back from a corpus document), else a copy that keeps the
+        rows as its own `_canonicalize` (the canonical form is a fixed point
+        of the search), so that it is never searched."""
         rows = self._canonicalize()
+        if rows == self.up:
+            return self
         copy = Poset(rows, _trusted=True)
         copy._memo[Poset._canonicalize] = rows
         return copy

@@ -249,11 +249,7 @@ def _core_table(space):
 def reg_part(space, um):
     """reg U: union of the clopen upsets V well inside U (V ≺ U), that is
     with ↓V ⊆ U."""
-    return _reg_mask(space, _upset_mask_of(space, um))
-
-
-def _reg_mask(space, um):
-    return _reg_table(space)[_upset_index(space)[um]]
+    return _reg_table(space)[_upset_index(space)[_upset_mask_of(space, um)]]
 
 
 @cached
@@ -311,11 +307,7 @@ def clopen_biset_masks(space):
 
 def center(space, um):
     """cen U: union of the clopen bisets contained in U."""
-    return _center_mask(space, _upset_mask_of(space, um))
-
-
-def _center_mask(space, um):
-    return _center_table(space)[_upset_index(space)[um]]
+    return _center_table(space)[_upset_index(space)[_upset_mask_of(space, um)]]
 
 
 @cached

@@ -2,12 +2,12 @@
 
 Each reference below is the plain loop the kernel stands for: the Birkhoff
 tables compare, join and meet every pair of upsets; arithmetic
-scans every triple a, b, c with b, c ∈ ↟a; the closure step ORs the rows
-over every member; spatial keys each element by a tuple; the
-pseudocomplement joins its row afresh; compactlyBased and hausdorff
-quantify over the opens point by point; the irreducible closed sets try
-every pair of proper closed subsets, and sober lists each closed set's
-generic points; s4 of scottExtensions scans
+scans every triple a, b, c with b, c ∈ ↟a; the ideals are grown from the
+bottom by a closure step that ORs the rows over every member; spatial keys
+each element by a tuple; the pseudocomplement joins its row afresh;
+compactlyBased and hausdorff quantify over the opens point by point; the
+irreducible closed sets try every pair of proper closed subsets, and sober
+lists each closed set's generic points; s4 of scottExtensions scans
 `inside` for every Scott upset. Each kernel must return the same
 `(ok, witness)` as its reference, on failing inputs too, so the first
 witness in the reference's order is the one reported.
@@ -22,7 +22,6 @@ from framelab import duality, lattices, spaces
 from framelab.corpus import gen_corpus
 from framelab.duality import priestley_space_of
 from framelab.lattices import (
-    _closure_family,
     all_ideals,
     birkhoff_lattice,
     pseudocomplement,
@@ -252,16 +251,12 @@ def test_point_space_kernels_match_references_on_the_corpus():
 def test_ideals_and_filters_match_the_full_closure_off_the_corpus(make):
     lat = make()
     assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-    assert (_closure_family(lat.top, lat.meet, lat.up)
-            == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 
 def test_ideals_and_filters_match_the_full_closure_on_the_corpus():
     for entry in _ENTRIES:
         lat = entry.lattice
         assert all_ideals(lat) == tuple(_ref_closure(lat, lat.down[lat.bottom], lat.join, lat.down))
-        assert (_closure_family(lat.top, lat.meet, lat.up)
-                == _ref_closure(lat, lat.up[lat.top], lat.meet, lat.up))
 
 
 # -- failing inputs -----------------------------------------------------------------

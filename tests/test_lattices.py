@@ -22,7 +22,6 @@ from framelab import config, duality, lattices
 from framelab.lattices import (
     FinDLat,
     LatticeHom,
-    _closure_family,
     all_ideals,
     birkhoff_lattice,
     compact_elements,
@@ -332,37 +331,49 @@ def test_join_irreducibles_have_unique_lower_cover(lat):
 # -- ideals, filters, way below ---------------------------------------------------
 
 
-def _closure_case_id(lat):
+def _corpus_case_id(lat):
     # lattices of 4-point posets get their own prefix, so the ids of the
     # smaller cases do not depend on how many larger ones there are
     prefix = "n4-" if len(join_irreducibles(lat)) == 4 else ""
     return f"{prefix}m{lat.size}"
 
 
-@pytest.mark.parametrize("lat", corpus_lattices(4), ids=_closure_case_id)
+def _relabelled_corpus_lattices(max_size=4, seed=29):
+    """The corpus lattices of at least two elements, rebuilt from their order
+    under shuffled labels with the bottom moved off element 0, so that no
+    table is read in the order the Birkhoff construction writes it."""
+    rng = random.Random(seed)
+    out = []
+    for lat in corpus_lattices(max_size)[1:]:
+        perm = list(range(lat.size))
+        rng.shuffle(perm)
+        if perm[lat.bottom] == 0:
+            perm[lat.bottom], perm[lat.top] = perm[lat.top], perm[lat.bottom]
+        pairs = [(perm[a], perm[b]) for a in range(lat.size) for b in bits(lat.up[a])]
+        copy = FinDLat.from_leq_pairs(lat.size, pairs)
+        assert copy.bottom != 0
+        out.append(pytest.param(copy, id=f"relabelled-{len(out)}-m{lat.size}"))
+    return out
+
+
+@pytest.mark.parametrize(
+    "lat", corpus_lattices(4) + _relabelled_corpus_lattices(), ids=_corpus_case_id
+)
 def test_ideal_and_filter_enumeration_matches_bruteforce(lat):
-    assert all_ideals(lat) == tuple(ideals_brute(lat))
-    assert _closure_family(lat.top, lat.meet, lat.up) == filters_brute(lat)
-
-
-def test_bruteforce_check_catches_an_ideal_step_over_up_rows():
-    # mutant: the ideal step reads `up` rows where it should read `down` rows
-    assert any(
-        _closure_family(lat.bottom, lat.join, lat.up)
-        != ideals_brute(lat)
-        for lat in corpus_lattices(4)
+    ideals = ideals_brute(lat)
+    assert all_ideals(lat) == tuple(ideals)
+    # a prime filter is a filter whose complement is an ideal
+    ideal_set = set(ideals)
+    assert prime_filters(lat) == tuple(
+        f for f in filters_brute(lat) if lat.full_mask & ~f in ideal_set
     )
 
 
-def test_closure_family_from_a_non_bottom_seed():
-    # from the seed a the family is exactly the ideals ↓b with b >= a, and,
-    # dually, the filters ↑b with b <= a
-    lat = birkhoff_lattice(Poset.antichain(3))
-    for a in range(lat.size):
-        above = sorted(lat.down[b] for b in range(lat.size) if lat.leq(a, b))
-        assert _closure_family(a, lat.join, lat.down) == above
-        below = sorted(lat.up[b] for b in range(lat.size) if lat.leq(b, a))
-        assert _closure_family(a, lat.meet, lat.up) == below
+def test_bruteforce_check_catches_an_ideal_step_over_up_rows():
+    # mutant: the ideals are read off the `up` rows, not the `down` rows;
+    # {top} = up[top] is no down-set once the lattice has two elements
+    for lat in corpus_lattices(4)[1:]:
+        assert tuple(sorted(lat.up)) != tuple(ideals_brute(lat))
 
 
 def test_ideals_of_b2():

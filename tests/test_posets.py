@@ -451,6 +451,16 @@ def test_a_canonical_copy_seeds_what_a_fresh_search_finds():
             assert Poset(c.up, _trusted=True)._canonicalize() == c._memo[Poset._canonicalize]
 
 
+def test_canonical_returns_a_canonical_poset_itself_and_copies_the_rest():
+    for n in range(7):
+        for c in enumerate_posets(n):
+            assert c.canonical() is c
+    for p in _reference_posets():
+        c = p.canonical()
+        assert c.up == p._canonicalize(), p
+        assert (c is p) == (p.up == c.up), p
+
+
 # -- monotone maps ------------------------------------------------------------
 
 

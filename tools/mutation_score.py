@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 69 mutants. 67 are expected to be killed, and two,
+The list holds 70 mutants. 68 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -488,6 +488,13 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "canonical-self-return-compares-one-row",
+        "src/framelab/posets.py",
+        "if rows == self.up:",
+        "if rows[:1] == self.up[:1]:",
+        "killed",
+    ),
+    Mutant(
         "prime-filters-skip-the-filter-test",
         "src/framelab/lattices.py",
         "if f in principal",
@@ -495,10 +502,10 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "closure-shortcut-drops-a-column",
+        "ideals-read-from-up-rows",
         "src/framelab/lattices.py",
-        "for v in set(table[f]):",
-        "for v in set(table[f][1:]):",
+        "return tuple(sorted(lattice.down))",
+        "return tuple(sorted(lattice.up))",
         "killed",
     ),
     Mutant(
