@@ -92,6 +92,7 @@ def corpus_from_json(text):
     ):
         raise ValueError("not a corpus document")
     entries = []
+    seen = set()
     for item in doc["entries"]:
         if not isinstance(item, dict) or "id" not in item or "poset" not in item:
             raise ValueError("a corpus entry must be an object with an id and a poset")
@@ -102,6 +103,10 @@ def corpus_from_json(text):
         # a forged entry is refused before its lattice and dual space are built
         if poset_content_id(poset) != item["id"]:
             raise ValueError(f"corpus entry {item['id']} fails its content hash")
+        # one entry per isomorphism class, as gen_corpus writes it
+        if item["id"] in seen:
+            raise ValueError(f"corpus entry {item['id']} repeats an earlier entry")
+        seen.add(item["id"])
         lattice = birkhoff_lattice(poset)
         record = priestley_space_of(lattice)
         entries.append(CorpusEntry(item["id"], poset, lattice, record))

@@ -234,8 +234,8 @@ class Poset:
     def _cover_rows(self):
         """Per point, the mask of its upper covers and the mask of its lower
         covers: one `_cover_masks` pass over the strict up rows, transposed.
-        `covers`, `lower_covers`, `heights`, the canonical search and
-        `_search_plan` all read this pair."""
+        `covers`, `lower_covers`, `_search_plan` and each refinement round of
+        the canonical search read this pair."""
         upper = _cover_masks([m ^ (1 << i) for i, m in enumerate(self.up)])
         lower = [0] * self.size
         for i, m in enumerate(upper):
@@ -256,17 +256,22 @@ class Poset:
     def heights(self):
         """Length of the longest strictly increasing chain below each point.
 
-        A minimal point has height 0, any other 1 + the greatest height of
-        its lower covers. Points are taken by down-set size, a linear
-        extension: a lower cover's down-set is strictly smaller, so its
-        height is known first.
+        A minimal point has height 0, any other 1 + the greatest height
+        strictly below it, read from the strict down row. That equals the
+        greatest height of its lower covers, since a longest chain below the
+        point ends in a cover, so no cover row is built. Points are taken by
+        down-set size, a linear extension: a point strictly below has a
+        strictly smaller down-set, so its height is known first. Twins, points
+        with the same strict down-set and strict up-set, get the same height,
+        so they share a starting color, which `_color_classes` relies on to
+        stop before its first round.
         """
-        lower = self._cover_rows()[1]
-        sizes = [m.bit_count() for m in self.down]
+        down = self.down
         h = [0] * self.size
-        for i in sorted(range(self.size), key=sizes.__getitem__):
-            if lower[i]:
-                h[i] = 1 + max([h[j] for j in bits(lower[i])])
+        for i in sorted(range(self.size), key=lambda i: down[i].bit_count()):
+            below = down[i] ^ (1 << i)
+            if below:
+                h[i] = 1 + max([h[j] for j in bits(below)])
         return tuple(h)
 
     # -- canonical form -------------------------------------------------
@@ -281,6 +286,16 @@ class Poset:
         every color as it was, and a round after every point has a color of
         its own can split nothing: a discrete coloring, the starting one
         included, ends the refinement without that round.
+
+        Nor can a round split a class whose points are twins, with the same
+        strict up-set and the same strict down-set: twins have the same
+        covers, so they get the same signature in every round, and a
+        coloring whose classes are all twin groups is already stable (the
+        equitable-partition argument of McKay, "Practical graph
+        isomorphism", 1981). Twins get the same starting color, so the
+        classes are all twin groups exactly when there are as many twin
+        groups as colors; the refinement then stops before its first round,
+        and the cover rows are built only when a round runs.
         """
         n = self.size
         up, down = self.up, self.down
@@ -289,20 +304,22 @@ class Poset:
         colors, count = _index_signatures([
             (down[i].bit_count(), up[i].bit_count(), heights[i]) for i in range(n)
         ])
-        if count < n:
+        # one key per twin group; a discrete coloring needs no keys
+        twins = {(up[i] ^ (1 << i), down[i] ^ (1 << i)) for i in range(n)} if count < n else ()
+        if len(twins) > count:
             upper, lower = ([bits(m) for m in rows] for rows in self._cover_rows())
-        while count < n:
-            colors, split = _index_signatures([
-                (
-                    colors[i],
-                    tuple(sorted([colors[j] for j in lower[i]])),
-                    tuple(sorted([colors[j] for j in upper[i]])),
-                )
-                for i in range(n)
-            ])
-            if split == count:
-                break
-            count = split
+            while count < n:
+                colors, split = _index_signatures([
+                    (
+                        colors[i],
+                        tuple(sorted([colors[j] for j in lower[i]])),
+                        tuple(sorted([colors[j] for j in upper[i]])),
+                    )
+                    for i in range(n)
+                ])
+                if split == count:
+                    break
+                count = split
         classes = {}
         for i, c in enumerate(colors):
             classes.setdefault(c, []).append(i)
@@ -571,6 +588,16 @@ def enumerate_posets(n):
     the choices that keep the relation transitive. Each labelling is
     deduplicated by canonical form. Representatives are canonical and come
     in canonical-key order.
+
+    The `down` rows are kept up to date as rows are placed: placing row i
+    sets bit i in the down row of each point of the row, and backtracking
+    clears it, so no labelling transposes its `up` rows. The canonical
+    search reads those rows for heights and for twins, and most labellings
+    need nothing else. Twins (points with the same strict up-set and strict
+    down-set) have the same covers, so no refinement round can split a color
+    class whose points are twins (`Poset._color_classes`). Of the 5,232
+    labellings with n <= 6, 1,673 start discrete and 1,963 more start with
+    classes that are all twin groups, so their cover rows are never built.
     """
     _check_size(n)
     cap = config.MAX_POSET_SIZE
@@ -578,18 +605,26 @@ def enumerate_posets(n):
         raise CapacityError(f"poset size {n} exceeds the configured bound {cap}")
     reps = {}
     strict = [0] * n
+    down = [1 << k for k in range(n)]
 
     def place(i):
         if i < 0:
-            p = Poset(tuple(m | (1 << k) for k, m in enumerate(strict)), _trusted=True)
+            p = Poset(tuple(m | (1 << k) for k, m in enumerate(strict)), _trusted=True,
+                      _down=tuple(down))
             key = p.canonical_key()
             if key not in reps:
                 reps[key] = p.canonical()
             return
+        bit = 1 << i
         # the upsets of the order on i+1..n-1, deciding j = n-1 first
         for row in _upset_rows(strict, range(n - 1, i, -1)):
             strict[i] = row
+            above = bits(row)
+            for j in above:
+                down[j] |= bit
             place(i - 1)
+            for j in above:
+                down[j] ^= bit
 
     place(n - 1)
     return [reps[k] for k in sorted(reps)]

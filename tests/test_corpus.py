@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from framelab import CapacityError, Poset, config, corpus
+from framelab import CapacityError, Poset, config, corpus, posets
 from framelab.corpus import corpus_from_json, corpus_to_json, gen_corpus
+from framelab.lattices import birkhoff_lattice
 
 _CORPUS = gen_corpus(3)
 
@@ -59,6 +60,45 @@ def test_tampered_entry_id_is_rejected_before_its_lattice_is_built(monkeypatch):
     monkeypatch.setattr(corpus, "birkhoff_lattice", unbuilt)
     with pytest.raises(ValueError, match="fails its content hash"):
         corpus_from_json(json.dumps(doc))
+
+
+def test_repeated_entry_is_rejected_before_its_lattice_is_built(monkeypatch):
+    # the copy passes its content hash, and the manifest is rewritten to
+    # match, so only the repeat tells it apart from a corpus of five classes
+    built = []
+
+    def counted(poset):
+        built.append(poset)
+        return birkhoff_lattice(poset)
+
+    two = gen_corpus(2)
+    doc = json.loads(corpus_to_json(two))
+    doc["entries"].append(dict(doc["entries"][1]))
+    ids = [item["id"] for item in doc["entries"]]
+    payload = json.dumps(ids, separators=(",", ":")).encode()
+    doc["manifest"].update(count=len(ids), hash=hashlib.sha256(payload).hexdigest()[:16])
+    monkeypatch.setattr(corpus, "birkhoff_lattice", counted)
+    with pytest.raises(ValueError, match="repeats an earlier entry"):
+        corpus_from_json(json.dumps(doc))
+    assert len(built) == len(two)
+
+
+def test_n6_build_and_round_trip_run_one_search_per_labelling_and_reload(monkeypatch):
+    # counts runs of the uncached search body, not canonical()/canonical_key()
+    # calls: 5,232 labellings searched by enumerate_posets, n <= 6, and one
+    # search per reloaded entry; a change to the number of searches moves this
+    searches = []
+    body = Poset._canonicalize.__wrapped__
+
+    def counted(poset):
+        searches.append(poset.size)
+        return body(poset)
+
+    monkeypatch.setattr(Poset, "_canonicalize", posets.cached(counted))
+    six = gen_corpus(6)
+    assert len(searches) == 5232
+    assert len(corpus_from_json(corpus_to_json(six))) == 406
+    assert len(searches) == 5232 + 406
 
 
 def test_tampered_manifest_hash_is_rejected():

@@ -250,6 +250,31 @@ def test_enumeration_matches_the_subset_scan(n):
     assert [p.up for p in enumerate_posets(n)] == [p.up for p in _subset_scan_posets(n)]
 
 
+def test_enumeration_keeps_each_labelling_down_rows_transposed(monkeypatch):
+    # the enumeration builds each labelling's down rows as it places rows;
+    # every labelling it searches and every representative must carry the
+    # transposition of its up rows
+    def transposed(p):
+        return tuple(sum(1 << i for i in range(p.size) if p.leq(i, j)) for j in range(p.size))
+
+    searched = []
+    key = Poset.canonical_key
+
+    def recorded(p):
+        searched.append((p.up, p.down, transposed(p)))
+        return key(p)
+
+    monkeypatch.setattr(Poset, "canonical_key", recorded)
+    for n in range(7):
+        del searched[:]
+        reps = enumerate_posets(n)
+        assert sorted(up for up, _, _ in searched) == sorted(_natural_labellings(n))
+        for up, down, expected in searched:
+            assert down == expected, up
+        for p in reps:
+            assert p.down == transposed(p), p
+
+
 def test_enumeration_capacity(monkeypatch):
     with pytest.raises(CapacityError):
         enumerate_posets(7)
@@ -380,9 +405,10 @@ def _reference_color_classes(p):
 
 
 def _reference_posets():
-    """Every natural labelling up to 5 points, the n <= 6 representatives
-    and the seeded random posets."""
-    return ([Poset(up) for n in range(6) for up in _natural_labellings(n)]
+    """Every natural labelling up to 6 points (the labellings that
+    `enumerate_posets` searches), the n <= 6 representatives and the seeded
+    random posets."""
+    return ([Poset(up) for n in range(7) for up in _natural_labellings(n)]
             + [p for n in range(7) for p in enumerate_posets(n)]
             + _random_posets(15, 150))
 

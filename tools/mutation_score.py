@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 70 mutants. 68 are expected to be killed, and two,
+The list holds 73 mutants. 71 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -248,6 +248,13 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "corpus-entry-repeats-accepted",
+        "src/framelab/corpus.py",
+        'if item["id"] in seen:',
+        "if False:",
+        "killed",
+    ),
+    Mutant(
         "corpus-entry-size-unchecked",
         "src/framelab/corpus.py",
         "if poset.size > config.MAX_POSET_SIZE:",
@@ -269,10 +276,24 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "heights-read-from-the-upper-covers",
+        "heights-read-from-the-up-rows",
         "src/framelab/posets.py",
-        "        lower = self._cover_rows()[1]\n        sizes = ",
-        "        lower = self._cover_rows()[0]\n        sizes = ",
+        "below = down[i] ^ (1 << i)",
+        "below = self.up[i] ^ (1 << i)",
+        "killed",
+    ),
+    Mutant(
+        "twin-stop-keyed-on-up-sets-only",
+        "src/framelab/posets.py",
+        "twins = {(up[i] ^ (1 << i), down[i] ^ (1 << i)) for i in range(n)}",
+        "twins = {up[i] ^ (1 << i) for i in range(n)}",
+        "killed",
+    ),
+    Mutant(
+        "enumeration-down-rows-not-undone",
+        "src/framelab/posets.py",
+        "            for j in above:\n                down[j] ^= bit\n",
+        "",
         "killed",
     ),
     Mutant(
