@@ -236,14 +236,18 @@ def validate_all(lattice, corpus=None, lattice_id=None):
 
 def _statement(body):
     """The validator, (lattice, corpus, cap) -> witness | None, of a body that
-    yields (instance dict, sides) per instance. The first instance whose sides
-    are not all equal fails, with its dict plus "sides" as the witness; a body
-    that returns before its first yield, as on a false premise, passes."""
+    yields (key, value, sides) per instance, with key None on an instance
+    that is the whole lattice. The first instance whose sides are not all
+    equal fails, with {key: value, "sides": sides} as the witness (no key
+    entry when key is None); the dict is built for that instance only. A
+    body that returns before its first yield, as on a false premise, passes."""
 
     def validator(lattice, corpus, cap):
-        for instance, sides in body(lattice):
+        for key, value, sides in body(lattice):
             if sides.count(sides[0]) != len(sides):
-                return instance | {"sides": list(sides)}
+                witness = {} if key is None else {key: value}
+                witness["sides"] = list(sides)
+                return witness
         return None
 
     return validator
@@ -255,7 +259,7 @@ def _v_core_chain(lattice):
     space = priestley_space_of(lattice).space
     ups = clop_upset_masks(space)
     for um, core_m, ker_m in zip(ups, _core_table(space), _kernel_table(space)):
-        yield {"upset": um}, (True, not core_m & ~ker_m, not ker_m & ~um)
+        yield "upset", um, (True, not core_m & ~ker_m, not ker_m & ~um)
 
 
 @_statement
@@ -266,9 +270,9 @@ def _v_compact_characterization(lattice):
     scott = clop_scott_upset_masks(space)
     ker, index = _kernel_table(space), _upset_index(space)
     for a, phi_a in enumerate(record.phi):
-        yield {"element": a}, (bool(rows[a] >> a & 1), ker[index[phi_a]] == phi_a, phi_a in scott)
+        yield "element", a, (bool(rows[a] >> a & 1), ker[index[phi_a]] == phi_a, phi_a in scott)
     frame_compact = frame_predicate(lattice, "compactFrame")
-    yield {}, (frame_compact, lspace_predicate_witness(space, "lCompact")[0])
+    yield None, None, (frame_compact, lspace_predicate_witness(space, "lCompact")[0])
 
 
 @_statement
@@ -280,9 +284,9 @@ def _v_algebraic_equivalence(lattice):
     frame_side = True
     for a, phi_a in enumerate(record.phi):
         lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
-        yield {"element": a}, (lhs, core[index[phi_a]] == phi_a)
+        yield "element", a, (lhs, core[index[phi_a]] == phi_a)
         frame_side = frame_side and lhs
-    yield {}, (frame_side, lspace_predicate_witness(space, "algebraicL")[0])
+    yield None, None, (frame_side, lspace_predicate_witness(space, "algebraicL")[0])
 
 
 @_statement
@@ -305,7 +309,7 @@ def _v_scott_extensions(lattice):
             f & ~um == 0 or any(f & ~v == 0 for v in inside)
             for f in scott if f & ~ker_m == 0
         )
-        yield {"upset": um}, (ker_m == core_m, core_m == um, s3, s4)
+        yield "upset", um, (ker_m == core_m, core_m == um, s3, s4)
 
 
 def _v_proper_coherent(lattice, corpus, cap):
@@ -344,7 +348,7 @@ def _v_scott_stable(lattice):
     stable, _ = lspace_predicate_witness(space, "kernelStable")
     scott = set(clop_scott_upset_masks(space))
     closed_under_meets = all(scott.issuperset(map(a.__and__, scott)) for a in scott)
-    yield {}, (algebraic and stable, closed_under_meets)
+    yield None, None, (algebraic and stable, closed_under_meets)
 
 
 def _three_way(frame_name, space_name, point_name, spatial_only=False):
@@ -358,7 +362,7 @@ def _three_way(frame_name, space_name, point_name, spatial_only=False):
         sides.append(lspace_predicate_witness(space, space_name)[0])
         if not spatial_only or frame_predicate(lattice, "spatial"):
             sides.append(point_space_predicate_witness(spatial_part(space), point_name)[0])
-        yield {}, sides
+        yield None, None, sides
 
     return body
 
@@ -375,9 +379,9 @@ def _v_cen_sub_reg(lattice):
     space = priestley_space_of(lattice).space
     ups = clop_upset_masks(space)
     for um, cen_m, reg_m in zip(ups, _center_table(space), _reg_table(space)):
-        yield {"upset": um}, (True, not cen_m & ~reg_m)
+        yield "upset", um, (True, not cen_m & ~reg_m)
     frame_regular = frame_predicate(lattice, "regular")
-    yield {}, (frame_regular, lspace_predicate_witness(space, "regularL")[0])
+    yield None, None, (frame_regular, lspace_predicate_witness(space, "regularL")[0])
 
 
 @_statement
@@ -386,10 +390,10 @@ def _v_stone_collapse(lattice):
     if not lspace_predicate_witness(space, "stoneL")[0]:
         return  # the statement's premise
     families = sorted(clop_scott_upset_masks(space)), sorted(clopen_biset_masks(space))
-    yield {"families": ["ClopSUp", "ClopBi"]}, families
+    yield "families", ["ClopSUp", "ClopBi"], families
     ups = clop_upset_masks(space)
     for um, cen_m, core_m in zip(ups, _center_table(space), _core_table(space)):
-        yield {"upset": um}, (cen_m, core_m)
+        yield "upset", um, (cen_m, core_m)
 
 
 _v_zero_dim_equivalence = _statement(

@@ -15,7 +15,7 @@ is returned as the tuple it is kept as.
 from __future__ import annotations
 
 from itertools import chain, product, repeat
-from operator import attrgetter
+from operator import itemgetter
 
 from . import config
 from .errors import (
@@ -409,16 +409,6 @@ def way_below_rows_oracle(lattice):
 
 
 @cached
-def _way_below_pairs(lattice):
-    """The oracle's way-below pairs a << b as two `bytes`: the a's and the b's."""
-    rows = tuple(map(bits, way_below_rows_oracle(lattice)))
-    return (
-        bytes(a for a, row in enumerate(rows) for _ in row),
-        bytes(chain.from_iterable(rows)),
-    )
-
-
-@cached
 def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
     rows = way_below_rows_oracle(lattice)
@@ -566,20 +556,17 @@ class LatticeHom(PointwiseMap):
     """Element-wise map between lattices with cached predicate flags.
 
     The constructor is the checked one of `posets.PointwiseMap`.
-    `enumerate_homs` builds its homs without it, from images in range by
-    construction. `image` is a tuple; `_table`, the image as bytes padded to
-    256, is the `translate` table of `_decide_flags`' byte-code kernels and
-    the order in which `enumerate_homs` sorts; `_tables` is `_hom_tables`, shared
-    by every hom of a search; `_flags` is None until `_decide_flags` decides
-    the hom, and then its four flags, which the properties read.
+    `enumerate_homs` builds its homs without it, each from its row of the
+    search's image buffer, in range by construction and with its flags
+    already decided. `image` is a tuple; `_flags` is None until the hom is
+    decided, and then its four flags from `_decide_flags`, which the
+    properties read.
     """
 
-    __slots__ = ("_table", "_tables", "_flags")
+    __slots__ = ("_flags",)
 
     def __init__(self, source, target, image):
         super().__init__(source, target, image)
-        self._table = bytes(self.image).ljust(256, b"\0")
-        self._tables = _hom_tables(source, target)
         self._flags = None
 
     is_frame_hom = _flag_property("frameHom")
@@ -589,8 +576,7 @@ class LatticeHom(PointwiseMap):
 
 @cached
 def _pair_table(lattice):
-    """Every index pair a <= b as four `bytes`: a, b, a ∨ b and a ∧ b, so the
-    byte-code kernels of `_decide_flags` can `translate` them."""
+    """Every index pair a <= b as four `bytes`: a, b, a ∨ b and a ∧ b."""
     n = lattice.size
     return (
         bytes(chain.from_iterable(repeat(a, n - a) for a in range(n))),
@@ -614,34 +600,29 @@ def _byte_tables(lattice):
     return bytes(join), bytes(meet), bytes(wb)
 
 
-def _gather(col, tables):
-    """`col` through each image table in turn, joined into one `bytes`."""
-    return b"".join([col.translate(t) for t in tables])
-
-
-def _pair_codes(a_col, b_col, tables):
-    """16·h(a) + h(b) for each pair (a, b) of each hom h: every h(x) < 16, so
-    each h(a), 4 bits up in its byte's high nibble, ORs in without a carry."""
-    high = int.from_bytes(_gather(a_col, tables), "big") << 4
-    low = int.from_bytes(_gather(b_col, tables), "big")
-    return (high | low).to_bytes(len(a_col) * len(tables), "big")
-
-
 @cached
-def _hom_tables(source, target):
-    """Everything `_decide_flags` reads for maps source → target, kept per pair
-    and shared by every hom of a search: `small` (the target has at most 16
-    elements, so the nibble kernels apply), the source's `_pair_table`, the
-    target's `_byte_tables` when small and else its rows and the oracle's,
-    the source's `_way_below_pairs`, and the compact elements and the bounds
-    of both, as `bytes`.
-    """
-    small = target.size <= 16
-    tgt_tables = (_byte_tables(target) if small
-                  else (target.join, target.meet, way_below_rows_oracle(target)))
-    return (small, _pair_table(source), tgt_tables, _way_below_pairs(source),
-            bytes(compact_elements(source)), bytes(compact_elements(target)),
-            bytes((source.bottom, source.top)), bytes((target.bottom, target.top)))
+def _source_columns(lattice):
+    """What `_decide_flags` reads of a source, seven `bytes` of elements: its
+    `_pair_table`, the a's and the b's of its way-below pairs a << b by the
+    ideal oracle, and its compact elements; and for each an `itemgetter`
+    that picks those elements' image columns. A getter also picks index
+    `size`, the empty column after the last, so it returns a tuple however
+    few elements it names."""
+    rows = tuple(map(bits, way_below_rows_oracle(lattice)))
+    columns = (
+        *_pair_table(lattice),
+        bytes(a for a, row in enumerate(rows) for _ in row),
+        bytes(chain.from_iterable(rows)),
+        bytes(compact_elements(lattice)),
+    )
+    return columns, tuple(itemgetter(*col, lattice.size) for col in columns)
+
+
+def _pair_codes(high, low):
+    """16x + y for each byte x of `high` and y of `low`: every x < 16, so
+    each x, 4 bits up in its byte's high nibble, ORs in without a carry."""
+    codes = int.from_bytes(high, "big") << 4 | int.from_bytes(low, "big")
+    return codes.to_bytes(len(high), "big")
 
 
 def hom_predicate(hom, name):
@@ -653,62 +634,74 @@ def hom_predicate(hom, name):
     whenever frameHom is, and otherwise coherentHom checks that h maps every
     compact element of the source to a compact element of the target, and
     properHom checks h(a) << h(b) on every pair a << b of the source, both by
-    the ideal oracle. A hom that no search has decided is decided here, by
-    `_decide_flags((hom,))`; every later call and flag property reads it.
+    the ideal oracle. A hom that no search has decided is decided here, as a
+    batch of one, `_decide_flags(source, target, bytes(image))`; every later
+    call and flag property reads it.
     """
     index = _FLAG_INDEX.get(name)
     if index is None:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
     if hom._flags is None:
-        _decide_flags((hom,))
+        hom._flags = _decide_flags(hom.source, hom.target, bytes(hom.image))[0]
     return hom._flags[index]
 
 
-def _decide_flags(homs):
-    """Set `_flags` (the four flags in `HOM_PREDICATES` order; only this
-    function sets them) on each of the `homs`, which share one `_tables`.
-    Each check runs once, on the source's columns gathered through every
-    image table (`_gather`): coherentHom deletes the target's compact
-    elements from the images of the source's, and up to 16 target elements
-    each pair becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
+def _decide_flags(source, target, images):
+    """The four flags, in `HOM_PREDICATES` order, of each map source → target
+    whose image is an n-byte row of `images` (n = source.size), as a list in
+    row order.
+
+    Each check runs once on the whole batch. The column of source element
+    a, its image under every row, is the strided slice images[a::n], and
+    the source's getters (`_source_columns`) gather the columns a check
+    reads into one `bytes`. coherentHom deletes the target's compact
+    elements from the images of the source's. Up to 16 target elements each
+    pair becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
     `_byte_tables` translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)];
-    larger targets are scanned pair by pair. If a check fails, each hom is
-    decided again alone, so its flags never depend on its batch-mates.
+    larger targets are scanned pair by pair on each row. If a check fails,
+    each row is decided again alone, so its flags never depend on its
+    batch-mates.
     """
-    (small, (a_col, b_col, join_col, meet_col), (tgt_join, tgt_meet, tgt_wb), (wb_a, wb_b),
-     src_compact, tgt_compact, src_bounds, tgt_bounds) = homs[0]._tables
-    tables = [hom._table for hom in homs]
+    n = source.size
+    k = len(images) // n
+    (a_col, b_col, join_col, meet_col, wb_a, wb_b, _), (
+        a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of) = _source_columns(source)
+    cols = [images[a::n] for a in range(n)]
+    cols.append(b"")  # the empty column every getter also picks
+    small = target.size <= 16
+    tgt_join, tgt_meet, tgt_wb = (_byte_tables(target) if small
+                                  else (target.join, target.meet, way_below_rows_oracle(target)))
     if small:
-        codes = _pair_codes(a_col, b_col, tables)
+        codes = _pair_codes(b"".join(a_of(cols)), b"".join(b_of(cols)))
         lattice_hom = (
-            codes.translate(tgt_join) == _gather(join_col, tables)
-            and codes.translate(tgt_meet) == _gather(meet_col, tables)
+            codes.translate(tgt_join) == b"".join(join_of(cols))
+            and codes.translate(tgt_meet) == b"".join(meet_of(cols))
         )
     else:
+        rows = [images[i:i + n] for i in range(0, len(images), n)]
         lattice_hom = True
-        for t, (a, b, ab_join, ab_meet) in product(tables, zip(a_col, b_col, join_col, meet_col)):
+        for t, (a, b, ab_join, ab_meet) in product(rows, zip(a_col, b_col, join_col, meet_col)):
             ha, hb = t[a], t[b]
             if t[ab_join] != tgt_join[ha][hb] or t[ab_meet] != tgt_meet[ha][hb]:
                 lattice_hom = False
                 break
-    frame_hom = lattice_hom and _gather(src_bounds, tables) == tgt_bounds * len(tables)
+    frame_hom = lattice_hom and (cols[source.bottom] == bytes((target.bottom,)) * k
+                                 and cols[source.top] == bytes((target.top,)) * k)
     coherent = proper = frame_hom
     if frame_hom:
-        coherent = not _gather(src_compact, tables).translate(None, tgt_compact)
+        compacts = b"".join(compact_of(cols))
+        coherent = not compacts.translate(None, bytes(compact_elements(target)))
         if small:
-            proper = 0 not in _pair_codes(wb_a, wb_b, tables).translate(tgt_wb)
+            codes = _pair_codes(b"".join(wb_a_of(cols)), b"".join(wb_b_of(cols)))
+            proper = 0 not in codes.translate(tgt_wb)
         else:
-            for t, (a, b) in product(tables, zip(wb_a, wb_b)):
+            for t, (a, b) in product(rows, zip(wb_a, wb_b)):
                 if not (tgt_wb[t[a]] >> t[b]) & 1:
                     proper = False
                     break
-    if len(homs) > 1 and not (coherent and proper):
-        for hom in homs:
-            _decide_flags((hom,))
-        return
-    flags = (lattice_hom, frame_hom, coherent, proper)
-    for hom in homs:
-        hom._flags = flags
+    if k > 1 and not (coherent and proper):
+        return [_decide_flags(source, target, images[i:i + n])[0] for i in range(0, len(images), n)]
+    return [(lattice_hom, frame_hom, coherent, proper)] * k
 
 
 def enumerate_homs(source, target):
@@ -728,19 +721,19 @@ def enumerate_homs(source, target):
 
     Each image is read from one packed integer, the sum of one precomputed
     term per dual point of M, with one field per source element, which
-    `iter_monotone_maps` adds as it assigns the point. When X_M has at most 8
-    points (so M has at most 256 elements, and every corpus lattice up to 8
-    points qualifies), a field is one byte, and the whole image is one
-    `translate` of the integer's bytes through the table φ_M(e) ↦ e; wider
+    `iter_monotone_maps` adds as it assigns the point. The search's k images
+    are one buffer of k rows of |L| bytes (M has at most 256 elements). When
+    X_M has at most 8 points (every corpus lattice up to 8 points
+    qualifies), a field is one byte, and the buffer is one `b"".join` of the
+    totals' bytes and one `translate` through the table φ_M(e) ↦ e; wider
     targets map each field through a dict. The table is kept on M
     (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
-    search builds neither. The images are in range by
-    construction, so the homs skip the checked constructor and share one
-    `_hom_tables` tuple. One `_decide_flags` batch decides every candidate,
-    and one `hom_predicate` call per candidate reads its frameHom flag; the
-    `is_coherent` and `is_proper` reads that follow make no call. The homs
-    are sorted by their `_table`: image bytes sort as the image tuples do,
-    since every image has one byte per source element.
+    search builds neither. One `_decide_flags` call decides every row. The
+    rows are sorted as bytes, which sort as the image tuples do, and each
+    hom is built from its row, without the checked constructor (its image
+    is in range by construction), with its flags decided. One
+    `hom_predicate` call per candidate reads its frameHom flag; the
+    `is_coherent` and `is_proper` reads that follow make no call.
     """
     from .duality import priestley_space_of  # duality imports this module
 
@@ -753,28 +746,21 @@ def enumerate_homs(source, target):
     tgt_space = priestley_space_of(target).space
     w = tgt_space.size
     n = source.size
+    totals = [total for total, _ in iter_monotone_maps(tgt_space, src_space, _lift(source, w))]
+    if not totals:
+        return []
     element_of = _element_table(target)
     if w <= 8:
-        def image_of(packed):
-            image = packed.to_bytes(n, "little").translate(element_of)
-            return tuple(image), image.ljust(256, b"\0")
+        images = b"".join([total.to_bytes(n, "little") for total in totals]).translate(element_of)
     else:
-        shifts = [w * a for a in range(n)]
-        field = (1 << w) - 1
-
-        def image_of(packed):
-            image = tuple([element_of[packed >> s & field] for s in shifts])
-            return image, bytes(image).ljust(256, b"\0")
-    tables, new = _hom_tables(source, target), object.__new__
-    candidates = []
-    for packed, _ in iter_monotone_maps(tgt_space, src_space, _lift(source, w)):
+        shifts, field = range(0, w * n, w), (1 << w) - 1
+        images = bytes([element_of[total >> s & field] for total in totals for s in shifts])
+    rows = [images[i:i + n] for i in range(0, len(images), n)]
+    new, candidates = object.__new__, []
+    for row, flags in sorted(zip(rows, _decide_flags(source, target, images))):
         hom = new(LatticeHom)
-        hom.source, hom.target, hom._tables, hom._flags = source, target, tables, None
-        hom.image, hom._table = image_of(packed)
+        hom.source, hom.target, hom.image, hom._flags = source, target, tuple(row), flags
         candidates.append(hom)
-    if candidates:
-        _decide_flags(candidates)
-    candidates.sort(key=attrgetter("_table"))
     return [hom for hom in candidates if hom_predicate(hom, "frameHom")]
 
 

@@ -660,8 +660,8 @@ def test_a_batch_decides_every_hom_as_it_decides_it_alone():
         batches[diamond, target] = [LatticeHom(diamond, target, image) for image in images]
     mixed = set()
     for (source, target), homs in batches.items():
-        lattices._decide_flags(homs)
-        flags = [list(hom._flags) for hom in homs]
+        images = b"".join(bytes(hom.image) for hom in homs)
+        flags = [list(f) for f in lattices._decide_flags(source, target, images)]
         assert flags == [hom_predicates_pairwise(hom) for hom in homs], (source, target)
         if any(f != flags[0] for f in flags):
             mixed.add(target.size)
@@ -738,7 +738,7 @@ def test_a_search_batch_splits_where_the_target_loses_a_compact_element(size, mo
 
 
 def test_a_search_without_candidates_decides_nothing(monkeypatch):
-    def undecidable(homs):
+    def undecidable(source, target, images):
         raise AssertionError("an empty search decided a batch")
 
     monkeypatch.setattr(lattices, "_decide_flags", undecidable)
@@ -889,8 +889,8 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
 def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     # the 81 homs from the 4-chain into B4 (the monotone maps of the
     # 4-antichain into the 3-chain) are decided by the byte-code kernels in
-    # one _decide_flags batch and share one table tuple: neither table is
-    # read again per hom
+    # one _decide_flags batch on one image buffer: neither table is read
+    # again per hom
     reads = Counter()
     for name in ("_pair_table", "_byte_tables"):
         original = getattr(lattices, name)
@@ -906,16 +906,15 @@ def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     batches = []
     decide = lattices._decide_flags
 
-    def counting(homs):
-        batches.append(len(homs))
-        decide(homs)
+    def counting(source, target, images):
+        batches.append(len(images) // source.size)
+        return decide(source, target, images)
 
     monkeypatch.setattr(lattices, "_decide_flags", counting)
     homs = enumerate_homs(source, target)
     assert len(homs) == 81
     assert all(h.is_coherent and h.is_proper for h in homs)
     assert reads == {"_pair_table": 1, "_byte_tables": 1}
-    assert len({id(h._tables) for h in homs}) == 1
     # one batch decides every hom's flags, and nothing decides them again
     assert batches == [81]
 

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 74 mutants. 72 are expected to be killed, and two,
+The list holds 75 mutants. 73 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -74,9 +74,10 @@ MUTANTS = (
         "properHom-true",
         "src/framelab/lattices.py",
         "        if small:\n"
-        "            proper = 0 not in _pair_codes(wb_a, wb_b, tables).translate(tgt_wb)\n"
+        '            codes = _pair_codes(b"".join(wb_a_of(cols)), b"".join(wb_b_of(cols)))\n'
+        "            proper = 0 not in codes.translate(tgt_wb)\n"
         "        else:\n"
-        "            for t, (a, b) in product(tables, zip(wb_a, wb_b)):\n"
+        "            for t, (a, b) in product(rows, zip(wb_a, wb_b)):\n"
         "                if not (tgt_wb[t[a]] >> t[b]) & 1:\n"
         "                    proper = False\n"
         "                    break\n",
@@ -86,8 +87,8 @@ MUTANTS = (
     Mutant(
         "pair-codes-without-x16",
         "src/framelab/lattices.py",
-        'int.from_bytes(_gather(a_col, tables), "big") << 4',
-        'int.from_bytes(_gather(a_col, tables), "big")',
+        'int.from_bytes(high, "big") << 4',
+        'int.from_bytes(high, "big")',
         "killed",
     ),
     Mutant(
@@ -100,15 +101,15 @@ MUTANTS = (
     Mutant(
         "lattice-hom-skips-meets",
         "src/framelab/lattices.py",
-        "\n            and codes.translate(tgt_meet) == _gather(meet_col, tables)",
+        '\n            and codes.translate(tgt_meet) == b"".join(meet_of(cols))',
         "",
         "killed",
     ),
     Mutant(
         "coherent-kernel-deletes-source-compacts",
         "src/framelab/lattices.py",
-        ".translate(None, tgt_compact)",
-        ".translate(None, src_compact)",
+        ".translate(None, bytes(compact_elements(target)))",
+        ".translate(None, bytes(compact_elements(source)))",
         "killed",
     ),
     Mutant(
@@ -137,8 +138,8 @@ MUTANTS = (
     Mutant(
         "frame-hom-ignores-the-pair-scan",
         "src/framelab/lattices.py",
-        "frame_hom = lattice_hom and _gather(src_bounds",
-        "frame_hom = _gather(src_bounds",
+        "frame_hom = lattice_hom and (cols[source.bottom]",
+        "frame_hom = (cols[source.bottom]",
         "killed",
     ),
     Mutant(
@@ -146,27 +147,35 @@ MUTANTS = (
         "src/framelab/lattices.py",
         "    coherent = proper = frame_hom\n"
         "    if frame_hom:\n"
-        "        coherent = not _gather(src_compact, tables).translate(None, tgt_compact)\n",
+        '        compacts = b"".join(compact_of(cols))\n'
+        "        coherent = not compacts.translate(None, bytes(compact_elements(target)))\n",
         "    proper = frame_hom\n"
-        "    coherent = not _gather(src_compact, tables).translate(None, tgt_compact)\n"
+        '    compacts = b"".join(compact_of(cols))\n'
+        "    coherent = not compacts.translate(None, bytes(compact_elements(target)))\n"
         "    if frame_hom:\n",
         "killed",
     ),
     Mutant(
         "decide-flags-skips-the-split",
         "src/framelab/lattices.py",
-        "    if len(homs) > 1 and not (coherent and proper):\n"
-        "        for hom in homs:\n"
-        "            _decide_flags((hom,))\n"
-        "        return\n",
+        "    if k > 1 and not (coherent and proper):\n"
+        "        return [_decide_flags(source, target, images[i:i + n])[0]"
+        " for i in range(0, len(images), n)]\n",
         "",
         "killed",
     ),
     Mutant(
         "large-target-batch-checks-only-the-first-hom",
         "src/framelab/lattices.py",
-        "product(tables, zip(a_col, b_col, join_col, meet_col))",
-        "product(tables[:1], zip(a_col, b_col, join_col, meet_col))",
+        "product(rows, zip(a_col, b_col, join_col, meet_col))",
+        "product(rows[:1], zip(a_col, b_col, join_col, meet_col))",
+        "killed",
+    ),
+    Mutant(
+        "image-columns-read-at-the-wrong-stride",
+        "src/framelab/lattices.py",
+        "cols = [images[a::n] for a in range(n)]",
+        "cols = [images[a::n + 1] for a in range(n)]",
         "killed",
     ),
     Mutant(
