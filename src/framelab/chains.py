@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NormalizationError, UnknownPredicate
-from .lattices import FinDLat, _require_row_width
+from .lattices import FinDLat
+from .posets import _require_row_width
 
 CHAIN_PREDICATES = (
     "compactFrame",

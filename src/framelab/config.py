@@ -7,15 +7,13 @@ takes a bound per call.
 
 A lattice's size is not bounded here: each join/meet row is one `bytes`,
 so `lattices.FinDLat` holds at most 256 elements by its row format, and
-every lattice constructor refuses a larger one with CapacityError.
+`posets._require_row_width` refuses a larger one with CapacityError. The
+elements of a lattice are the upsets of its dual space, so the same check
+bounds every upset family (`posets.upset_masks`) as it is built.
 """
 
 # Largest poset size enumerate_posets / gen_corpus accept by default.
 MAX_POSET_SIZE = 6
-
-# Upset families larger than this (i.e. 2**size) are refused: by
-# `upset_masks`, and by `Poset.from_doc` before the poset is built.
-MAX_UPSET_FAMILY = 1 << 16
 
 # Searches whose raw space exceeds this are refused: monotone maps p -> q
 # (|q|^|p|), frame homs L -> M counted on the dual side (|J(L)|^|J(M)|),

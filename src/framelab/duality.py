@@ -49,7 +49,7 @@ from .lattices import (
     prime_filters,
     way_below_rows_oracle,
 )
-from .posets import MonotoneMap, bits, cached
+from .posets import MonotoneMap, bits, cached, transpose
 from .spaces import (
     _center_table,
     _core_table,
@@ -115,12 +115,7 @@ def priestley_space_of(lattice):
     """
     points = join_irreducible_poset(lattice)
     filters = tuple(lattice.up[j] for j in join_irreducibles(lattice))
-    phi = [0] * lattice.size
-    for p, f in enumerate(filters):
-        bit = 1 << p
-        for a in bits(f):
-            phi[a] |= bit
-    record = StoneMapRecord(lattice, points, tuple(phi), filters)
+    record = StoneMapRecord(lattice, points, transpose(filters, lattice.size), filters)
     _check_against_oracle(record, prime_filters(lattice))
     return record
 

@@ -25,7 +25,10 @@ from .errors import (
     NotLatticeError,
     UnknownPredicate,
 )
-from .posets import Poset, PointwiseMap, bits, cached, conjunction, iter_monotone_maps, upset_masks
+from .posets import (
+    Poset, PointwiseMap, _require_row_width, bits, cached, conjunction, iter_monotone_maps,
+    transpose, upset_masks,
+)
 
 FRAME_PREDICATES = (
     "compactFrame",
@@ -221,14 +224,6 @@ class FinDLat:
         return f"FinDLat(size={self.size})"
 
 
-def _require_row_width(n):
-    """Return n, or raise CapacityError when n elements do not fit a `bytes`
-    row: the one size bound on a lattice, checked before its tables exist."""
-    if n > 256:
-        raise CapacityError(f"a lattice of {n} elements is over 256, the width of a bytes row")
-    return n
-
-
 def _extreme_of(mask, rows):
     """The member of `mask` whose row holds all of `mask`, or None: the least
     member when `rows` are `up` rows, the greatest when they are `down`."""
@@ -246,9 +241,8 @@ def birkhoff_lattice(points):
 
     Project-wide convention: upsets, not downsets, so the dual space of
     birkhoff_lattice(P) comes out order-isomorphic to P itself, and element
-    i is the i-th mask of `upset_masks(points)`. The upset family is bounded
-    by `config.MAX_UPSET_FAMILY`, and more than 256 upsets raise
-    CapacityError before the join/meet tables are allocated.
+    i is the i-th mask of `upset_masks(points)`, which refuses more than
+    256 upsets with CapacityError, so the tables fit their `bytes` rows.
 
     The tables are composed row by row. Only the join and up rows of each
     principal upset ↑q and the meet row of each co-principal one X∖↓q are
@@ -275,7 +269,7 @@ def birkhoff_lattice(points):
     keeps the `down` rows built here.
     """
     masks = upset_masks(points)
-    n = _require_row_width(len(masks))
+    n = len(masks)
     index = {m: i for i, m in enumerate(masks)}
     full = (1 << n) - 1
     # a point strictly below p has a strictly smaller down-set
@@ -283,12 +277,12 @@ def birkhoff_lattice(points):
     top_first = lin[::-1]
     # the join row of ↑q, the meet row of X∖↓q, and the upsets holding q
     # (the up row of ↑q; the upsets without q are the down row of X∖↓q)
-    cover, hull, contains = [], [], []
+    cover, hull = [], []
     for q in range(points.size):
         above, outside = points.up[q], points.full_mask & ~points.down[q]
         cover.append(bytes([index[above | w] for w in masks]))
         hull.append(bytes([index[outside & w] for w in masks]))
-        contains.append(sum(1 << j for j, w in enumerate(masks) if w >> q & 1))
+    contains = transpose(masks, points.size)
     ident = bytes(range(n))
     # each row is kept padded to the 256 bytes a translate table needs
     tables = [ident.ljust(256, b"\0")] * n
@@ -517,10 +511,7 @@ def _frame_predicate_witness(lattice, name):
     if name == "spatial":
         # key each element by its prime filters (bit i for the i-th); the
         # witness is the first element that shares its key, with the next
-        keys = [0] * n
-        for i, f in enumerate(prime_filters(lattice)):
-            for a in bits(f):
-                keys[a] |= 1 << i
+        keys = transpose(prime_filters(lattice), n)
         classes = {}
         for a, key in enumerate(keys):
             classes.setdefault(key, []).append(a)

@@ -64,6 +64,28 @@ def bits(mask):
     return out
 
 
+def transpose(rows, width):
+    """The columns of a bit matrix: bit i of the j-th returned mask is bit j
+    of ``rows[i]``, for j < width. The `down` rows of a poset are its `up`
+    rows transposed, the lower covers its upper covers, and φ of a lattice
+    its point filters."""
+    out = [0] * width
+    for i, m in enumerate(rows):
+        for j in bits(m):
+            out[j] |= 1 << i
+    return tuple(out)
+
+
+def _require_row_width(n):
+    """Return n, or raise CapacityError when n elements do not fit a `bytes`
+    row: the one size bound of the library. A lattice's join and meet rows
+    hold at most 256 elements, and so, its elements being the upsets of its
+    dual space, does every upset family (`upset_masks`)."""
+    if n > 256:
+        raise CapacityError(f"{n} elements are over 256, the width of a bytes row")
+    return n
+
+
 def cached(fn):
     """Keep ``fn(obj)``, or ``fn(obj, arg)`` per argument, in ``obj._memo``.
 
@@ -128,14 +150,7 @@ class Poset:
             self._validate()
         # a trusted caller that already holds the transposed rows passes them
         # as the tuple `_down`, and they are kept as given
-        if _down is None:
-            down = [0] * n
-            for i in range(n):
-                m = up[i]
-                for j in bits(m):
-                    down[j] |= 1 << i
-            _down = tuple(down)
-        self.down = _down
+        self.down = transpose(up, n) if _down is None else _down
         self._memo = {}
 
     def _validate(self):
@@ -237,11 +252,7 @@ class Poset:
         `covers`, `lower_covers`, `_search_plan` and each refinement round of
         the canonical search read this pair."""
         upper = _cover_masks([m ^ (1 << i) for i, m in enumerate(self.up)])
-        lower = [0] * self.size
-        for i, m in enumerate(upper):
-            for j in bits(m):
-                lower[j] |= 1 << i
-        return tuple(upper), tuple(lower)
+        return tuple(upper), transpose(upper, self.size)
 
     @cached
     def covers(self):
@@ -402,17 +413,16 @@ class Poset:
 
     @classmethod
     def from_doc(cls, doc):
-        """Inverse of `to_doc`. A malformed document raises ValueError, and
-        one whose upsets could exceed `config.MAX_UPSET_FAMILY` raises
-        CapacityError."""
+        """Inverse of `to_doc`. A malformed document raises ValueError. A
+        poset of n points has at least n + 1 upsets (a chain has exactly
+        that many), so a size whose upsets cannot fit a lattice, n >= 256,
+        raises CapacityError before anything is built."""
         if not isinstance(doc, dict) or "size" not in doc:
             raise ValueError("not a poset document")
         size = doc["size"]
         if type(size) is not int or size < 0:
             raise ValueError(f"poset size {size!r} is not a non-negative int")
-        # refused before anything is allocated: 2^size upsets must fit the bound
-        if size >= config.MAX_UPSET_FAMILY.bit_length():
-            raise CapacityError(f"poset size {size} exceeds the upset-family bound")
+        _require_row_width(size + 1)
         covers = doc.get("covers", [])
         if not isinstance(covers, list):
             raise ValueError("poset covers must be a list")
@@ -538,6 +548,7 @@ class MonotoneMap(PointwiseMap):
 # -- upsets ------------------------------------------------------------------
 
 
+@cached
 def upset_masks(poset):
     """All upsets of the poset as masks, in canonical order, cached on it.
 
@@ -545,18 +556,10 @@ def upset_masks(poset):
     Everything downstream that enumerates clopen upsets inherits this order.
     The upsets are generated top-down by `_upset_rows`, as `enumerate_posets`
     builds its rows, so the work grows with the number of upsets rather than
-    with the 2^n subsets. A poset with more than `config.MAX_UPSET_FAMILY`
-    subsets raises CapacityError, even when its upsets are already cached.
+    with the 2^n subsets. The upsets of a poset are the elements of its
+    Birkhoff lattice, so a family of more than 256 raises CapacityError as
+    soon as `_upset_rows` passes that size, and nothing is cached.
     """
-    bound = config.MAX_UPSET_FAMILY
-    n = poset.size
-    if (1 << n) > bound:
-        raise CapacityError(f"2^{n} upsets exceed the configured bound {bound}")
-    return _upset_masks(poset)
-
-
-@cached
-def _upset_masks(poset):
     up = poset.up
     # a point above j has a strictly smaller up-set, so it comes before j
     order = sorted(range(poset.size), key=lambda j: popcount(up[j]))
@@ -569,11 +572,14 @@ def _upset_rows(strict, points):
     """Every upset of the order on `points`, as masks, given the strict up-set
     `strict[j]` of each point. `points` lists each point after every point
     above it, so every point above j is decided before j is, and j joins
-    exactly the sets built so far that hold its strict up-set."""
+    exactly the sets built so far that hold its strict up-set. A point at
+    most doubles the family, and one past 256 upsets raises CapacityError, so
+    no more than 512 masks are ever built."""
     rows = [0]
     for j in points:
         above = strict[j]
         rows += [row | (1 << j) for row in rows if not above & ~row]
+        _require_row_width(len(rows))
     return rows
 
 
@@ -589,7 +595,10 @@ def enumerate_posets(n):
     any upset of the order already built on i+1..n-1, and those are exactly
     the choices that keep the relation transitive. Each labelling is
     deduplicated by canonical form. Representatives are canonical and come
-    in canonical-key order.
+    in canonical-key order. For n >= 10 the first labelling reached leaves
+    points 1..n-1 unordered, and `_upset_rows` refuses their 2^(n-1) > 256
+    upsets as the choices for row 0, so such an n raises CapacityError at
+    once, even with `config.MAX_POSET_SIZE` raised.
 
     The `down` rows are kept up to date as rows are placed: placing row i
     sets bit i in the down row of each point of the row, and backtracking

@@ -35,11 +35,12 @@ from framelab.duality import (
     validate,
     validate_all,
 )
+from framelab.chains import materialize, parse_chain
 from framelab.corpus import gen_corpus
-from framelab.posets import bits, upset_masks
+from framelab.posets import bits
 from framelab.spaces import clop_upset_masks, spatial_part
 from test_lattices import compose_homs, m3, n5
-from test_space_references import random_posets
+from test_space_references import random_posets, upsets_fit_a_lattice
 from test_spaces import compose_space_maps
 
 _B2 = birkhoff_lattice(Poset.antichain(2))
@@ -267,7 +268,7 @@ def test_round_trip_examples():
 
 
 @settings(max_examples=40, deadline=None)
-@given(random_posets(9, 10).filter(lambda p: len(upset_masks(p)) <= 256))
+@given(random_posets(9, 10).filter(upsets_fit_a_lattice))
 def test_duality_round_trips_on_random_posets(poset):
     # every object is built fresh, so each example fills new memos; wide
     # orders reach lattices of up to 256 elements, the widest a row holds
@@ -442,6 +443,13 @@ def test_a_statement_with_a_false_premise_passes(
     assert validate(name, _LATTICES[lattice], lattice_id="x").status == "fail"
     monkeypatch.setattr(duality, "lspace_predicate_witness", lambda space, name: (False, None))
     assert validate(name, _LATTICES[lattice], lattice_id="x").passed
+
+
+def test_validate_all_passes_on_the_18_element_chain():
+    # its dual space is the 17-point chain, whose 18 upsets fit a lattice
+    reports = validate_all(materialize(parse_chain("fin:16")))
+    assert len(reports) == len(VALIDATOR_NAMES)
+    assert all(r.passed for r in reports), [r for r in reports if not r.passed]
 
 
 def test_validate_all_evaluates_each_predicate_once(monkeypatch):

@@ -40,6 +40,7 @@ from framelab.spaces import (
 )
 
 from test_lattices import m3, n5
+from test_space_references import upsets_fit_a_lattice
 
 _ENTRIES = gen_corpus(5).entries
 
@@ -212,7 +213,7 @@ def _shuffled_posets(seed, count):
         rng.shuffle(perm)
         p = Poset.from_covers([(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
                                if rng.random() < density], n)
-        if len(upset_masks(p)) <= 256:
+        if upsets_fit_a_lattice(p):
             out.append(p)
     return out
 

@@ -134,13 +134,20 @@ def test_birkhoff_is_distributive_and_recovers_points(p):
     assert join_irreducible_poset(lat).canonical_key() == p.canonical_key()
 
 
-def test_birkhoff_capacity(monkeypatch):
-    cached = Poset.antichain(6)
-    birkhoff_lattice(cached)  # a default call fills the poset's upset cache
-    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 32)
-    for p in (Poset.antichain(6), cached):
-        with pytest.raises(CapacityError):
+def test_birkhoff_capacity():
+    # 257 upsets, one more than a lattice holds: the 256-chain, and the
+    # 8-antichain with a bottom point under it
+    for p in (Poset.chain(256), Poset.from_covers([(8, i) for i in range(8)], 9)):
+        with pytest.raises(CapacityError, match="256"):
             birkhoff_lattice(p)
+
+
+def test_birkhoff_lattice_of_the_255_chain_is_the_256_chain():
+    # two independent constructions of the widest chain a bytes row holds
+    lat, chain = birkhoff_lattice(Poset.chain(255)), FinDLat.chain(256)
+    assert lat.size == 256
+    for field in ("join", "meet", "up", "down", "bottom", "top"):
+        assert getattr(lat, field) == getattr(chain, field), field
 
 
 def test_birkhoff_refuses_tables_over_the_search_bound():

@@ -169,13 +169,32 @@ def test_upsets_canonical_order_is_card_then_members():
     assert order == sorted(order, key=lambda t: (len(t), t))
 
 
-def test_all_upsets_capacity(monkeypatch):
-    cached = Poset.antichain(5)
-    upset_masks(cached)  # a default call fills the poset's upset cache
-    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 16)
-    for p in (Poset.antichain(5), cached):
-        with pytest.raises(CapacityError):
-            upset_masks(p)
+def test_all_upsets_capacity():
+    # bounded by the upsets built, not by 2^n: the 8-antichain's 256 fill a
+    # lattice and 20 points in a chain have 21, while 9 unordered points, or
+    # 8 under a top point (257 upsets), are refused on every call, since a
+    # refusal caches nothing
+    assert len(upset_masks(Poset.antichain(8))) == 256
+    assert len(upset_masks(Poset.chain(20))) == 21
+    for p in (Poset.antichain(9), Poset.from_covers([(i, 8) for i in range(8)], 9)):
+        for _ in range(2):
+            with pytest.raises(CapacityError, match="256"):
+                upset_masks(p)
+        assert not p._memo
+
+
+def test_space_operators_refuse_a_wide_space_at_once():
+    # 2^16 upsets: refused as the family passes 256, not enumerated
+    with pytest.raises(CapacityError, match="256"):
+        spaces.kernel(Poset.antichain(16), 0)
+
+
+def test_enumeration_refuses_ten_points_by_the_upset_bound(monkeypatch):
+    # the first labelling of 10 points leaves 1..9 unordered, and their 512
+    # upsets are refused as the choices for row 0
+    monkeypatch.setattr(config, "MAX_POSET_SIZE", 10)
+    with pytest.raises(CapacityError, match="256"):
+        enumerate_posets(10)
 
 
 # -- minimal points ------------------------------------------------------------
@@ -630,15 +649,15 @@ def test_doc_refuses_malformed_input_with_value_error(doc, message):
         Poset.from_doc(doc)
 
 
-def test_doc_size_is_bounded_by_the_upset_family(monkeypatch):
-    # 2^16 upsets fit the default bound, 2^17 do not
-    assert Poset.from_doc({"size": 16}).size == 16
-    with pytest.raises(CapacityError):
-        Poset.from_doc({"size": 17})
-    monkeypatch.setattr(config, "MAX_UPSET_FAMILY", 5)
-    assert Poset.from_doc({"size": 2}).size == 2
-    with pytest.raises(CapacityError):
-        Poset.from_doc({"size": 3, "covers": [[0, 1]]})
+def test_doc_size_is_bounded_by_the_upset_family():
+    # n points have at least n + 1 upsets, a chain exactly that many, and a
+    # lattice holds 256 elements: 255 points can fit, 256 never do
+    assert Poset.from_doc({"size": 255}).size == 255
+    chain = Poset.from_doc({"size": 255, "covers": [[i, i + 1] for i in range(254)]})
+    assert len(upset_masks(chain)) == 256
+    for doc in ({"size": 256}, {"size": 256, "covers": [[0, 1]]}):
+        with pytest.raises(CapacityError, match="256"):
+            Poset.from_doc(doc)
 
 
 # -- low-level helpers ----------------------------------------------------------

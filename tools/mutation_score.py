@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 75 mutants. 73 are expected to be killed, and two,
+The list holds 77 mutants. 75 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -236,9 +236,23 @@ MUTANTS = (
     ),
     Mutant(
         "lattice-row-width-257",
-        "src/framelab/lattices.py",
+        "src/framelab/posets.py",
         "    if n > 256:\n",
         "    if n > 257:\n",
+        "killed",
+    ),
+    Mutant(
+        "upset-family-unbounded",
+        "src/framelab/posets.py",
+        "        _require_row_width(len(rows))\n",
+        "",
+        "killed",
+    ),
+    Mutant(
+        "upset-family-refuses-256",
+        "src/framelab/posets.py",
+        "_require_row_width(len(rows))",
+        "_require_row_width(len(rows) + 1)",
         "killed",
     ),
     Mutant(
@@ -343,8 +357,8 @@ MUTANTS = (
     Mutant(
         "spatial-keys-ignore-the-filter",
         "src/framelab/lattices.py",
-        "keys[a] |= 1 << i",
-        "keys[a] |= 1",
+        "keys = transpose(prime_filters(lattice), n)",
+        "keys = [min(k, 1) for k in transpose(prime_filters(lattice), n)]",
         "killed",
     ),
     Mutant(
@@ -513,8 +527,8 @@ MUTANTS = (
     Mutant(
         "dual-space-stone-map-drops-point-0",
         "src/framelab/duality.py",
-        "            phi[a] |= bit\n",
-        "            phi[a] |= bit & ~1\n",
+        "transpose(filters, lattice.size)",
+        "tuple(m & ~1 for m in transpose(filters, lattice.size))",
         "killed",
     ),
     Mutant(
