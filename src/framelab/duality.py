@@ -16,8 +16,9 @@ failure.
 
 Eleven validators are bodies of one statement loop, `_statement`, which
 stops at the first instance whose sides differ. `properCoherent` keeps its
-own loop: it runs once per hom, tens of thousands of times per sweep, and
-computes the partner's content id only on failure.
+own loop: it runs once per hom, tens of thousands of times per sweep,
+unpacks the coherentHom and properHom flags that were fixed when the hom
+was built, and computes the partner's content id only on failure.
 """
 
 from __future__ import annotations
@@ -297,13 +298,11 @@ def _v_scott_extensions(lattice):
         covered = 0
         for v in inside:
             covered |= v
-        # s3: every spatial point of U lies in a Scott upset inside U; s4: an
-        # f inside U is its own v, so `inside` is scanned only for the rest
+        # s3: every spatial point of U lies in a Scott upset inside U; s4:
+        # every Scott upset f inside ker U lies in a Scott upset v ⊆ U, that
+        # is f ⊆ U (then f is its own v, and a v ⊆ U holds no f ⊄ U)
         s3 = um & y_mask & ~covered == 0
-        s4 = all(
-            f & ~um == 0 or any(f & ~v == 0 for v in inside)
-            for f in scott if f & ~ker_m == 0
-        )
+        s4 = all(f & ~um == 0 for f in scott if f & ~ker_m == 0)
         yield "upset", um, (ker_m == core_m, core_m == um, s3, s4)
 
 
@@ -324,8 +323,7 @@ def _v_proper_coherent(lattice, corpus, cap):
             pairs.append((partner, lattice))
         for src, tgt in pairs:
             for hom in enumerate_homs(src, tgt):
-                coherent = hom.is_coherent
-                proper = hom.is_proper
+                _, _, coherent, proper = hom.flags
                 if coherent != proper:
                     return {
                         "hom": list(hom.image),

@@ -14,7 +14,7 @@ is returned as the tuple it is kept as.
 
 from __future__ import annotations
 
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 
 from . import config
@@ -533,32 +533,29 @@ def _join_sweep(lattice, below):
 
 
 def _flag_property(name):
-    """The `LatticeHom` property that reads the `_flags` entry of `name`."""
+    """The `LatticeHom` property that reads the `flags` entry of `name`."""
     index = _FLAG_INDEX[name]
-
-    def read(hom):
-        flags = hom._flags
-        return hom_predicate(hom, name) if flags is None else flags[index]
-
-    return property(read)
+    return property(lambda hom: hom.flags[index])
 
 
 class LatticeHom(PointwiseMap):
-    """Element-wise map between lattices with cached predicate flags.
+    """Element-wise map between lattices with its four predicate flags.
 
-    The constructor is the checked one of `posets.PointwiseMap`.
-    `enumerate_homs` builds its homs without it, each from its row of the
-    search's image buffer, in range by construction and with its flags
-    already decided. `image` is a tuple; `_flags` is None until the hom is
-    decided, and then its four flags from `_decide_flags`, which the
-    properties read.
+    The constructor is the checked one of `posets.PointwiseMap`, and it
+    decides the flags as a batch of one, `_decide_flags(source, target,
+    bytes(image))`. `enumerate_homs` builds its homs without it, each from
+    its row of the search's image buffer, in range by construction, with
+    the flags its batch decided. `image` is a tuple, and `flags` the four
+    flags in `HOM_PREDICATES` order, fixed when the hom is built:
+    `hom_predicate` and the properties read them, and nothing decides them
+    again.
     """
 
-    __slots__ = ("_flags",)
+    __slots__ = ("flags",)
 
     def __init__(self, source, target, image):
         super().__init__(source, target, image)
-        self._flags = None
+        self.flags = _decide_flags(source, target, bytes(self.image))[0]
 
     is_frame_hom = _flag_property("frameHom")
     is_coherent = _flag_property("coherentHom")
@@ -592,13 +589,40 @@ def _byte_tables(lattice):
 
 
 @cached
+def _way_below_bytes(lattice):
+    """Row x as `bytes`: byte y is 1 iff x << y by the ideal oracle."""
+    n = lattice.size
+    return tuple(bytes((row >> y) & 1 for y in range(n)) for row in way_below_rows_oracle(lattice))
+
+
+@cached
+def _row_tables(lattice):
+    """For up to 256 elements: the join, meet and `_way_below_bytes` rows of
+    each element x, each padded to a 256-byte `translate` table, so that
+    t.translate(table[x]) maps every y of a row t to x ∨ y, x ∧ y or
+    [x << y]."""
+    return tuple(
+        [row.ljust(256, b"\0") for row in rows]
+        for rows in (lattice.join, lattice.meet, _way_below_bytes(lattice))
+    )
+
+
+@cached
+def _source_tables(lattice):
+    """The join, meet and `_way_below_bytes` rows of a source, each joined
+    into one `bytes` whose byte n·a + b (n = size) is a ∨ b, a ∧ b or
+    [a << b]: what the per-row route of `_decide_flags` reads of it."""
+    return tuple(b"".join(rows) for rows in (lattice.join, lattice.meet, _way_below_bytes(lattice)))
+
+
+@cached
 def _source_columns(lattice):
-    """What `_decide_flags` reads of a source, seven `bytes` of elements: its
-    `_pair_table`, the a's and the b's of its way-below pairs a << b by the
-    ideal oracle, and its compact elements; and for each an `itemgetter`
-    that picks those elements' image columns. A getter also picks index
-    `size`, the empty column after the last, so it returns a tuple however
-    few elements it names."""
+    """The `itemgetter`s that pick, out of a batch's image columns, those of
+    the source elements `_decide_flags` reads: the four `bytes` of the
+    source's `_pair_table`, the a's and the b's of its way-below pairs
+    a << b by the ideal oracle, and its compact elements. A getter also
+    picks index `size`, the empty column after the last, so it returns a
+    tuple however few elements it names."""
     rows = tuple(map(bits, way_below_rows_oracle(lattice)))
     columns = (
         *_pair_table(lattice),
@@ -606,7 +630,7 @@ def _source_columns(lattice):
         bytes(chain.from_iterable(rows)),
         bytes(compact_elements(lattice)),
     )
-    return columns, tuple(itemgetter(*col, lattice.size) for col in columns)
+    return tuple(itemgetter(*col, lattice.size) for col in columns)
 
 
 def _pair_codes(high, low):
@@ -617,65 +641,71 @@ def _pair_codes(high, low):
 
 
 def hom_predicate(hom, name):
-    """Literal evaluation of a homomorphism property, kept in ``hom._flags``.
+    """A homomorphism property of `hom`, read from its ``flags``.
 
-    latticeHom checks h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on
-    every index pair a <= b of the source's `_pair_table`; frameHom is
-    latticeHom with the two bounds kept; coherentHom and properHom are False
-    whenever frameHom is, and otherwise coherentHom checks that h maps every
-    compact element of the source to a compact element of the target, and
-    properHom checks h(a) << h(b) on every pair a << b of the source, both by
-    the ideal oracle. A hom that no search has decided is decided here, as a
-    batch of one, `_decide_flags(source, target, bytes(image))`; every later
-    call and flag property reads it.
+    latticeHom is h(a ∨ b) = h(a) ∨ h(b) and h(a ∧ b) = h(a) ∧ h(b) on every
+    pair of source elements; frameHom is latticeHom with the two bounds
+    kept; coherentHom and properHom are False whenever frameHom is, and
+    otherwise coherentHom is that h maps every compact element of the source
+    to a compact element of the target, and properHom that h(a) << h(b) on
+    every pair a << b of the source, both by the ideal oracle. All four are
+    evaluated literally by `_decide_flags` when the hom is built, by the
+    checked constructor as a batch of one and by `enumerate_homs` on its
+    search's batch; this reads the one asked for.
     """
     index = _FLAG_INDEX.get(name)
     if index is None:
         raise UnknownPredicate(f"unknown hom predicate {name!r}")
-    if hom._flags is None:
-        hom._flags = _decide_flags(hom.source, hom.target, bytes(hom.image))[0]
-    return hom._flags[index]
+    return hom.flags[index]
 
 
 def _decide_flags(source, target, images):
     """The four flags, in `HOM_PREDICATES` order, of each map source → target
-    whose image is an n-byte row of `images` (n = source.size), as a list in
-    row order.
+    whose image is an n-byte row of `images` (n = source.size): a list of
+    one tuple per row, in row order, or a list of the one tuple that holds
+    for every row when no check fails.
 
     Each check runs once on the whole batch. The column of source element
     a, its image under every row, is the strided slice images[a::n], and
     the source's getters (`_source_columns`) gather the columns a check
-    reads into one `bytes`. coherentHom deletes the target's compact
-    elements from the images of the source's. Up to 16 target elements each
-    pair becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
-    `_byte_tables` translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)];
-    larger targets are scanned pair by pair on each row. If a check fails,
-    each row is decided again alone, so its flags never depend on its
-    batch-mates.
+    reads into one `bytes`. frameHom reads the bottom's and the top's
+    columns, and coherentHom deletes the target's compact elements from the
+    images of the source's. The target's size alone chooses the route of
+    latticeHom and properHom. Up to 16 target elements each pair a <= b of
+    the source becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
+    `_byte_tables` translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)].
+    Up to 256, each row t, padded to a 256-byte table, translates the
+    source's joined rows (`_source_tables`) to h(a ∨ b) and h(a ∧ b) for
+    every pair, and t translates through the target's row of each h(a)
+    (`_row_tables`) to h(a) ∨ h(b), h(a) ∧ h(b) and [h(a) << h(b)]; read as
+    one int, the last must hold the source's way-below mask. If a check
+    fails, each row is decided again alone, so its flags never depend on
+    its batch-mates.
     """
     n = source.size
     k = len(images) // n
-    (a_col, b_col, join_col, meet_col, wb_a, wb_b, _), (
-        a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of) = _source_columns(source)
+    a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of = _source_columns(source)
     cols = [images[a::n] for a in range(n)]
     cols.append(b"")  # the empty column every getter also picks
     small = target.size <= 16
-    tgt_join, tgt_meet, tgt_wb = (_byte_tables(target) if small
-                                  else (target.join, target.meet, way_below_rows_oracle(target)))
     if small:
+        tgt_join, tgt_meet, tgt_wb = _byte_tables(target)
         codes = _pair_codes(b"".join(a_of(cols)), b"".join(b_of(cols)))
         lattice_hom = (
             codes.translate(tgt_join) == b"".join(join_of(cols))
             and codes.translate(tgt_meet) == b"".join(meet_of(cols))
         )
     else:
+        src_join, src_meet, src_wb = _source_tables(source)
+        tgt_join, tgt_meet, tgt_wb = _row_tables(target)
         rows = [images[i:i + n] for i in range(0, len(images), n)]
-        lattice_hom = True
-        for t, (a, b, ab_join, ab_meet) in product(rows, zip(a_col, b_col, join_col, meet_col)):
-            ha, hb = t[a], t[b]
-            if t[ab_join] != tgt_join[ha][hb] or t[ab_meet] != tgt_meet[ha][hb]:
-                lattice_hom = False
-                break
+        tables = [t.ljust(256, b"\0") for t in rows]
+        lattice_hom = (
+            b"".join([src_join.translate(table) for table in tables])
+            == b"".join([t.translate(tgt_join[x]) for t in rows for x in t])
+            and b"".join([src_meet.translate(table) for table in tables])
+            == b"".join([t.translate(tgt_meet[x]) for t in rows for x in t])
+        )
     frame_hom = lattice_hom and (cols[source.bottom] == bytes((target.bottom,)) * k
                                  and cols[source.top] == bytes((target.top,)) * k)
     coherent = proper = frame_hom
@@ -686,13 +716,12 @@ def _decide_flags(source, target, images):
             codes = _pair_codes(b"".join(wb_a_of(cols)), b"".join(wb_b_of(cols)))
             proper = 0 not in codes.translate(tgt_wb)
         else:
-            for t, (a, b) in product(rows, zip(wb_a, wb_b)):
-                if not (tgt_wb[t[a]] >> t[b]) & 1:
-                    proper = False
-                    break
+            mask = int.from_bytes(src_wb * k, "big")
+            below = b"".join([t.translate(tgt_wb[x]) for t in rows for x in t])
+            proper = int.from_bytes(below, "big") & mask == mask
     if k > 1 and not (coherent and proper):
         return [_decide_flags(source, target, images[i:i + n])[0] for i in range(0, len(images), n)]
-    return [(lattice_hom, frame_hom, coherent, proper)] * k
+    return [(lattice_hom, frame_hom, coherent, proper)]
 
 
 def enumerate_homs(source, target):
@@ -720,11 +749,13 @@ def enumerate_homs(source, target):
     targets map each field through a dict. The table is kept on M
     (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
     search builds neither. One `_decide_flags` call decides every row. The
-    rows are sorted as bytes, which sort as the image tuples do, and each
-    hom is built from its row, without the checked constructor (its image
-    is in range by construction), with its flags decided. One
-    `hom_predicate` call per candidate reads its frameHom flag; the
-    `is_coherent` and `is_proper` reads that follow make no call.
+    rows sort as bytes as the image tuples do: when the call returns one
+    flags tuple for the whole batch the rows themselves are sorted, and
+    otherwise the (row, flags) pairs. In one loop each hom is built from
+    its row, without the checked constructor (its image is in range by
+    construction), with its flags set from the batch, and kept if the one
+    `hom_predicate` call per candidate reads its frameHom flag as True;
+    callers read the other flags from `flags` with no call.
     """
     from .duality import priestley_space_of  # duality imports this module
 
@@ -747,12 +778,19 @@ def enumerate_homs(source, target):
         shifts, field = range(0, w * n, w), (1 << w) - 1
         images = bytes([element_of[total >> s & field] for total in totals for s in shifts])
     rows = [images[i:i + n] for i in range(0, len(images), n)]
-    new, candidates = object.__new__, []
-    for row, flags in sorted(zip(rows, _decide_flags(source, target, images))):
+    decided = _decide_flags(source, target, images)
+    if len(decided) == 1:
+        rows.sort()
+        decided *= len(rows)
+    else:
+        rows, decided = zip(*sorted(zip(rows, decided)))
+    new, homs = object.__new__, []
+    for image, flags in zip(map(tuple, rows), decided):
         hom = new(LatticeHom)
-        hom.source, hom.target, hom.image, hom._flags = source, target, tuple(row), flags
-        candidates.append(hom)
-    return [hom for hom in candidates if hom_predicate(hom, "frameHom")]
+        hom.source, hom.target, hom.image, hom.flags = source, target, image, flags
+        if hom_predicate(hom, "frameHom"):
+            homs.append(hom)
+    return homs
 
 
 @cached

@@ -182,7 +182,7 @@ def test_dualize_refuses_a_preimage_that_is_no_prime_filter():
     # 2-chain's one prime filter {1} is {1, 2, 3}, which holds both atoms of
     # B2 but not their meet 0
     h = LatticeHom(b2(), FinDLat.chain(2), (0, 1, 1, 1))
-    h._flags = (True, True, True, True)
+    h.flags = (True, True, True, True)
     with pytest.raises(ConsistencyError, match="prime filter"):
         dualize_hom(h)
 

@@ -37,7 +37,7 @@ from framelab.lattices import (
     way_below_rows_oracle,
     well_inside,
 )
-from framelab.posets import bits, iter_monotone_maps, upset_masks
+from framelab.posets import PointwiseMap, bits, iter_monotone_maps, upset_masks
 
 
 def b2():
@@ -583,12 +583,14 @@ def hom_predicates_pairwise(hom):
 
 
 def lattice_homs_brute(src, tgt):
-    """Every map src -> tgt that preserves binary joins and meets."""
+    """Every map src -> tgt that preserves binary joins and meets. Each
+    candidate is a bare `PointwiseMap`, so only the homs found are built
+    as `LatticeHom`s and have their flags decided."""
     out = []
     for image in itertools.product(range(tgt.size), repeat=src.size):
-        hom = LatticeHom(src, tgt, image)
-        if preserves(hom, "join") and preserves(hom, "meet"):
-            out.append(hom)
+        candidate = PointwiseMap(src, tgt, image)
+        if preserves(candidate, "join") and preserves(candidate, "meet"):
+            out.append(LatticeHom(src, tgt, image))
     return out
 
 
@@ -653,26 +655,66 @@ def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold()
 def test_a_batch_decides_every_hom_as_it_decides_it_alone():
     # the maps of one (source, target) pair are one batch; a batch with a
     # failing check is decided again hom by hom, on both sides of the
-    # kernel threshold
+    # kernel threshold and into the 8-antichain's 256 upsets, whose rows
+    # are the widest tables and need no padding
     chain16, chain17 = FinDLat.chain(16), FinDLat.chain(17)
+    wide = birkhoff_lattice(Poset.antichain(8))
+    assert wide.size == 256 and (wide.bottom, wide.top) == (0, 255)
     batches = {}
     for hom in threshold_maps(chain16, chain17):
         batches.setdefault((hom.source, hom.target), []).append(hom)
     # behind a frame hom of B2, monotone maps that keep the bounds but break
     # joins or meets: every check but latticeHom passes on the whole batch
     diamond = b2()
-    for target in (chain16, chain17):
+    for target in (chain16, chain17, wide):
         top = target.size - 1
         images = [(0, 0, top, top), (0, top - 1, top - 1, top), (0, 0, 0, top), (0, top, top, top)]
         batches[diamond, target] = [LatticeHom(diamond, target, image) for image in images]
+    # into the 256 upsets: frame homs of the 3-chain through every 17th
+    # element, with a map that breaks joins and one that drops the bottom
+    three = FinDLat.chain(3)
+    images = [(0, e, 255) for e in range(0, 256, 17)] + [(0, 255, 0), (255, 255, 255)]
+    batches[three, wide] = [LatticeHom(three, wide, image) for image in images]
     mixed = set()
     for (source, target), homs in batches.items():
         images = b"".join(bytes(hom.image) for hom in homs)
         flags = [list(f) for f in lattices._decide_flags(source, target, images)]
+        if len(flags) == 1:  # one tuple holds for the whole batch
+            flags *= len(homs)
         assert flags == [hom_predicates_pairwise(hom) for hom in homs], (source, target)
         if any(f != flags[0] for f in flags):
             mixed.add(target.size)
-    assert {16, 17} <= mixed
+    assert {16, 17, 256} <= mixed
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_a_built_hom_keeps_the_flags_decided_at_construction(size, monkeypatch):
+    # the checked constructor decides all four flags as a batch of one. The
+    # oracle patched afterwards drops lost << lost from every fresh target:
+    # a hom built later is neither coherent nor proper, the one built before
+    # keeps its flags, and reading them decides nothing
+    source, image, lost = FinDLat.chain(3), (0, size - 2, size - 1), size - 2
+    hom = LatticeHom(source, FinDLat.chain(size), image)
+    assert hom.flags == (True, True, True, True)
+    oracle = lattices.way_below_rows_oracle
+
+    def losing(lattice):
+        rows = oracle(lattice)
+        if lattice is not source:
+            rows = rows[:lost] + (rows[lost] & ~(1 << lost),) + rows[lost + 1:]
+        return rows
+
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
+    later = LatticeHom(source, FinDLat.chain(size), image)
+    assert later.flags == (True, True, False, False)
+
+    def undecidable(source, target, images):
+        raise AssertionError("a built hom's flags were decided again")
+
+    monkeypatch.setattr(lattices, "_decide_flags", undecidable)
+    assert [hom_predicate(hom, name) for name in lattices.HOM_PREDICATES] == [True] * 4
+    assert hom.is_frame_hom and hom.is_coherent and hom.is_proper
+    assert hom.flags == (True, True, True, True)
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -741,7 +783,32 @@ def test_a_search_batch_splits_where_the_target_loses_a_compact_element(size, mo
     assert [h.image for h in homs] == [(0, e, size - 1) for e in range(size)]
     assert [h.image for h in homs if not h.is_coherent] == [(0, lost, size - 1)]
     for h in homs:
-        assert list(h._flags) == hom_predicates_pairwise(h), h.image
+        assert list(h.flags) == hom_predicates_pairwise(h), h.image
+
+
+@pytest.mark.parametrize("size", [16, 17])
+def test_a_search_batch_splits_where_the_target_loses_a_way_below_pair(size, monkeypatch):
+    # the oracle drops 0 << lost from a fresh target; compactness is
+    # untouched. Of the 3-chain's homs into the target, only the one through
+    # lost maps a way-below pair (0 << 1) onto it, so it alone is not
+    # proper; it is not the last row of the search's batch, so the batch
+    # check must read every row's pairs
+    target = FinDLat.chain(size)
+    oracle = lattices.way_below_rows_oracle
+    lost = size - 2
+
+    def losing(lattice):
+        rows = oracle(lattice)
+        if lattice is target:
+            rows = (rows[0] & ~(1 << lost),) + rows[1:]
+        return rows
+
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
+    homs = enumerate_homs(FinDLat.chain(3), target)
+    assert [h.image for h in homs if not h.is_proper] == [(0, lost, size - 1)]
+    assert all(h.is_coherent for h in homs)
+    for h in homs:
+        assert list(h.flags) == hom_predicates_pairwise(h), h.image
 
 
 def test_a_search_without_candidates_decides_nothing(monkeypatch):

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 77 mutants. 75 are expected to be killed, and two,
+The list holds 79 mutants. 77 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -77,10 +77,9 @@ MUTANTS = (
         '            codes = _pair_codes(b"".join(wb_a_of(cols)), b"".join(wb_b_of(cols)))\n'
         "            proper = 0 not in codes.translate(tgt_wb)\n"
         "        else:\n"
-        "            for t, (a, b) in product(rows, zip(wb_a, wb_b)):\n"
-        "                if not (tgt_wb[t[a]] >> t[b]) & 1:\n"
-        "                    proper = False\n"
-        "                    break\n",
+        '            mask = int.from_bytes(src_wb * k, "big")\n'
+        '            below = b"".join([t.translate(tgt_wb[x]) for t in rows for x in t])\n'
+        '            proper = int.from_bytes(below, "big") & mask == mask\n',
         "",
         "killed",
     ),
@@ -131,8 +130,8 @@ MUTANTS = (
     Mutant(
         "hom-tables-read-the-source-byte-tables",
         "src/framelab/lattices.py",
-        "_byte_tables(target) if small",
-        "_byte_tables(source) if small",
+        "_byte_tables(target)",
+        "_byte_tables(source)",
         "killed",
     ),
     Mutant(
@@ -167,8 +166,29 @@ MUTANTS = (
     Mutant(
         "large-target-batch-checks-only-the-first-hom",
         "src/framelab/lattices.py",
-        "product(rows, zip(a_col, b_col, join_col, meet_col))",
-        "product(rows[:1], zip(a_col, b_col, join_col, meet_col))",
+        'b"".join([src_join.translate(table) for table in tables])\n'
+        '            == b"".join([t.translate(tgt_join[x]) for t in rows for x in t])\n'
+        '            and b"".join([src_meet.translate(table) for table in tables])\n'
+        '            == b"".join([t.translate(tgt_meet[x]) for t in rows for x in t])\n',
+        'src_join.translate(tables[0])\n'
+        '            == b"".join([rows[0].translate(tgt_join[x]) for x in rows[0]])\n'
+        '            and src_meet.translate(tables[0])\n'
+        '            == b"".join([rows[0].translate(tgt_meet[x]) for x in rows[0]])\n',
+        "killed",
+    ),
+    Mutant(
+        "large-target-lattice-hom-skips-meets",
+        "src/framelab/lattices.py",
+        '\n            and b"".join([src_meet.translate(table) for table in tables])\n'
+        '            == b"".join([t.translate(tgt_meet[x]) for t in rows for x in t])',
+        "",
+        "killed",
+    ),
+    Mutant(
+        "large-target-way-below-mask-covers-one-row",
+        "src/framelab/lattices.py",
+        'mask = int.from_bytes(src_wb * k, "big")',
+        'mask = int.from_bytes(src_wb, "big")',
         "killed",
     ),
     Mutant(
