@@ -220,7 +220,10 @@ def _parse_token(token):
 
 
 def parse_chain(spec):
-    """Parse CLI chain syntax: 'fin:3+omega+dense', or 'one' / 'two'."""
+    """Parse CLI chain syntax: 'fin:3+omega+dense', or 'one' / 'two'. A spec
+    that is not a str raises ValueError."""
+    if not isinstance(spec, str):
+        raise ValueError(f"chain spec {spec!r} is not a str")
     spec = spec.strip()
     if spec == "one":
         return ChainFrame.trivial()

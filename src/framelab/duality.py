@@ -263,7 +263,7 @@ def _v_compact_characterization(lattice):
     record = priestley_space_of(lattice)
     space = record.space
     rows = way_below_rows_oracle(lattice)
-    scott = clop_scott_upset_masks(space)
+    scott = set(clop_scott_upset_masks(space))
     ker, index = _kernel_table(space), _upset_index(space)
     for a, phi_a in enumerate(record.phi):
         yield "element", a, (bool(rows[a] >> a & 1), ker[index[phi_a]] == phi_a, phi_a in scott)
@@ -294,15 +294,16 @@ def _v_scott_extensions(lattice):
     scott = clop_scott_upset_masks(space)
     y_mask = spatial_mask(space)
     for um, ker_m, core_m in zip(ups, _kernel_table(space), _core_table(space)):
-        inside = [v for v in scott if v & ~um == 0]
-        covered = 0
-        for v in inside:
-            covered |= v
         # s3: every spatial point of U lies in a Scott upset inside U; s4:
         # every Scott upset f inside ker U lies in a Scott upset v ⊆ U, that
         # is f ⊆ U (then f is its own v, and a v ⊆ U holds no f ⊄ U)
+        covered, s4 = 0, True
+        for v in scott:
+            if v | um == um:
+                covered |= v
+            elif v | ker_m == ker_m:
+                s4 = False
         s3 = um & y_mask & ~covered == 0
-        s4 = all(f & ~um == 0 for f in scott if f & ~ker_m == 0)
         yield "upset", um, (ker_m == core_m, core_m == um, s3, s4)
 
 
@@ -339,8 +340,12 @@ def _v_scott_stable(lattice):
     space = priestley_space_of(lattice).space
     algebraic, _ = lspace_predicate_witness(space, "algebraicL")
     stable, _ = lspace_predicate_witness(space, "kernelStable")
-    scott = set(clop_scott_upset_masks(space))
-    closed_under_meets = all(scott.issuperset(map(a.__and__, scott)) for a in scott)
+    # a ∧ b = b ∧ a and a ∧ a = a, so each unordered pair is met once
+    family = clop_scott_upset_masks(space)
+    scott = set(family)
+    closed_under_meets = all(
+        scott.issuperset(map(a.__and__, family[i + 1:])) for i, a in enumerate(family)
+    )
     yield None, None, (algebraic and stable, closed_under_meets)
 
 

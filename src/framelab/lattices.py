@@ -412,8 +412,17 @@ def compact_elements(lattice):
 # -- pseudocomplement and well inside ----------------------------------------------
 
 
+def _require_element(lattice, a):
+    """ValueError unless `a` is an int in 0..size-1; a negative index, which
+    Python would read from the end of a row, is refused, as is a bool."""
+    if type(a) is not int or not 0 <= a < lattice.size:
+        raise ValueError(f"{a!r} is not an element of 0..{lattice.size - 1}")
+
+
 def pseudocomplement(lattice, a):
-    """a* = join of {x : a ∧ x = 0}; a ∧ a* = 0 is checked (needs distributivity)."""
+    """a* = join of {x : a ∧ x = 0}; a ∧ a* = 0 is checked (needs distributivity).
+    An `a` outside 0..size-1 raises ValueError."""
+    _require_element(lattice, a)
     row = lattice.meet[a]
     star = _pseudocomplement_joins(lattice)[a]
     if row[star] != lattice.bottom:
@@ -432,7 +441,8 @@ def _pseudocomplement_joins(lattice):
 
 
 def well_inside(lattice, a, b):
-    """a ≺ b iff a* ∨ b = 1."""
+    """a ≺ b iff a* ∨ b = 1. An `a` or `b` outside 0..size-1 raises ValueError."""
+    _require_element(lattice, b)
     return lattice.join[pseudocomplement(lattice, a)][b] == lattice.top
 
 

@@ -163,7 +163,7 @@ def _upsets_above_meet(ups, um, full):
     inside it."""
     out = full
     for w in ups:
-        if um & ~w == 0:
+        if w & um == um:
             out &= w
     return out
 
@@ -189,10 +189,14 @@ def _kernel_table(space):
 
 
 def _union_inside(family, bound):
-    """Union of the members of `family` contained in `bound`."""
+    """Union of the members of `family` contained in `bound`.
+
+    The test is `vm | bound == bound`, not `vm & ~bound == 0`: `~bound` is a
+    new negative int on every call, since Python keeps only -5..256 cached.
+    """
     out = 0
     for vm in family:
-        if vm & ~bound == 0:
+        if vm | bound == bound:
             out |= vm
     return out
 
@@ -262,7 +266,7 @@ def _reg_table(space):
     for um in ups:
         out = 0
         for vm, dm in pairs:
-            if dm & ~um == 0:
+            if dm | um == um:
                 out |= vm
         table.append(out)
     return tuple(table)
@@ -412,14 +416,18 @@ def _irreducible_closed_sets(point_space):
     """Nonempty closed sets that are not the union of two proper closed subsets.
 
     The closed sets are closed under finite unions, so c is such a union iff
-    the closed sets strictly inside c cover it.
+    the closed sets strictly inside c cover it. The opens are sorted by
+    `mask_order_key`, so the closed sets, their complements, come in
+    decreasing size and are distinct: every closed set strictly inside c
+    comes after c, and the scan starts there. Its test is `a | c == c`,
+    which builds no `~c`.
     """
     closed = point_space.closed_sets()
     irreducible = []
-    for c in closed:
+    for i, c in enumerate(closed):
         inside = 0
-        for a in closed:
-            if a & ~c == 0 and a != c:
+        for a in closed[i + 1:]:
+            if a | c == c:
                 inside |= a
         # the empty set has nothing strictly inside it and so is left out
         if inside != c:

@@ -81,6 +81,12 @@ def test_parse_round_trip():
         parse_chain("omega+banana")
 
 
+@pytest.mark.parametrize("spec", [None, 3, b"fin:3", ["fin:3"]])
+def test_parse_refuses_a_spec_that_is_not_a_str(spec):
+    with pytest.raises(ValueError, match="is not a str"):
+        parse_chain(spec)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [

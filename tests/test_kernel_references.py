@@ -8,9 +8,12 @@ each element by a tuple; the pseudocomplement joins its row afresh;
 compactlyBased and hausdorff quantify over the opens point by point; the
 irreducible closed sets try every pair of proper closed subsets, and sober
 lists each closed set's generic points; s4 of scottExtensions scans
-`inside` for every Scott upset. Each kernel must return the same
-`(ok, witness)` as its reference, on failing inputs too, so the first
-witness in the reference's order is the one reported.
+`inside` for every Scott upset, and closure under meets tries every ordered
+pair. Each kernel must return the same `(ok, witness)` as its reference, on
+failing inputs too, so the first witness in the reference's order is the
+one reported. On a finite space the Scott family holds every upset and the
+kernel is the identity, so the Scott-family tests plant random families in
+their place, where the sides differ.
 """
 
 import random
@@ -190,6 +193,10 @@ def _ref_scott_extensions(lattice):
         if len(set(sides)) > 1:
             return {"upset": um, "sides": sides}
     return None
+
+
+def _ref_closed_under_meets(family):
+    return all(a & b in family for a in family for b in family)
 
 
 def _point_kernel(point_space, name):
@@ -387,4 +394,64 @@ def test_irreducible_closed_sets_and_sober_match_references_on_random_topologies
         outcomes.add(expected[0])
     # sober spaces, and ones where an irreducible closed set has two or more
     # generic points (a finite one always has at least one)
+    assert outcomes == {True, False}
+
+
+# -- planted Scott families -------------------------------------------------------
+
+
+def _plant(monkeypatch, scott, ker=None):
+    """Read `scott` as every space's Scott family, in the validators and in
+    this module's references, and `ker` as its kernel table."""
+    monkeypatch.setattr(duality, "clop_scott_upset_masks", lambda _s: scott)
+    monkeypatch.setitem(globals(), "clop_scott_upset_masks", lambda _s: scott)
+    if ker is not None:
+        monkeypatch.setattr(duality, "_kernel_table", lambda _s: ker)
+        monkeypatch.setattr(spaces, "_kernel_table", lambda _s: ker)
+
+
+def test_scott_extensions_match_reference_on_planted_families(monkeypatch):
+    # the true run first fills the continuousL and core caches, which the
+    # planted families must not reach
+    rng = random.Random(35)
+    witnesses = []
+    for entry in _ENTRIES:
+        lat, ups = entry.lattice, clop_upset_masks(entry.space)
+        assert duality._v_scott_extensions(lat, None, 0) is None
+        for keep in (0.3, 0.7, 1.0):
+            scott = tuple(v for v in ups if rng.random() < keep)
+            ker = list(ups)
+            for j in rng.sample(range(len(ups)), min(3, len(ups))):
+                ker[j] = rng.choice(ups)
+            _plant(monkeypatch, scott, tuple(ker))
+            expected = _ref_scott_extensions(lat)
+            assert duality._v_scott_extensions(lat, None, 0) == expected
+            monkeypatch.undo()
+            witnesses.append(expected and expected["sides"])
+    # passing families, and failures where s3 or s4 alone of the scan's
+    # sides is False
+    assert None in witnesses
+    assert [True, True, False, True] in witnesses
+    assert any(w and not w[3] and w[2] for w in witnesses)
+
+
+def test_scott_stable_closure_side_matches_all_ordered_pairs(monkeypatch):
+    # the first planted family lacks only the meet of its last two members,
+    # 0b011 ∧ 0b110; the second holds it
+    rng = random.Random(36)
+    planted = [(0b111, 0b011, 0b110), (0b111, 0b011, 0b110, 0b010)]
+    outcomes = set()
+    for entry in _ENTRIES[::3]:
+        lat, space = entry.lattice, entry.space
+        premise = (lspace_predicate_witness(space, "algebraicL")[0]
+                   and lspace_predicate_witness(space, "kernelStable")[0])
+        ups = clop_upset_masks(space)
+        families = planted + [tuple(v for v in ups if rng.random() < k) for k in (0.5, 0.9, 1.0)]
+        for family in families:
+            _plant(monkeypatch, family)
+            closed = _ref_closed_under_meets(family)
+            expected = None if closed == premise else {"sides": [premise, closed]}
+            assert duality._v_scott_stable(lat, None, 0) == expected
+            monkeypatch.undo()
+            outcomes.add(closed)
     assert outcomes == {True, False}

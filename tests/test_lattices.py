@@ -460,6 +460,16 @@ def test_well_inside_examples():
             assert well_inside(lat, lat.bottom, b)
 
 
+@pytest.mark.parametrize("bad", [-1, -3, 3, True, 1.0])
+def test_pseudocomplement_and_well_inside_refuse_a_non_element(bad):
+    # -1 would read the top's row, through Python's negative indexing
+    lat = FinDLat.chain(3)
+    for call in (lambda: pseudocomplement(lat, bad), lambda: well_inside(lat, 0, bad),
+                 lambda: well_inside(lat, bad, 0)):
+        with pytest.raises(ValueError, match="is not an element of 0..2"):
+            call()
+
+
 def test_complemented_elements_examples():
     assert complemented_elements(b2()) == [0, 1, 2, 3]
     assert complemented_elements(FinDLat.chain(3)) == [0, 2]

@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 79 mutants. 77 are expected to be killed, and two,
+The list holds 82 mutants. 80 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -497,8 +497,29 @@ MUTANTS = (
     Mutant(
         "irreducible-closed-sets-count-the-set-itself",
         "src/framelab/spaces.py",
-        "if a & ~c == 0 and a != c:",
-        "if a & ~c == 0:",
+        "for a in closed[i + 1:]:",
+        "for a in closed[i:]:",
+        "killed",
+    ),
+    Mutant(
+        "irreducible-closed-sets-skip-the-next-set",
+        "src/framelab/spaces.py",
+        "for a in closed[i + 1:]:",
+        "for a in closed[i + 2:]:",
+        "killed",
+    ),
+    Mutant(
+        "scott-extensions-s4-tests-upsets-inside-u",
+        "src/framelab/duality.py",
+        "            elif v | ker_m == ker_m:\n",
+        "            if v | ker_m == ker_m:\n",
+        "killed",
+    ),
+    Mutant(
+        "scott-stable-skips-adjacent-pairs",
+        "src/framelab/duality.py",
+        "family[i + 1:]",
+        "family[i + 2:]",
         "killed",
     ),
     Mutant(
