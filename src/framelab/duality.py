@@ -41,7 +41,7 @@ except ImportError:
 from . import config
 from .errors import ConsistencyError, NotFrameHom
 from .lattices import (
-    compact_elements,
+    _compact_joins,
     enumerate_homs,
     frame_predicate,
     hom_predicate,
@@ -50,7 +50,7 @@ from .lattices import (
     prime_filters,
     way_below_rows_oracle,
 )
-from .posets import MonotoneMap, bits, cached, transpose
+from .posets import AND, MonotoneMap, bits, cached, transpose, unclosed_rows
 from .spaces import (
     _center_table,
     _core_table,
@@ -275,11 +275,11 @@ def _v_compact_characterization(lattice):
 def _v_algebraic_equivalence(lattice):
     record = priestley_space_of(lattice)
     space = record.space
-    compact = sum(1 << b for b in compact_elements(lattice))
+    joins = _compact_joins(lattice)
     core, index = _core_table(space), _upset_index(space)
     frame_side = True
     for a, phi_a in enumerate(record.phi):
-        lhs = lattice.join_of(bits(compact & lattice.down[a])) == a
+        lhs = joins[a] == a
         yield "element", a, (lhs, core[index[phi_a]] == phi_a)
         frame_side = frame_side and lhs
     yield None, None, (frame_side, lspace_predicate_witness(space, "algebraicL")[0])
@@ -341,11 +341,7 @@ def _v_scott_stable(lattice):
     algebraic, _ = lspace_predicate_witness(space, "algebraicL")
     stable, _ = lspace_predicate_witness(space, "kernelStable")
     # a ∧ b = b ∧ a and a ∧ a = a, so each unordered pair is met once
-    family = clop_scott_upset_masks(space)
-    scott = set(family)
-    closed_under_meets = all(
-        scott.issuperset(map(a.__and__, family[i + 1:])) for i, a in enumerate(family)
-    )
+    closed_under_meets = next(unclosed_rows(clop_scott_upset_masks(space), (AND,)), None) is None
     yield None, None, (algebraic and stable, closed_under_meets)
 
 

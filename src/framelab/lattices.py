@@ -14,7 +14,7 @@ is returned as the tuple it is kept as.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from . import config
@@ -132,13 +132,19 @@ class FinDLat:
     # -- algebra -----------------------------------------------------------
 
     def leq(self, a, b):
+        """a <= b; an `a` or `b` outside 0..size-1 raises ValueError."""
+        _require_element(self, a)
+        _require_element(self, b)
         return bool((self.up[a] >> b) & 1)
 
     def join_of(self, elements):
-        out = self.bottom
+        """The join of the elements, the bottom for none; an element outside
+        0..size-1 raises ValueError. The library's own folds, over elements
+        read off its rows, use the unchecked `_fold_join`."""
+        elements = tuple(elements)
         for a in elements:
-            out = self.join[out][a]
-        return out
+            _require_element(self, a)
+        return _fold_join(self, elements)
 
     def carrier_poset(self):
         return self._carrier
@@ -222,6 +228,14 @@ class FinDLat:
 
     def __repr__(self):
         return f"FinDLat(size={self.size})"
+
+
+def _fold_join(lattice, elements):
+    """The join of elements known to lie in 0..size-1, from the bottom."""
+    join, out = lattice.join, lattice.bottom
+    for a in elements:
+        out = join[out][a]
+    return out
 
 
 def _extreme_of(mask, rows):
@@ -324,7 +338,7 @@ def join_irreducibles(lattice):
     """
     return tuple(
         j for j in range(lattice.size)
-        if lattice.join_of(bits(lattice.down[j] & ~(1 << j))) != j
+        if _fold_join(lattice, bits(lattice.down[j] & ~(1 << j))) != j
     )
 
 
@@ -394,7 +408,7 @@ def way_below_rows_oracle(lattice):
     full = lattice.full_mask
     rows = [full for _ in range(n)]
     for ideal in all_ideals(lattice):
-        sup = lattice.join_of(bits(ideal))
+        sup = _fold_join(lattice, bits(ideal))
         dominated = lattice.down[sup]
         blocked = ~ideal & full
         for a in bits(blocked):
@@ -407,6 +421,15 @@ def compact_elements(lattice):
     """Elements a with a << a (oracle route); the full carrier on finite lattices."""
     rows = way_below_rows_oracle(lattice)
     return tuple(a for a in range(lattice.size) if (rows[a] >> a) & 1)
+
+
+@cached
+def _compact_joins(lattice):
+    """⋁(K ∩ ↓a) for every element a as `bytes`, K the compact elements: the
+    join that `frame_predicate(lattice, "algebraic")` and the
+    algebraicEquivalence validator compare with a."""
+    compact = sum(1 << a for a in compact_elements(lattice))
+    return bytes(_fold_join(lattice, bits(compact & down)) for down in lattice.down)
 
 
 # -- pseudocomplement and well inside ----------------------------------------------
@@ -423,9 +446,12 @@ def pseudocomplement(lattice, a):
     """a* = join of {x : a ∧ x = 0}; a ∧ a* = 0 is checked (needs distributivity).
     An `a` outside 0..size-1 raises ValueError."""
     _require_element(lattice, a)
-    row = lattice.meet[a]
-    star = _pseudocomplement_joins(lattice)[a]
-    if row[star] != lattice.bottom:
+    return _checked_star(lattice, a, _pseudocomplement_joins(lattice)[a])
+
+
+def _checked_star(lattice, a, star):
+    """`star`, or ConsistencyError when a ∧ star != 0."""
+    if lattice.meet[a][star] != lattice.bottom:
         raise ConsistencyError(
             "a ∧ a* != 0; the lattice is not distributive enough for pseudocomplements"
         )
@@ -434,10 +460,28 @@ def pseudocomplement(lattice, a):
 
 @cached
 def _pseudocomplement_joins(lattice):
-    """⋁{x : a ∧ x = 0} for every a as `bytes`, unchecked."""
-    bottom = lattice.bottom
-    return bytes(lattice.join_of(x for x, m in enumerate(row) if m == bottom)
+    """⋁{x : a ∧ x = 0} for every a as `bytes`, unchecked: the meet row of a,
+    read through the table that marks the bottom, picks the x."""
+    elements, is_bottom = range(lattice.size), _marker(lattice.bottom)
+    return bytes(_fold_join(lattice, compress(elements, row.translate(is_bottom)))
                  for row in lattice.meet)
+
+
+def _marker(x):
+    """The 256-byte `translate` table that maps x to 1 and every other byte to 0."""
+    table = bytearray(256)
+    table[x] = 1
+    return bytes(table)
+
+
+@cached
+def _pseudocomplements(lattice):
+    """a* for every a as `bytes`, each checked in element order, so the first
+    a with a ∧ a* != 0 raises ConsistencyError: what `regular` and
+    `complemented_elements` read in place of one `pseudocomplement` call
+    per element."""
+    return bytes(_checked_star(lattice, a, star)
+                 for a, star in enumerate(_pseudocomplement_joins(lattice)))
 
 
 def well_inside(lattice, a, b):
@@ -447,8 +491,9 @@ def well_inside(lattice, a, b):
 
 
 def complemented_elements(lattice):
-    """C(L) = {a : a ≺ a}."""
-    return [a for a in range(lattice.size) if well_inside(lattice, a, a)]
+    """C(L) = {a : a ≺ a}, that is a* ∨ a = 1."""
+    join, top = lattice.join, lattice.top
+    return [a for a, star in enumerate(_pseudocomplements(lattice)) if join[star][a] == top]
 
 
 # -- frame predicates -----------------------------------------------------------
@@ -487,37 +532,43 @@ def _frame_predicate_witness(lattice, name):
         ok = bool((rows[lattice.top] >> lattice.top) & 1)
         return ok, (None if ok else {"element": lattice.top})
     if name == "algebraic":
-        compact = sum(1 << a for a in compact_elements(lattice))
-        return _join_sweep(lattice, lambda a: bits(compact & lattice.down[a]))
+        for a, sup in enumerate(_compact_joins(lattice)):
+            if sup != a:
+                return False, {"element": a}
+        return True, None
     if name == "arithmetic":
         ok, w = frame_predicate_witness(lattice, "algebraic")
         if not ok:
             return ok, w
-        # `inside` is 1 exactly on ↟a; one translate pair maps every c ∈ ↟a
-        # to [b ∧ c ∈ ↟a], and the c-loop runs only to name the witness
-        meet_tables = [row.ljust(256, b"\0") for row in lattice.meet]
+        # `inside` is 1 exactly on ↟a. One translate of the meet rows of
+        # every b ∈ ↟a maps each (b, c) to [b ∧ c ∈ ↟a]: 1 for every c ∈ ↟a
+        # when ↟a is closed under meets, and 0 for every c ∉ ↟a, since
+        # b ∧ c ≤ c and ↟a is an upset. The triple loop runs only on an a
+        # whose translate differs, to name the witness; on rows that are no
+        # upsets it may find none, and the sweep goes on.
+        meet = lattice.meet
         for a in range(n):
             above = bits(rows[a])
             inside = bytearray(256)
             for x in above:
                 inside[x] = 1
-            above_bytes = bytes(above)
+            if b"".join(map(meet.__getitem__, above)).translate(inside) == inside[:n] * len(above):
+                continue
             for b in above:
-                if 0 not in above_bytes.translate(meet_tables[b]).translate(inside):
-                    continue
                 for c in above:
-                    if not inside[lattice.meet[b][c]]:
+                    if not inside[meet[b][c]]:
                         return False, {"triple": (a, b, c)}
         return True, None
     if name == "regular":
-        # b ≺ a iff b* ∨ a = 1; each b*'s join row is read once per call
-        star_rows = [lattice.join[pseudocomplement(lattice, b)] for b in range(n)]
-        return _join_sweep(
-            lattice, lambda a: [b for b in range(n) if star_rows[b][a] == lattice.top]
-        )
+        # b ≺ a iff b* ∨ a = 1: the row of the stars, read through the join
+        # row of a and then the table that marks the top, picks the b
+        stars, elements, is_top = _pseudocomplements(lattice), range(n), _marker(lattice.top)
+        return _join_sweep(lattice, lambda a: compress(
+            elements, stars.translate(lattice.join[a].ljust(256, b"\0")).translate(is_top)
+        ))
     if name == "zeroDimensional":
-        comp = complemented_elements(lattice)
-        return _join_sweep(lattice, lambda a: [b for b in comp if lattice.leq(b, a)])
+        comp = sum(1 << b for b in complemented_elements(lattice))
+        return _join_sweep(lattice, lambda a: bits(comp & lattice.down[a]))
     if name == "spatial":
         # key each element by its prime filters (bit i for the i-th); the
         # witness is the first element that shares its key, with the next
@@ -534,7 +585,7 @@ def _join_sweep(lattice, below):
     """(True, None) if every a is the join of ``below(a)``, else (False,
     {"element": a}) for the first a that is not; `spaces._density_sweep`'s twin."""
     for a in range(lattice.size):
-        if lattice.join_of(below(a)) != a:
+        if _fold_join(lattice, below(a)) != a:
             return False, {"element": a}
     return True, None
 

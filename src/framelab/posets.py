@@ -76,6 +76,57 @@ def transpose(rows, width):
     return tuple(out)
 
 
+# _BYTE_OPS[u]: the `translate` tables of v ↦ u ∧ v and v ↦ u ∨ v over the
+# bytes v, for a set u of at most 8 points; each pair is built on first use,
+# never at import.
+_BYTE_OPS = [None] * 256
+AND, OR = 0, 1
+
+
+def byte_ops(u):
+    """The 256-byte tables (v ↦ u & v, v ↦ u | v) of a mask u < 256, indexed
+    by `AND` and `OR`: on a space of at most 8 points every set is a byte,
+    so one `translate` applies u's meet or join to a whole `bytes` of sets."""
+    ops = _BYTE_OPS[u]
+    if ops is None:
+        ops = _BYTE_OPS[u] = (bytes([u & v for v in range(256)]),
+                              bytes([u | v for v in range(256)]))
+    return ops
+
+
+def unclosed_rows(family, ops):
+    """The indices i, increasing, at which some later member b of `family`,
+    a sequence of masks, has family[i] ∧ b (`AND`) or family[i] ∨ b (`OR`),
+    for an op in `ops`, outside the family.
+
+    When every member is a byte (a set of at most 8 points), row i is one
+    object: the `bytes` of the later members, read through the op table of
+    family[i] (`byte_ops`) and then through the family's membership table,
+    holds a 0 iff a pair of that row is out. Otherwise each pair of the row
+    is looked up in a set. A caller names the pair, if it needs one, by its
+    own loop over a flagged row.
+    """
+    if max(family, default=0) < 256:
+        member = bytearray(256)
+        for m in family:
+            member[m] = 1
+        later = bytes(family)
+        for i, a in enumerate(family):
+            rest, tables = later[i + 1:], byte_ops(a)
+            for op in ops:
+                if 0 in rest.translate(tables[op]).translate(member):
+                    yield i
+                    break
+        return
+    members = set(family)
+    for i, a in enumerate(family):
+        rest = family[i + 1:]
+        for op in ops:
+            if not members.issuperset(map((a.__and__, a.__or__)[op], rest)):
+                yield i
+                break
+
+
 def _require_row_width(n):
     """Return n, or raise CapacityError when n elements do not fit a `bytes`
     row: the one size bound of the library. A lattice's join and meet rows

@@ -27,7 +27,9 @@ literally, and every derived fact is kept on the poset of points by
 from __future__ import annotations
 
 from .errors import UnknownPredicate
-from .posets import bits, cached, conjunction, mask_order_key, upset_masks
+from .posets import (
+    AND, OR, bits, byte_ops, cached, conjunction, mask_order_key, unclosed_rows, upset_masks,
+)
 
 LSPACE_PREDICATES = (
     "continuousL",
@@ -103,7 +105,10 @@ class PointSpace:
         opens = set(opens)
         self.poset = poset
         self.opens = tuple(sorted(opens, key=mask_order_key))
-        for i, a in enumerate(self.opens):
+        # every pair of opens once; the pair loop runs only on a row that
+        # `unclosed_rows` flags, to name the pair
+        for i in unclosed_rows(self.opens, (AND, OR)):
+            a = self.opens[i]
             for b in self.opens[i + 1:]:
                 if a | b not in opens or a & b not in opens:
                     raise ValueError(
@@ -127,12 +132,21 @@ class PointSpace:
         return [o for o in self.opens if (self.full_mask & ~o) in opens]
 
     def point_closure(self, y):
-        """Closure of a single point: intersection of all closed sets containing it."""
-        out = self.full_mask
+        """Closure of a single point: intersection of all closed sets containing
+        it. A `y` that is not a point, an int in 0..size-1 (a bool is not
+        one), raises ValueError."""
+        if type(y) is not int or not 0 <= y < self.poset.size:
+            raise ValueError(f"{y!r} is not a point of 0..{self.poset.size - 1}")
+        return self._point_closures()[y]
+
+    @cached
+    def _point_closures(self):
+        """The closure of every point, in one pass over the closed sets."""
+        out = [self.full_mask] * self.poset.size
         for c in self.closed_sets():
-            if (c >> y) & 1:
-                out &= c
-        return out
+            for y in bits(c):
+                out[y] &= c
+        return tuple(out)
 
     def __repr__(self):
         return f"PointSpace(size={self.poset.size}, opens={len(self.opens)})"
@@ -365,19 +379,39 @@ def lspace_predicate_witness(space, name):
     if name == "zeroDimL":
         return _density_sweep(ups, _center_table(space))
     if name == "kernelStable":
-        # ker(U ∩ V) = ker U ∩ ker V, read from the kernel table. The
-        # condition is symmetric in U and V, so the first failing pair in
-        # row-major order has V at or after U.
-        ker, index = _kernel_table(space), _upset_index(space)
-        for i, (um, ku) in enumerate(zip(ups, ker)):
-            for vm, kv in zip(ups[i:], ker[i:]):
-                if ker[index[um & vm]] != ku & kv:
-                    return False, {"upsets": (um, vm)}
-        return True, None
+        return _kernel_stable(space, ups, _kernel_table(space))
     # lCompact
     full = space.full_mask
     ok = _kernel_mask(space, full) == full
     return ok, (None if ok else {"upset": full})
+
+
+def _kernel_stable(space, ups, ker):
+    """ker(U ∩ V) = ker U ∩ ker V over every pair, read from the kernel table.
+
+    The condition is symmetric in U and V, so the first failing pair in
+    row-major order has V at or after U, and the pair loop runs over those.
+    On a space of at most 8 points every upset and kernel is a byte, and row
+    U is first checked whole: the `bytes` of the upsets V after U, read
+    through U's ∧ table and the mask → kernel table, against the kernels of
+    those V read through ker U's ∧ table. V = U holds for any table (both
+    sides are its entry), so the row starts after U, and the loop runs only
+    on a row that differs, to name the pair.
+    """
+    index = _upset_index(space)
+    small = space.size <= 8
+    if small:
+        ups_bytes, ker_bytes, kernel_of = bytes(ups), bytes(ker), bytearray(256)
+        for um, ku in zip(ups, ker):
+            kernel_of[um] = ku
+    for i, (um, ku) in enumerate(zip(ups, ker)):
+        if small and (ups_bytes[i + 1:].translate(byte_ops(um)[AND]).translate(kernel_of)
+                      == ker_bytes[i + 1:].translate(byte_ops(ku)[AND])):
+            continue
+        for vm, kv in zip(ups[i:], ker[i:]):
+            if ker[index[um & vm]] != ku & kv:
+                return False, {"upsets": (um, vm)}
+    return True, None
 
 
 def _density_sweep(ups, table):
@@ -447,7 +481,7 @@ def point_space_predicate_witness(point_space, name):
     Each result is kept on the point space per name, so a condition that
     several conjunctions or validators ask for (stablyCompactlyBased inside
     spectral, zeroDimensional inside stoneSpace) is evaluated once. The
-    closed sets are cached too, for `point_closure`.
+    closed sets and the point closures are cached too.
     """
     if name not in POINT_SPACE_PREDICATES:
         raise UnknownPredicate(f"unknown point-space predicate {name!r}")
@@ -461,7 +495,7 @@ def _point_space_predicate_witness(point_space, name):
     n = point_space.poset.size
     if name == "sober":
         # a point y is a generic point of c iff its closure is c
-        closures = [point_space.point_closure(y) for y in range(n)]
+        closures = point_space._point_closures()
         for c in _irreducible_closed_sets(point_space):
             if closures.count(c) != 1:
                 return False, {"closed": c}

@@ -25,8 +25,10 @@ from framelab import duality, lattices, spaces
 from framelab.corpus import gen_corpus
 from framelab.duality import priestley_space_of
 from framelab.lattices import (
+    FinDLat,
     all_ideals,
     birkhoff_lattice,
+    complemented_elements,
     pseudocomplement,
 )
 from framelab.posets import bits, upset_masks
@@ -320,6 +322,17 @@ def test_arithmetic_witness_is_not_the_first_triple(monkeypatch):
     assert lattices._frame_predicate_witness(lat, "arithmetic") == _ref_arithmetic(lat)
 
 
+def test_arithmetic_witness_is_past_the_first_b(monkeypatch):
+    # B2 numbered top first, 1 < 2, 3 < 0, with ↟1 read as {0, 2, 3}: an
+    # upset whose first member, the top, meets every member inside it, while
+    # 2 ∧ 3 = 1 is outside, so the whole row of ↟1 must be compared
+    lat = FinDLat.from_leq_pairs(4, [(1, 0), (1, 2), (1, 3), (2, 0), (3, 0)])
+    rows = (lat.up[0], 0b1101, lat.up[2], lat.up[3])
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l: rows)
+    assert _ref_arithmetic(lat) == (False, {"triple": (1, 2, 3)})
+    assert lattices._frame_predicate_witness(lat, "arithmetic") == _ref_arithmetic(lat)
+
+
 def test_spatial_kernel_matches_reference_with_missing_prime_filters(monkeypatch):
     for entry in _ENTRIES:
         lat = entry.lattice
@@ -348,6 +361,20 @@ def test_pseudocomplement_raises_only_for_its_own_element():
     assert [pseudocomplement(lat, a) for a in range(5)] == [
         _ref_pseudocomplement(lat, a) for a in range(5)
     ]
+
+
+def test_the_checked_pseudocomplement_row_raises_where_one_call_per_element_would():
+    # M3's atoms fail a ∧ a* = 0, so C(L), regular and zeroDimensional refuse
+    # it, as they did with one `pseudocomplement` call per element
+    lat = m3()
+    for call in (lambda: complemented_elements(lat),
+                 lambda: lattices._frame_predicate_witness(lat, "regular"),
+                 lambda: lattices._frame_predicate_witness(lat, "zeroDimensional")):
+        with pytest.raises(ConsistencyError):
+            call()
+    lat = n5()
+    stars = [_ref_pseudocomplement(lat, a) for a in range(5)]
+    assert complemented_elements(lat) == [a for a in range(5) if lat.join[stars[a]][a] == lat.top]
 
 
 def test_hausdorff_witness_is_past_the_first_pair():

@@ -470,6 +470,18 @@ def test_pseudocomplement_and_well_inside_refuse_a_non_element(bad):
             call()
 
 
+@pytest.mark.parametrize("bad", [-1, 3, True, 10 ** 6])
+def test_leq_and_join_of_refuse_a_non_element(bad):
+    # -1 would read the top's row, and leq(0, -1) would shift by a negative count
+    lat = FinDLat.chain(3)
+    for call in (lambda: lat.leq(bad, 0), lambda: lat.leq(0, bad),
+                 lambda: lat.join_of([bad]), lambda: lat.join_of(iter([1, bad]))):
+        with pytest.raises(ValueError, match="is not an element of 0..2"):
+            call()
+    assert lat.leq(0, 2) and not lat.leq(2, 0)
+    assert lat.join_of([]) == 0 and lat.join_of(iter([1, 0])) == 1
+
+
 def test_complemented_elements_examples():
     assert complemented_elements(b2()) == [0, 1, 2, 3]
     assert complemented_elements(FinDLat.chain(3)) == [0, 2]

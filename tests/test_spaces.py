@@ -317,6 +317,15 @@ def test_point_space_refuses_opens_not_closed_under_unions_and_intersections():
     assert spatial_part(Poset.antichain(3)).opens == clop_upset_masks(Poset.antichain(3))
 
 
+@pytest.mark.parametrize("bad", [-1, 2, 5, True, 10 ** 6])
+def test_point_closure_refuses_a_non_point(bad):
+    # the Sierpinski space: 5 and 10**6 would otherwise read as the full mask
+    ps = PointSpace(Poset.chain(2), [0, 0b10, 0b11])
+    with pytest.raises(ValueError, match="is not a point of 0..1"):
+        ps.point_closure(bad)
+    assert [ps.point_closure(y) for y in range(2)] == [0b01, 0b11]
+
+
 def test_point_space_refuses_opens_without_the_bounds_or_outside_the_points():
     # closed under ∪ and ∩, but without the whole set its closed sets leave
     # out ∅, without ∅ they leave out the whole set, and 0b100 is no point
