@@ -26,8 +26,8 @@ from .errors import (
     UnknownPredicate,
 )
 from .posets import (
-    Poset, PointwiseMap, _require_row_width, bits, cached, conjunction, iter_monotone_maps,
-    transpose, upset_masks,
+    Poset, PointwiseMap, _require_element, _require_row_width, bits, cached, conjunction,
+    iter_monotone_maps, transpose, upset_masks,
 )
 
 FRAME_PREDICATES = (
@@ -435,13 +435,6 @@ def _compact_joins(lattice):
 # -- pseudocomplement and well inside ----------------------------------------------
 
 
-def _require_element(lattice, a):
-    """ValueError unless `a` is an int in 0..size-1; a negative index, which
-    Python would read from the end of a row, is refused, as is a bool."""
-    if type(a) is not int or not 0 <= a < lattice.size:
-        raise ValueError(f"{a!r} is not an element of 0..{lattice.size - 1}")
-
-
 def pseudocomplement(lattice, a):
     """a* = join of {x : a ∧ x = 0}; a ∧ a* = 0 is checked (needs distributivity).
     An `a` outside 0..size-1 raises ValueError."""
@@ -540,19 +533,18 @@ def _frame_predicate_witness(lattice, name):
         ok, w = frame_predicate_witness(lattice, "algebraic")
         if not ok:
             return ok, w
-        # `inside` is 1 exactly on ↟a. One translate of the meet rows of
-        # every b ∈ ↟a maps each (b, c) to [b ∧ c ∈ ↟a]: 1 for every c ∈ ↟a
-        # when ↟a is closed under meets, and 0 for every c ∉ ↟a, since
-        # b ∧ c ≤ c and ↟a is an upset. The triple loop runs only on an a
-        # whose translate differs, to name the witness; on rows that are no
-        # upsets it may find none, and the sweep goes on.
+        # `inside` is the way-below byte row of a, 1 exactly on ↟a, padded to
+        # a table. One translate of the meet rows of every b ∈ ↟a maps each
+        # (b, c) to [b ∧ c ∈ ↟a]: 1 for every c ∈ ↟a when ↟a is closed under
+        # meets, and 0 for every c ∉ ↟a, since b ∧ c ≤ c and ↟a is an upset.
+        # The triple loop runs only on an a whose translate differs, to name
+        # the witness; on rows that are no upsets it may find none, and the
+        # sweep goes on.
         meet = lattice.meet
-        for a in range(n):
+        for a, row in enumerate(_way_below_bytes(lattice)):
             above = bits(rows[a])
-            inside = bytearray(256)
-            for x in above:
-                inside[x] = 1
-            if b"".join(map(meet.__getitem__, above)).translate(inside) == inside[:n] * len(above):
+            inside = row.ljust(256, b"\0")
+            if b"".join(map(meet.__getitem__, above)).translate(inside) == row * len(above):
                 continue
             for b in above:
                 for c in above:
@@ -593,12 +585,6 @@ def _join_sweep(lattice, below):
 # -- homomorphisms ---------------------------------------------------------------
 
 
-def _flag_property(name):
-    """The `LatticeHom` property that reads the `flags` entry of `name`."""
-    index = _FLAG_INDEX[name]
-    return property(lambda hom: hom.flags[index])
-
-
 class LatticeHom(PointwiseMap):
     """Element-wise map between lattices with its four predicate flags.
 
@@ -607,8 +593,8 @@ class LatticeHom(PointwiseMap):
     bytes(image))`. `enumerate_homs` builds its homs without it, each from
     its row of the search's image buffer, in range by construction, with
     the flags its batch decided. `image` is a tuple, and `flags` the four
-    flags in `HOM_PREDICATES` order, fixed when the hom is built:
-    `hom_predicate` and the properties read them, and nothing decides them
+    flags in `HOM_PREDICATES` order, fixed when the hom is built: callers
+    read them there or through `hom_predicate`, and nothing decides them
     again.
     """
 
@@ -618,80 +604,61 @@ class LatticeHom(PointwiseMap):
         super().__init__(source, target, image)
         self.flags = _decide_flags(source, target, bytes(self.image))[0]
 
-    is_frame_hom = _flag_property("frameHom")
-    is_coherent = _flag_property("coherentHom")
-    is_proper = _flag_property("properHom")
-
-
-@cached
-def _pair_table(lattice):
-    """Every index pair a <= b as four `bytes`: a, b, a ∨ b and a ∧ b."""
-    n = lattice.size
-    return (
-        bytes(chain.from_iterable(repeat(a, n - a) for a in range(n))),
-        bytes(chain.from_iterable(range(a, n) for a in range(n))),
-        bytes(chain.from_iterable(lattice.join[a][a:] for a in range(n))),
-        bytes(chain.from_iterable(lattice.meet[a][a:] for a in range(n))),
-    )
-
-
-@cached
-def _byte_tables(lattice):
-    """For at most 16 elements: x ∨ y, x ∧ y and 1 iff x << y (by the ideal
-    oracle), each a 256-byte `translate` table at index 16x + y."""
-    rows = way_below_rows_oracle(lattice)
-    join, meet, wb = bytearray(256), bytearray(256), bytearray(256)
-    for x in range(lattice.size):
-        for y in range(lattice.size):
-            join[16 * x + y] = lattice.join[x][y]
-            meet[16 * x + y] = lattice.meet[x][y]
-            wb[16 * x + y] = (rows[x] >> y) & 1
-    return bytes(join), bytes(meet), bytes(wb)
-
 
 @cached
 def _way_below_bytes(lattice):
-    """Row x as `bytes`: byte y is 1 iff x << y by the ideal oracle."""
-    n = lattice.size
-    return tuple(bytes((row >> y) & 1 for y in range(n)) for row in way_below_rows_oracle(lattice))
-
-
-@cached
-def _row_tables(lattice):
-    """For up to 256 elements: the join, meet and `_way_below_bytes` rows of
-    each element x, each padded to a 256-byte `translate` table, so that
-    t.translate(table[x]) maps every y of a row t to x ∨ y, x ∧ y or
-    [x << y]."""
-    return tuple(
-        [row.ljust(256, b"\0") for row in rows]
-        for rows in (lattice.join, lattice.meet, _way_below_bytes(lattice))
-    )
+    """Row x as `bytes`: byte y is 1 iff x << y by the ideal oracle, read off
+    the oracle row's binary digits, lowest first, with one `translate`."""
+    n, digits = lattice.size, bytes.maketrans(b"01", b"\0\1")
+    return tuple(bin(row)[:1:-1].ljust(n, "0").encode().translate(digits)
+                 for row in way_below_rows_oracle(lattice))
 
 
 @cached
 def _source_tables(lattice):
-    """The join, meet and `_way_below_bytes` rows of a source, each joined
-    into one `bytes` whose byte n·a + b (n = size) is a ∨ b, a ∧ b or
-    [a << b]: what the per-row route of `_decide_flags` reads of it."""
-    return tuple(b"".join(rows) for rows in (lattice.join, lattice.meet, _way_below_bytes(lattice)))
+    """What `_decide_flags` reads of a source: seven `itemgetter`s, then its
+    join, meet and `_way_below_bytes` rows, each joined into one `bytes`
+    whose byte n·a + b (n = size) is a ∨ b, a ∧ b or [a << b].
+
+    The getters pick, out of a batch's image columns, those of the source
+    elements a check reads: a, b, a ∨ b and a ∧ b over every index pair
+    a <= b; the a's and the b's of the way-below pairs a << b by the ideal
+    oracle; and the compact elements. A getter also picks index `size`, the
+    empty column after the last, so it returns a tuple however few elements
+    it names."""
+    n, join, meet, way_below = lattice.size, lattice.join, lattice.meet, _way_below_bytes(lattice)
+    above = [list(compress(range(n), row)) for row in way_below]
+    columns = (
+        bytes(chain.from_iterable(repeat(a, n - a) for a in range(n))),
+        bytes(chain.from_iterable(range(a, n) for a in range(n))),
+        bytes(chain.from_iterable(join[a][a:] for a in range(n))),
+        bytes(chain.from_iterable(meet[a][a:] for a in range(n))),
+        bytes(chain.from_iterable(repeat(a, len(row)) for a, row in enumerate(above))),
+        bytes(chain.from_iterable(above)),
+        bytes(compact_elements(lattice)),
+    )
+    return (*(itemgetter(*col, n) for col in columns),
+            *(b"".join(rows) for rows in (join, meet, way_below)))
 
 
 @cached
-def _source_columns(lattice):
-    """The `itemgetter`s that pick, out of a batch's image columns, those of
-    the source elements `_decide_flags` reads: the four `bytes` of the
-    source's `_pair_table`, the a's and the b's of its way-below pairs
-    a << b by the ideal oracle, and its compact elements. A getter also
-    picks index `size`, the empty column after the last, so it returns a
-    tuple however few elements it names."""
-    rows = tuple(map(bits, way_below_rows_oracle(lattice)))
-    columns = (
-        *_pair_table(lattice),
-        bytes(a for a, row in enumerate(rows) for _ in row),
-        bytes(chain.from_iterable(rows)),
-        bytes(compact_elements(lattice)),
-    )
-    return tuple(itemgetter(*col, lattice.size) for col in columns)
+def _target_tables(lattice):
+    """What `_decide_flags` reads of a target: its join, meet and
+    `_way_below_bytes` tables, then its compact elements as `bytes`.
+
+    The one place the 16-element threshold of the hom check is decided, by
+    the format of the tables. Up to 16 elements each is one 256-byte
+    `translate` table whose byte 16x + y is x ∨ y, x ∧ y or [x << y]: the
+    rows padded to 16 bytes and joined. Over 16 each is a list of every
+    element x's row padded to a 256-byte table, so that t.translate(table[x])
+    maps every y of a row t to x ∨ y, x ∧ y or [x << y].
+    """
+    width = 16 if lattice.size <= 16 else 256
+    tables = [[row.ljust(width, b"\0") for row in rows]
+              for rows in (lattice.join, lattice.meet, _way_below_bytes(lattice))]
+    if width == 16:
+        tables = [b"".join(rows).ljust(256, b"\0") for rows in tables]
+    return (*tables, bytes(compact_elements(lattice)))
 
 
 def _pair_codes(high, low):
@@ -712,7 +679,7 @@ def hom_predicate(hom, name):
     every pair a << b of the source, both by the ideal oracle. All four are
     evaluated literally by `_decide_flags` when the hom is built, by the
     checked constructor as a batch of one and by `enumerate_homs` on its
-    search's batch; this reads the one asked for.
+    search's batch; this reads the one asked for, as `hom.flags` does.
     """
     index = _FLAG_INDEX.get(name)
     if index is None:
@@ -726,39 +693,39 @@ def _decide_flags(source, target, images):
     one tuple per row, in row order, or a list of the one tuple that holds
     for every row when no check fails.
 
-    Each check runs once on the whole batch. The column of source element
-    a, its image under every row, is the strided slice images[a::n], and
-    the source's getters (`_source_columns`) gather the columns a check
-    reads into one `bytes`. frameHom reads the bottom's and the top's
-    columns, and coherentHom deletes the target's compact elements from the
-    images of the source's. The target's size alone chooses the route of
-    latticeHom and properHom. Up to 16 target elements each pair a <= b of
-    the source becomes the byte 16·h(a) + h(b) (`_pair_codes`), which
-    `_byte_tables` translate to h(a) ∨ h(b), h(a) ∧ h(b) or [h(a) << h(b)].
-    Up to 256, each row t, padded to a 256-byte table, translates the
-    source's joined rows (`_source_tables`) to h(a ∨ b) and h(a ∧ b) for
-    every pair, and t translates through the target's row of each h(a)
-    (`_row_tables`) to h(a) ∨ h(b), h(a) ∧ h(b) and [h(a) << h(b)]; read as
-    one int, the last must hold the source's way-below mask. If a check
-    fails, each row is decided again alone, so its flags never depend on
-    its batch-mates.
+    Each check runs once on the whole batch, and reads two cached facts:
+    `_source_tables(source)` and `_target_tables(target)`. The column of
+    source element a, its image under every row, is the strided slice
+    images[a::n], and the source's getters gather the columns a check reads
+    into one `bytes`. frameHom reads the bottom's and the top's columns, and
+    coherentHom deletes the target's compact elements from the images of the
+    source's. The format of the target's tables chooses the route of
+    latticeHom and properHom. As 256-byte tables (up to 16 target elements)
+    each pair a <= b of the source becomes the byte 16·h(a) + h(b)
+    (`_pair_codes`), which they translate to h(a) ∨ h(b), h(a) ∧ h(b) or
+    [h(a) << h(b)]. As lists of rows (up to 256), each row t, padded to a
+    256-byte table, translates the source's joined rows to h(a ∨ b) and
+    h(a ∧ b) for every pair, and t translates through the target's row of
+    each h(a) to h(a) ∨ h(b), h(a) ∧ h(b) and [h(a) << h(b)]; read as one
+    int, the last must hold the source's way-below mask. If a check fails,
+    each row is decided again alone, so its flags never depend on its
+    batch-mates.
     """
     n = source.size
     k = len(images) // n
-    a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of = _source_columns(source)
+    (a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of,
+     src_join, src_meet, src_wb) = _source_tables(source)
+    tgt_join, tgt_meet, tgt_wb, tgt_compacts = _target_tables(target)
     cols = [images[a::n] for a in range(n)]
     cols.append(b"")  # the empty column every getter also picks
-    small = target.size <= 16
+    small = type(tgt_join) is bytes
     if small:
-        tgt_join, tgt_meet, tgt_wb = _byte_tables(target)
         codes = _pair_codes(b"".join(a_of(cols)), b"".join(b_of(cols)))
         lattice_hom = (
             codes.translate(tgt_join) == b"".join(join_of(cols))
             and codes.translate(tgt_meet) == b"".join(meet_of(cols))
         )
     else:
-        src_join, src_meet, src_wb = _source_tables(source)
-        tgt_join, tgt_meet, tgt_wb = _row_tables(target)
         rows = [images[i:i + n] for i in range(0, len(images), n)]
         tables = [t.ljust(256, b"\0") for t in rows]
         lattice_hom = (
@@ -772,7 +739,7 @@ def _decide_flags(source, target, images):
     coherent = proper = frame_hom
     if frame_hom:
         compacts = b"".join(compact_of(cols))
-        coherent = not compacts.translate(None, bytes(compact_elements(target)))
+        coherent = not compacts.translate(None, tgt_compacts)
         if small:
             codes = _pair_codes(b"".join(wb_a_of(cols)), b"".join(wb_b_of(cols)))
             proper = 0 not in codes.translate(tgt_wb)
@@ -788,9 +755,10 @@ def _decide_flags(source, target, images):
 def enumerate_homs(source, target):
     """All frame homs source → target, in image order.
 
-    Callers that want coherent or proper homs filter by the `is_coherent` or
-    `is_proper` flag; lattice homs that need not preserve the bounds are not
-    enumerated, but `hom_predicate` still decides latticeHom for any map.
+    Callers that want coherent or proper homs filter by the coherentHom or
+    properHom entry of `flags`; lattice homs that need not preserve the
+    bounds are not enumerated, but `hom_predicate` still decides latticeHom
+    for any map.
 
     Search through the dual: frame homs L → M between finite distributive
     lattices correspond one to one to monotone maps f: X_M → X_L between

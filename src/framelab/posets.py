@@ -137,6 +137,15 @@ def _require_row_width(n):
     return n
 
 
+def _require_element(obj, a):
+    """ValueError unless `a` is an int in 0..obj.size-1, an element of a
+    `Poset` or `lattices.FinDLat` (a point space checks its poset's): the
+    one index check. A negative index, which Python would read from the end
+    of a row, is refused, as is a bool."""
+    if type(a) is not int or not 0 <= a < obj.size:
+        raise ValueError(f"{a!r} is not an element of 0..{obj.size - 1}")
+
+
 def cached(fn):
     """Keep ``fn(obj)``, or ``fn(obj, arg)`` per argument, in ``obj._memo``.
 
@@ -280,6 +289,9 @@ class Poset:
         return (1 << self.size) - 1
 
     def leq(self, i, j):
+        """i <= j; an `i` or `j` outside 0..size-1 raises ValueError."""
+        _require_element(self, i)
+        _require_element(self, j)
         return bool((self.up[i] >> j) & 1)
 
     def up_mask(self, mask):
@@ -312,6 +324,9 @@ class Poset:
         return tuple((i, j) for i, m in enumerate(upper) for j in bits(m))
 
     def lower_covers(self, j):
+        """The points j covers, ascending; a `j` outside 0..size-1 raises
+        ValueError."""
+        _require_element(self, j)
         return list(bits(self._cover_rows()[1][j]))
 
     @cached

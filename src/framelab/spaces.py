@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from .errors import UnknownPredicate
 from .posets import (
-    AND, OR, bits, byte_ops, cached, conjunction, mask_order_key, unclosed_rows, upset_masks,
+    AND, OR, _require_element, bits, byte_ops, cached, conjunction, mask_order_key, unclosed_rows,
+    upset_masks,
 )
 
 LSPACE_PREDICATES = (
@@ -135,8 +136,7 @@ class PointSpace:
         """Closure of a single point: intersection of all closed sets containing
         it. A `y` that is not a point, an int in 0..size-1 (a bool is not
         one), raises ValueError."""
-        if type(y) is not int or not 0 <= y < self.poset.size:
-            raise ValueError(f"{y!r} is not a point of 0..{self.poset.size - 1}")
+        _require_element(self.poset, y)
         return self._point_closures()[y]
 
     @cached

@@ -282,14 +282,20 @@ def _random_subrows(lat, rng, keep):
     return tuple(rows)
 
 
+def _plant_oracle(monkeypatch, lat, rows):
+    """Read `rows` as the ideal oracle's from now on; the way-below byte rows
+    the lattice keeps from an earlier plant are dropped first."""
+    lat._memo.pop(lattices._way_below_bytes, None)
+    monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l: rows)
+
+
 def test_arithmetic_kernel_matches_reference_on_broken_way_below_rows(monkeypatch):
     rng = random.Random(17)
     lats = [e.lattice for e in _ENTRIES if e.lattice.size >= 4] + [m3(), n5()]
     outcomes = set()
     for lat in lats:
         for keep in (0.5, 0.9):
-            rows = _random_subrows(lat, rng, keep)
-            monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l, r=rows: r)
+            _plant_oracle(monkeypatch, lat, _random_subrows(lat, rng, keep))
             expected = _ref_arithmetic(lat)
             assert lattices._frame_predicate_witness(lat, "arithmetic") == expected
             outcomes.add(expected[0])
@@ -302,13 +308,11 @@ def test_arithmetic_at_256_elements_matches_reference(monkeypatch):
     lat = birkhoff_lattice(Poset.antichain(8))
     rng = random.Random(3)
     for _ in range(3):
-        rows = _random_subrows(lat, rng, 0.01)
-        monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l, r=rows: r)
+        _plant_oracle(monkeypatch, lat, _random_subrows(lat, rng, 0.01))
         expected = _ref_arithmetic(lat)
         assert not expected[0]
         assert lattices._frame_predicate_witness(lat, "arithmetic") == expected
-    monkeypatch.setattr(lattices, "way_below_rows_oracle",
-                        lambda _l: tuple(1 << a for a in range(lat.size)))
+    _plant_oracle(monkeypatch, lat, tuple(1 << a for a in range(lat.size)))
     assert lattices._frame_predicate_witness(lat, "arithmetic") == (True, None)
 
 
@@ -316,8 +320,7 @@ def test_arithmetic_witness_is_not_the_first_triple(monkeypatch):
     # on the 2-antichain's lattice 0 < 1, 2 < 3, drop 0 from ↟0: (0, 1, 1)
     # passes, and the first failing triple is (0, 1, 2), whose meet is 0
     lat = birkhoff_lattice(Poset.antichain(2))
-    rows = (0b1110,) + tuple(lat.up[1:])
-    monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l: rows)
+    _plant_oracle(monkeypatch, lat, (0b1110,) + tuple(lat.up[1:]))
     assert _ref_arithmetic(lat) == (False, {"triple": (0, 1, 2)})
     assert lattices._frame_predicate_witness(lat, "arithmetic") == _ref_arithmetic(lat)
 
@@ -327,8 +330,7 @@ def test_arithmetic_witness_is_past_the_first_b(monkeypatch):
     # upset whose first member, the top, meets every member inside it, while
     # 2 ∧ 3 = 1 is outside, so the whole row of ↟1 must be compared
     lat = FinDLat.from_leq_pairs(4, [(1, 0), (1, 2), (1, 3), (2, 0), (3, 0)])
-    rows = (lat.up[0], 0b1101, lat.up[2], lat.up[3])
-    monkeypatch.setattr(lattices, "way_below_rows_oracle", lambda _l: rows)
+    _plant_oracle(monkeypatch, lat, (lat.up[0], 0b1101, lat.up[2], lat.up[3]))
     assert _ref_arithmetic(lat) == (False, {"triple": (1, 2, 3)})
     assert lattices._frame_predicate_witness(lat, "arithmetic") == _ref_arithmetic(lat)
 

@@ -565,14 +565,14 @@ def test_collapse_hom_on_three_chain():
     h = LatticeHom(FinDLat.chain(3), FinDLat.chain(2), (0, 1, 1))
     assert hom_predicate(h, "frameHom")
     assert hom_predicate(h, "coherentHom")
-    assert h.is_frame_hom and h.is_coherent
+    assert h.flags == (True, True, True, True)
 
 
 def test_meet_breaking_map_is_not_frame_hom():
     h = LatticeHom(b2(), FinDLat.chain(2), (0, 1, 1, 1))
     assert not hom_predicate(h, "frameHom")
     # witness triple: the atoms meet to 0 but their images meet to 1
-    assert not h.is_frame_hom
+    assert h.flags == (False, False, False, False)
 
 
 def preserves(hom, op):
@@ -666,12 +666,41 @@ def test_hom_predicates_match_a_pairwise_reference_across_the_kernel_threshold()
     # both sides of the threshold ran, and the inputs reach every branch:
     # joins kept but meets broken, and lattice homs into both chains that
     # are frame homs and that are not
-    assert lattices._byte_tables in chain16._memo
-    assert lattices._byte_tables not in chain17._memo
+    assert type(lattices._target_tables(chain16)[0]) is bytes
+    assert type(lattices._target_tables(chain17)[0]) is not bytes
     assert any(preserves(h, "join") and not preserves(h, "meet") for h in maps)
     for tgt in (chain16, chain17):
         flags = {tuple(hom_predicates_pairwise(h)[:2]) for h in maps if h.target is tgt}
         assert {(True, True), (True, False), (False, False)} <= flags
+
+
+def test_way_below_bytes_read_the_oracle_rows_bit_by_bit():
+    # the chains on both sides of the 16-element threshold and the Boolean
+    # lattices of 6 and 8 atoms
+    lats = [FinDLat.chain(1), FinDLat.chain(2), FinDLat.chain(16), FinDLat.chain(17),
+            birkhoff_lattice(Poset.antichain(6)), birkhoff_lattice(Poset.antichain(8))]
+    assert [lat.size for lat in lats] == [1, 2, 16, 17, 64, 256]
+    for lat in lats:
+        n = lat.size
+        expected = tuple(bytes((row >> y) & 1 for y in range(n)) for row in way_below_rows_oracle(lat))
+        assert lattices._way_below_bytes(lat) == expected, n
+
+
+@pytest.mark.parametrize("lat", [FinDLat.chain(16), birkhoff_lattice(Poset.antichain(4)), n5()],
+                         ids=["chain16", "b4", "n5"])
+def test_small_target_tables_match_the_pair_by_pair_tables(lat):
+    # up to 16 elements: byte 16x + y of each 256-byte table is x ∨ y, x ∧ y
+    # or [x << y], and every other byte is 0
+    rows = way_below_rows_oracle(lat)
+    join, meet, wb = bytearray(256), bytearray(256), bytearray(256)
+    for x in range(lat.size):
+        for y in range(lat.size):
+            join[16 * x + y] = lat.join[x][y]
+            meet[16 * x + y] = lat.meet[x][y]
+            wb[16 * x + y] = (rows[x] >> y) & 1
+    tables = lattices._target_tables(lat)
+    assert tables[:3] == (bytes(join), bytes(meet), bytes(wb))
+    assert tables[3] == bytes(compact_elements(lat))
 
 
 def test_a_batch_decides_every_hom_as_it_decides_it_alone():
@@ -735,7 +764,6 @@ def test_a_built_hom_keeps_the_flags_decided_at_construction(size, monkeypatch):
 
     monkeypatch.setattr(lattices, "_decide_flags", undecidable)
     assert [hom_predicate(hom, name) for name in lattices.HOM_PREDICATES] == [True] * 4
-    assert hom.is_frame_hom and hom.is_coherent and hom.is_proper
     assert hom.flags == (True, True, True, True)
 
 
@@ -757,9 +785,9 @@ def test_proper_hom_fails_when_the_target_loses_a_way_below_pair(size, monkeypat
     for source, image in ((FinDLat.chain(2), (0, size - 1)), (FinDLat.chain(3), (0, size - 2, size - 1))):
         hom = LatticeHom(source, target, image)
         reference = LatticeHom(source, intact, image)
-        assert hom.is_frame_hom and reference.is_frame_hom
-        assert hom.is_coherent == reference.is_coherent
-        assert reference.is_proper and not hom.is_proper
+        assert hom.flags[1] and reference.flags[1]
+        assert hom.flags[2] == reference.flags[2]
+        assert reference.flags[3] and not hom.flags[3]
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -781,8 +809,8 @@ def test_coherent_hom_fails_when_the_target_loses_a_compact_element(size, monkey
     source, image = FinDLat.chain(3), (0, lost, size - 1)
     hom = LatticeHom(source, target, image)
     reference = LatticeHom(source, intact, image)
-    assert hom.is_frame_hom and reference.is_frame_hom
-    assert reference.is_coherent and not hom.is_coherent
+    assert hom.flags[1] and reference.flags[1]
+    assert reference.flags[2] and not hom.flags[2]
 
 
 @pytest.mark.parametrize("size", [16, 17])
@@ -803,7 +831,7 @@ def test_a_search_batch_splits_where_the_target_loses_a_compact_element(size, mo
     monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
     homs = enumerate_homs(FinDLat.chain(3), target)
     assert [h.image for h in homs] == [(0, e, size - 1) for e in range(size)]
-    assert [h.image for h in homs if not h.is_coherent] == [(0, lost, size - 1)]
+    assert [h.image for h in homs if not h.flags[2]] == [(0, lost, size - 1)]
     for h in homs:
         assert list(h.flags) == hom_predicates_pairwise(h), h.image
 
@@ -827,8 +855,8 @@ def test_a_search_batch_splits_where_the_target_loses_a_way_below_pair(size, mon
 
     monkeypatch.setattr(lattices, "way_below_rows_oracle", losing)
     homs = enumerate_homs(FinDLat.chain(3), target)
-    assert [h.image for h in homs if not h.is_proper] == [(0, lost, size - 1)]
-    assert all(h.is_coherent for h in homs)
+    assert [h.image for h in homs if not h.flags[3]] == [(0, lost, size - 1)]
+    assert all(h.flags[2] for h in homs)
     for h in homs:
         assert list(h.flags) == hom_predicates_pairwise(h), h.image
 
@@ -937,8 +965,8 @@ def test_enumerate_homs_matches_bruteforce():
     for src, tgt in pairs:
         homs = enumerate_homs(src, tgt)
         assert [h.image for h in homs] == homs_brute(src, tgt, "frameHom"), (src, tgt)
-        for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
-            got = [h.image for h in homs if getattr(h, flag)]
+        for kind, flag in (("coherentHom", 2), ("properHom", 3)):
+            got = [h.image for h in homs if h.flags[flag]]
             assert got == homs_brute(src, tgt, kind), (src, tgt, kind)
 
 
@@ -952,8 +980,8 @@ def test_enumerate_homs_on_both_sides_of_the_byte_image_boundary():
     for target in (FinDLat.chain(9), FinDLat.chain(10), FinDLat.chain(18)):
         homs = enumerate_homs(source, target)
         assert [h.image for h in homs] == homs_brute(source, target, "frameHom")
-        for kind, flag in (("coherentHom", "is_coherent"), ("properHom", "is_proper")):
-            got = [h.image for h in homs if getattr(h, flag)]
+        for kind, flag in (("coherentHom", 2), ("properHom", 3)):
+            got = [h.image for h in homs if h.flags[flag]]
             assert got == homs_brute(source, target, kind), (target, kind)
     wide = birkhoff_lattice(Poset.antichain(8))
     assert wide.size == 256 and (wide.bottom, wide.top) == (0, 255)
@@ -963,7 +991,7 @@ def test_enumerate_homs_on_both_sides_of_the_byte_image_boundary():
 
 def test_enumerated_homs_scan_the_tables_once(monkeypatch):
     # one literal hom_predicate call per enumerated hom decides all four of
-    # its flags, and the is_coherent and is_proper reads make no call
+    # its flags, and reading them from `flags` makes no call
     calls = []
     original = lattices.hom_predicate
 
@@ -978,17 +1006,17 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
     assert homs
     assert calls == ["frameHom"] * len(homs)
     for h in homs:
-        assert h.is_coherent and h.is_proper
+        assert h.flags == (True, True, True, True)
     assert calls == ["frameHom"] * len(homs)
 
 
 def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     # the 81 homs from the 4-chain into B4 (the monotone maps of the
     # 4-antichain into the 3-chain) are decided by the byte-code kernels in
-    # one _decide_flags batch on one image buffer: neither table is read
-    # again per hom
+    # one _decide_flags batch on one image buffer: neither side's tables
+    # are read again per hom
     reads = Counter()
-    for name in ("_pair_table", "_byte_tables"):
+    for name in ("_source_tables", "_target_tables"):
         original = getattr(lattices, name)
 
         def counting(lattice, name=name, original=original):
@@ -1009,8 +1037,8 @@ def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     monkeypatch.setattr(lattices, "_decide_flags", counting)
     homs = enumerate_homs(source, target)
     assert len(homs) == 81
-    assert all(h.is_coherent and h.is_proper for h in homs)
-    assert reads == {"_pair_table": 1, "_byte_tables": 1}
+    assert all(h.flags == (True, True, True, True) for h in homs)
+    assert reads == {"_source_tables": 1, "_target_tables": 1}
     # one batch decides every hom's flags, and nothing decides them again
     assert batches == [81]
 

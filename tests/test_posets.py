@@ -83,6 +83,21 @@ def test_out_of_range_order_pair_is_rejected():
         Poset.from_leq_pairs([(0, 2)], 2)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, True, 10 ** 6])
+@pytest.mark.parametrize("call", [
+    lambda p, bad: p.leq(bad, 0),
+    lambda p, bad: p.leq(0, bad),
+    lambda p, bad: p.lower_covers(bad),
+], ids=["leq-first", "leq-second", "lower-covers"])
+def test_leq_and_lower_covers_refuse_a_non_point(call, bad):
+    # -1 would read the top's row, leq(0, 10**6) would read False, and True
+    # would read as the point 1
+    p = Poset.chain(3)
+    with pytest.raises(ValueError, match="is not an element of 0..2"):
+        call(p, bad)
+    assert p.leq(0, 2) and not p.leq(2, 0) and p.lower_covers(2) == [1]
+
+
 def test_transitive_closure_of_covers():
     p = Poset.from_covers([(0, 1), (1, 2)], 3)
     assert p.leq(0, 2)

@@ -321,7 +321,7 @@ def test_point_space_refuses_opens_not_closed_under_unions_and_intersections():
 def test_point_closure_refuses_a_non_point(bad):
     # the Sierpinski space: 5 and 10**6 would otherwise read as the full mask
     ps = PointSpace(Poset.chain(2), [0, 0b10, 0b11])
-    with pytest.raises(ValueError, match="is not a point of 0..1"):
+    with pytest.raises(ValueError, match="is not an element of 0..1"):
         ps.point_closure(bad)
     assert [ps.point_closure(y) for y in range(2)] == [0b01, 0b11]
 
