@@ -420,14 +420,9 @@ def sample_elements(chain):
 
 
 def figure_fixtures():
-    """The five chains that keep the predicate hierarchy's inclusions strict."""
-    return [
-        ("two", ChainFrame(())),
-        ("fin:3", ChainFrame([(FIN, 3)])),
-        ("omega", ChainFrame([(OMEGA,)])),
-        ("dense+fin:1", ChainFrame([(DENSE,), (FIN, 1)])),
-        ("dense", ChainFrame([(DENSE,)])),
-    ]
+    """The five chains that keep the predicate hierarchy's inclusions strict,
+    as (spec, chain) pairs parsed from the specs of `FIXTURE_MATRIX`."""
+    return [(name, parse_chain(name)) for name in FIXTURE_MATRIX]
 
 
 # Expected predicate matrix for the fixtures, frozen row by row:

@@ -52,25 +52,22 @@ class FinDLat:
     `require_distributive` (or check `is_distributive`) where it matters, so
     non-distributive input can be constructed and then rejected explicitly.
 
+    The constructor takes the carrier `Poset`, whose own constructor
+    checks its order, and is the one way a lattice is built:
+    `from_leq_pairs`, `chain` and `birkhoff_lattice` each hand it theirs.
     Each `join[a]` and `meet[a]` row is `bytes` (97 bytes for 64 elements,
-    against a tuple's 552), so the size is at most 256: every constructor,
-    this one included, refuses a larger lattice with CapacityError before
-    its tables are built. The order rows `up` and `down` are those of the
-    one carrier `Poset` that `carrier_poset` returns. Everything derived
-    from the tables (J(L), the ideals, the way-below rows, the dual space,
-    the frame predicates per name, ...) is computed on first use and kept in
-    the one `_memo` dict by `posets.cached`.
+    against a tuple's 552), so the size is at most 256, and a larger carrier
+    is refused with CapacityError before any table is read. The order rows
+    `up` and `down` are the carrier's, which `carrier_poset` returns.
+    Everything derived from the tables (J(L), the ideals, the way-below
+    rows, the dual space, the frame predicates per name, ...) is computed on
+    first use and kept in the one `_memo` dict by `posets.cached`.
     """
 
     __slots__ = ("size", "up", "down", "join", "meet", "bottom", "top", "_carrier", "_memo")
 
-    def __init__(self, up, join, meet, bottom, top):
-        up = tuple(up)
-        _require_row_width(len(up))
-        self._fill(Poset(up, _trusted=True), join, meet, bottom, top)
-
-    def _fill(self, carrier, join, meet, bottom, top):
-        self.size = carrier.size
+    def __init__(self, carrier, join, meet, bottom, top):
+        self.size = _require_row_width(carrier.size)
         self._carrier = carrier
         self.up, self.down = carrier.up, carrier.down
         self.join = tuple(map(bytes, join))
@@ -109,10 +106,7 @@ class FinDLat:
             raise NotLatticeError(f"declared bottom {bottom} is not the least element")
         if top is not None and top != tp:
             raise NotLatticeError(f"declared top {top} is not the greatest element")
-        # the checked carrier is the lattice's own, not rebuilt from its rows
-        lattice = object.__new__(cls)
-        lattice._fill(carrier, join, meet, bot, tp)
-        return lattice
+        return cls(carrier, join, meet, bot, tp)
 
     @classmethod
     def chain(cls, n):
@@ -123,11 +117,9 @@ class FinDLat:
         if n < 1:
             raise NotLatticeError("a bounded lattice needs at least one element")
         _require_row_width(n)
-        full = (1 << n) - 1
-        up = tuple((full >> i) << i for i in range(n))
         join = [[max(i, j) for j in range(n)] for i in range(n)]
         meet = [[min(i, j) for j in range(n)] for i in range(n)]
-        return cls(up, join, meet, 0, n - 1)
+        return cls(Poset.chain(n), join, meet, 0, n - 1)
 
     # -- algebra -----------------------------------------------------------
 
@@ -214,16 +206,7 @@ class FinDLat:
             size, pairs = doc["elements"], doc.get("leq", [])
             if type(size) is not int or not isinstance(pairs, list):
                 raise ValueError("lattice elements must be an int and leq a list")
-            for p in pairs:
-                if not (isinstance(p, (list, tuple)) and len(p) == 2
-                        and all(type(x) is int and 0 <= x < size for x in p)):
-                    raise ValueError(f"leq pair {p!r} is not a pair of elements in 0..{size - 1}")
-            return cls.from_leq_pairs(
-                size,
-                [tuple(p) for p in pairs],
-                bottom=doc.get("bottom"),
-                top=doc.get("top"),
-            )
+            return cls.from_leq_pairs(size, pairs, bottom=doc.get("bottom"), top=doc.get("top"))
         raise ValueError("not a lattice document")
 
     def __repr__(self):
@@ -280,7 +263,7 @@ def birkhoff_lattice(points):
     without m'. U∖{m} comes before U in the canonical order (it has fewer
     points), and U ∪ {m'} after it, so the join rows are built upwards
     from the empty upset and the meet rows downwards from X. The carrier
-    keeps the `down` rows built here.
+    handed to `FinDLat` keeps the `down` rows built here.
     """
     masks = upset_masks(points)
     n = len(masks)
@@ -321,10 +304,8 @@ def birkhoff_lattice(points):
         meet[i] = row = hull[m].translate(tables[rest])
         tables[i] = row.ljust(256, b"\0")
         down[i] = down[rest] & ~contains[m]
-    lattice = object.__new__(FinDLat)
-    lattice._fill(Poset(up, _trusted=True, _down=tuple(down)), join, meet,
-                  index[0], index[points.full_mask])
-    return lattice
+    return FinDLat(Poset(up, _trusted=True, _down=tuple(down)), join, meet,
+                   index[0], index[points.full_mask])
 
 
 @cached
@@ -589,20 +570,19 @@ class LatticeHom(PointwiseMap):
     """Element-wise map between lattices with its four predicate flags.
 
     The constructor is the checked one of `posets.PointwiseMap`, and it
-    decides the flags as a batch of one, `_decide_flags(source, target,
-    bytes(image))`. `enumerate_homs` builds its homs without it, each from
-    its row of the search's image buffer, in range by construction, with
-    the flags its batch decided. `image` is a tuple, and `flags` the four
-    flags in `HOM_PREDICATES` order, fixed when the hom is built: callers
-    read them there or through `hom_predicate`, and nothing decides them
-    again.
+    decides the flags as a batch of one row, `_decide_flags(source, target,
+    [bytes(image)])`. `enumerate_homs` builds its homs without it, each from
+    its sorted row, in range by construction, with the flags `_decide_flags`
+    returned for that row. `image` is a tuple, and `flags` the four flags in
+    `HOM_PREDICATES` order, fixed when the hom is built: callers read them
+    there or through `hom_predicate`, and nothing decides them again.
     """
 
     __slots__ = ("flags",)
 
     def __init__(self, source, target, image):
         super().__init__(source, target, image)
-        self.flags = _decide_flags(source, target, bytes(self.image))[0]
+        self.flags = _decide_flags(source, target, [bytes(self.image)])[0]
 
 
 @cached
@@ -687,19 +667,18 @@ def hom_predicate(hom, name):
     return hom.flags[index]
 
 
-def _decide_flags(source, target, images):
+def _decide_flags(source, target, rows):
     """The four flags, in `HOM_PREDICATES` order, of each map source → target
-    whose image is an n-byte row of `images` (n = source.size): a list of
-    one tuple per row, in row order, or a list of the one tuple that holds
-    for every row when no check fails.
+    whose image is one of the n-byte `rows` (n = source.size): a list of
+    one tuple per row, in row order.
 
     Each check runs once on the whole batch, and reads two cached facts:
     `_source_tables(source)` and `_target_tables(target)`. The column of
     source element a, its image under every row, is the strided slice
-    images[a::n], and the source's getters gather the columns a check reads
-    into one `bytes`. frameHom reads the bottom's and the top's columns, and
-    coherentHom deletes the target's compact elements from the images of the
-    source's. The format of the target's tables chooses the route of
+    images[a::n] of the rows joined, and the source's getters gather the
+    columns a check reads into one `bytes`. frameHom reads the bottom's and
+    the top's columns, and coherentHom deletes the target's compact elements
+    from the images of the source's. The format of the target's tables chooses the route of
     latticeHom and properHom. As 256-byte tables (up to 16 target elements)
     each pair a <= b of the source becomes the byte 16·h(a) + h(b)
     (`_pair_codes`), which they translate to h(a) ∨ h(b), h(a) ∧ h(b) or
@@ -707,12 +686,13 @@ def _decide_flags(source, target, images):
     256-byte table, translates the source's joined rows to h(a ∨ b) and
     h(a ∧ b) for every pair, and t translates through the target's row of
     each h(a) to h(a) ∨ h(b), h(a) ∧ h(b) and [h(a) << h(b)]; read as one
-    int, the last must hold the source's way-below mask. If a check fails,
-    each row is decided again alone, so its flags never depend on its
+    int, the last must hold the source's way-below mask. When every check
+    passes, the one flags tuple holds for every row; if one fails, each row
+    is decided again as a batch of one, so its flags never depend on its
     batch-mates.
     """
-    n = source.size
-    k = len(images) // n
+    n, k = source.size, len(rows)
+    images = b"".join(rows)
     (a_of, b_of, join_of, meet_of, wb_a_of, wb_b_of, compact_of,
      src_join, src_meet, src_wb) = _source_tables(source)
     tgt_join, tgt_meet, tgt_wb, tgt_compacts = _target_tables(target)
@@ -726,7 +706,6 @@ def _decide_flags(source, target, images):
             and codes.translate(tgt_meet) == b"".join(meet_of(cols))
         )
     else:
-        rows = [images[i:i + n] for i in range(0, len(images), n)]
         tables = [t.ljust(256, b"\0") for t in rows]
         lattice_hom = (
             b"".join([src_join.translate(table) for table in tables])
@@ -748,8 +727,8 @@ def _decide_flags(source, target, images):
             below = b"".join([t.translate(tgt_wb[x]) for t in rows for x in t])
             proper = int.from_bytes(below, "big") & mask == mask
     if k > 1 and not (coherent and proper):
-        return [_decide_flags(source, target, images[i:i + n])[0] for i in range(0, len(images), n)]
-    return [(lattice_hom, frame_hom, coherent, proper)]
+        return [_decide_flags(source, target, [row])[0] for row in rows]
+    return [(lattice_hom, frame_hom, coherent, proper)] * k
 
 
 def enumerate_homs(source, target):
@@ -777,12 +756,11 @@ def enumerate_homs(source, target):
     totals' bytes and one `translate` through the table φ_M(e) ↦ e; wider
     targets map each field through a dict. The table is kept on M
     (`_element_table`) and the terms on L per width of X_M (`_lift`), so a
-    search builds neither. One `_decide_flags` call decides every row. The
-    rows sort as bytes as the image tuples do: when the call returns one
-    flags tuple for the whole batch the rows themselves are sorted, and
-    otherwise the (row, flags) pairs. In one loop each hom is built from
-    its row, without the checked constructor (its image is in range by
-    construction), with its flags set from the batch, and kept if the one
+    search builds neither. The rows sort as bytes as the image tuples do,
+    and are sorted once, before one `_decide_flags` call decides them and
+    returns one flags tuple per row. In one loop each hom is built from its
+    row, without the checked constructor (its image is in range by
+    construction), with its row's flags, and kept if the one
     `hom_predicate` call per candidate reads its frameHom flag as True;
     callers read the other flags from `flags` with no call.
     """
@@ -806,15 +784,9 @@ def enumerate_homs(source, target):
     else:
         shifts, field = range(0, w * n, w), (1 << w) - 1
         images = bytes([element_of[total >> s & field] for total in totals for s in shifts])
-    rows = [images[i:i + n] for i in range(0, len(images), n)]
-    decided = _decide_flags(source, target, images)
-    if len(decided) == 1:
-        rows.sort()
-        decided *= len(rows)
-    else:
-        rows, decided = zip(*sorted(zip(rows, decided)))
+    rows = sorted([images[i:i + n] for i in range(0, len(images), n)])
     new, homs = object.__new__, []
-    for image, flags in zip(map(tuple, rows), decided):
+    for image, flags in zip(map(tuple, rows), _decide_flags(source, target, rows)):
         hom = new(LatticeHom)
         hom.source, hom.target, hom.image, hom.flags = source, target, image, flags
         if hom_predicate(hom, "frameHom"):

@@ -146,6 +146,18 @@ def _require_element(obj, a):
         raise ValueError(f"{a!r} is not an element of 0..{obj.size - 1}")
 
 
+def _require_pairs(pairs, size):
+    """Yield each item of `pairs`, or raise ValueError at the first that is
+    not a list or tuple of two ints in 0..size-1 (a bool is refused): the
+    one pair check of `Poset.from_covers` and `Poset.from_leq_pairs`, run
+    inside their one loop, so a generator of pairs is read once."""
+    for p in pairs:
+        if not (isinstance(p, (list, tuple)) and len(p) == 2
+                and all(type(x) is int and 0 <= x < size for x in p)):
+            raise ValueError(f"{p!r} is not a pair of points in 0..{size - 1}")
+        yield p
+
+
 def cached(fn):
     """Keep ``fn(obj)``, or ``fn(obj, arg)`` per argument, in ``obj._memo``.
 
@@ -234,13 +246,11 @@ class Poset:
         """Build a poset as the reflexive-transitive closure of cover pairs.
 
         Raises CycleError if the closure would violate antisymmetry and
-        IndexError if a pair references a point outside 0..size-1.
+        ValueError on an item that is not a pair of points (`_require_pairs`).
         """
         _check_size(size)
         strict = [0] * size
-        for a, b in covers:
-            if not (0 <= a < size and 0 <= b < size):
-                raise IndexError(f"cover ({a}, {b}) references points outside 0..{size - 1}")
+        for a, b in _require_pairs(covers, size):
             if a == b:
                 continue
             strict[a] |= 1 << b
@@ -258,12 +268,11 @@ class Poset:
 
     @classmethod
     def from_leq_pairs(cls, pairs, size):
-        """Build a poset from an explicit (already closed) order relation."""
+        """Build a poset from an explicit (already closed) order relation; an
+        item that is not a pair of points raises ValueError (`_require_pairs`)."""
         _check_size(size)
         up = [1 << i for i in range(size)]
-        for a, b in pairs:
-            if not (0 <= a < size and 0 <= b < size):
-                raise IndexError(f"pair ({a}, {b}) references points outside 0..{size - 1}")
+        for a, b in _require_pairs(pairs, size):
             up[a] |= 1 << b
         return cls(up)
 
@@ -492,10 +501,6 @@ class Poset:
         covers = doc.get("covers", [])
         if not isinstance(covers, list):
             raise ValueError("poset covers must be a list")
-        for c in covers:
-            if not (isinstance(c, (list, tuple)) and len(c) == 2
-                    and all(type(x) is int and 0 <= x < size for x in c)):
-                raise ValueError(f"cover {c!r} is not a pair of points in 0..{size - 1}")
         return cls.from_covers(covers, size)
 
     def __repr__(self):
@@ -553,8 +558,9 @@ def _arrangements(groups):
 class PointwiseMap:
     """A map stored pointwise, ``image[i]`` for source point i: the checked
     base of `MonotoneMap` and `lattices.LatticeHom`. An image of the wrong
-    length raises ValueError, an entry outside the target IndexError. Maps
-    are equal when their class, source and target objects and image agree.
+    length, or with an entry that is not an element of the target
+    (`_require_element`), raises ValueError. Maps are equal when their
+    class, source and target objects and image agree.
     """
 
     __slots__ = ("source", "target", "image")
@@ -564,8 +570,7 @@ class PointwiseMap:
         if len(image) != source.size:
             raise ValueError("image length does not match the source size")
         for v in image:
-            if not 0 <= v < target.size:
-                raise IndexError(f"image entry {v} outside the target")
+            _require_element(target, v)
         self.source = source
         self.target = target
         self.image = image

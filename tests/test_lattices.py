@@ -223,7 +223,7 @@ def m3_below_chain(n):
             for x in range(n)]
     meet = [[small.meet[x][y] if max(x, y) < 5 else min(x, y) for y in range(n)]
             for x in range(n)]
-    return FinDLat(up, join, meet, 0, n - 1)
+    return FinDLat(Poset(up), join, meet, 0, n - 1)
 
 
 def first_distributivity_failure(lat):
@@ -728,10 +728,8 @@ def test_a_batch_decides_every_hom_as_it_decides_it_alone():
     batches[three, wide] = [LatticeHom(three, wide, image) for image in images]
     mixed = set()
     for (source, target), homs in batches.items():
-        images = b"".join(bytes(hom.image) for hom in homs)
-        flags = [list(f) for f in lattices._decide_flags(source, target, images)]
-        if len(flags) == 1:  # one tuple holds for the whole batch
-            flags *= len(homs)
+        rows = [bytes(hom.image) for hom in homs]
+        flags = [list(f) for f in lattices._decide_flags(source, target, rows)]
         assert flags == [hom_predicates_pairwise(hom) for hom in homs], (source, target)
         if any(f != flags[0] for f in flags):
             mixed.add(target.size)
@@ -869,13 +867,30 @@ def test_a_search_without_candidates_decides_nothing(monkeypatch):
     assert enumerate_homs(FinDLat.chain(1), FinDLat.chain(2)) == []
 
 
+@pytest.mark.parametrize("entry", [1.0, True, "1", None])
+@pytest.mark.parametrize(
+    "cls, source, target",
+    [
+        (MonotoneMap, Poset.chain(3), Poset.chain(2)),
+        (LatticeHom, FinDLat.chain(3), FinDLat.chain(2)),
+    ],
+    ids=["MonotoneMap", "LatticeHom"],
+)
+def test_maps_refuse_an_entry_that_is_not_an_element_of_the_target(cls, source, target, entry):
+    # test_maps_share_the_checked_pointwise_base refuses entries out of
+    # range; of these, 1.0 raised TypeError from the hom's bytes row and
+    # True was read as the element 1
+    with pytest.raises(ValueError, match="is not an element of 0..1"):
+        cls(source, target, (0, entry, 1))
+
+
 def test_lattice_hom_constructor_refuses_bad_images():
     three, two = FinDLat.chain(3), FinDLat.chain(2)
     with pytest.raises(ValueError, match="length"):
         LatticeHom(three, two, (0, 1))
-    with pytest.raises(IndexError, match="outside the target"):
+    with pytest.raises(ValueError, match="not an element"):
         LatticeHom(three, two, (0, 1, 2))
-    with pytest.raises(IndexError, match="outside the target"):
+    with pytest.raises(ValueError, match="not an element"):
         LatticeHom(three, two, (0, -1, 1))
 
 
@@ -890,9 +905,9 @@ def test_lattice_hom_constructor_refuses_bad_images():
 def test_maps_share_the_checked_pointwise_base(cls, source, target):
     with pytest.raises(ValueError, match="length"):
         cls(source, target, (0, 1))
-    with pytest.raises(IndexError, match="outside the target"):
+    with pytest.raises(ValueError, match="not an element"):
         cls(source, target, (0, 1, 2))
-    with pytest.raises(IndexError, match="outside the target"):
+    with pytest.raises(ValueError, match="not an element"):
         cls(source, target, (0, -1, 1))
     f = cls(source, target, [0, 1, 1])
     assert repr(f) == f"{cls.__name__}((0, 1, 1))"
@@ -1013,8 +1028,8 @@ def test_enumerated_homs_scan_the_tables_once(monkeypatch):
 def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     # the 81 homs from the 4-chain into B4 (the monotone maps of the
     # 4-antichain into the 3-chain) are decided by the byte-code kernels in
-    # one _decide_flags batch on one image buffer: neither side's tables
-    # are read again per hom
+    # one _decide_flags batch of the search's sorted rows: neither side's
+    # tables are read again per hom
     reads = Counter()
     for name in ("_source_tables", "_target_tables"):
         original = getattr(lattices, name)
@@ -1030,9 +1045,9 @@ def test_enumerate_homs_fetches_the_tables_once_per_search(monkeypatch):
     batches = []
     decide = lattices._decide_flags
 
-    def counting(source, target, images):
-        batches.append(len(images) // source.size)
-        return decide(source, target, images)
+    def counting(source, target, rows):
+        batches.append(len(rows))
+        return decide(source, target, rows)
 
     monkeypatch.setattr(lattices, "_decide_flags", counting)
     homs = enumerate_homs(source, target)
@@ -1185,6 +1200,46 @@ def test_malformed_lattice_doc_is_refused(doc):
 def test_lattice_doc_that_is_not_an_order_is_refused(doc, message):
     with pytest.raises(ValueError, match=message):
         FinDLat.from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [5, [0, 1, 2], [0, True], [0, 0.5], [0, "1"], [0, 2]],
+    ids=["not-a-pair", "triple", "bool", "float", "str", "out-of-range"],
+)
+def test_lattice_pair_constructors_refuse_an_item_that_is_not_a_pair_of_points(item):
+    # from_doc keeps its list check and leaves each pair to the one loop of
+    # Poset.from_leq_pairs, which checks it there
+    pairs = [[0, 1], item]
+    with pytest.raises(ValueError, match="is not a pair of points in 0..1"):
+        FinDLat.from_doc({"elements": 2, "leq": pairs})
+    with pytest.raises(ValueError, match="is not a pair of points in 0..1"):
+        FinDLat.from_leq_pairs(2, pairs)
+
+
+@pytest.mark.parametrize(
+    "up, message",
+    [((0b11, 0b11), "antisymmetric"), ((0b10, 0b10), "reflexive")],
+    ids=["not-antisymmetric", "not-reflexive"],
+)
+def test_the_raw_constructor_takes_a_checked_carrier(up, message):
+    # rows that are no order are refused by the carrier's constructor; the
+    # raw FinDLat constructor no longer wraps bare rows as a trusted Poset
+    two = FinDLat.chain(2)
+    with pytest.raises(ValueError, match=message):
+        FinDLat(Poset(up), two.join, two.meet, 0, 1)
+    carrier = Poset((0b11, 0b10))
+    lattice = FinDLat(carrier, two.join, two.meet, 0, 1)
+    assert lattice.carrier_poset() is carrier and lattice.up == two.up
+
+
+def test_the_raw_constructor_refuses_a_257_point_carrier_before_reading_a_table():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a table was read")
+
+    with pytest.raises(CapacityError, match="256"):
+        FinDLat(Poset.chain(257), Unread(), Unread(), 0, 256)
 
 
 def m_shape(n):

@@ -59,7 +59,7 @@ def test_cycle_is_rejected():
 
 
 def test_out_of_range_cover_is_rejected():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         Poset.from_covers([(0, 2)], 2)
 
 
@@ -79,8 +79,29 @@ def test_up_rows_that_are_not_a_partial_order_are_refused(up, message):
 
 
 def test_out_of_range_order_pair_is_rejected():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         Poset.from_leq_pairs([(0, 2)], 2)
+
+
+@pytest.mark.parametrize(
+    "item",
+    [(True, 1), (0.5, 1), ("0", 1), None, 5, (0, 1, 2), (0, 3), (-1, 0)],
+    ids=["bool", "float", "str", "none", "not-a-pair", "triple", "out-of-range", "negative"],
+)
+@pytest.mark.parametrize("build", [Poset.from_covers, Poset.from_leq_pairs],
+                         ids=["covers", "leq-pairs"])
+def test_pair_constructors_refuse_an_item_that_is_not_a_pair_of_points(build, item):
+    # the cover (True, 1) was dropped as a loop on the point 1, 0.5 raised
+    # TypeError and (0, 3) IndexError
+    with pytest.raises(ValueError, match="is not a pair of points in 0..2"):
+        build([(0, 1), item], 3)
+
+
+def test_pair_constructors_read_a_generator_of_pairs():
+    chain = Poset.chain(4)
+    assert Poset.from_covers(((i, i + 1) for i in range(3)), 4).up == chain.up
+    pairs = ((i, j) for i in range(4) for j in range(i, 4))
+    assert Poset.from_leq_pairs(pairs, 4).up == chain.up
 
 
 @pytest.mark.parametrize("bad", [-1, 3, True, 10 ** 6])
@@ -590,11 +611,11 @@ def test_monotone_map_validation():
     chain2 = Poset.chain(2)
     with pytest.raises(ValueError):
         MonotoneMap(chain2, chain2, (1, 0))
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError):
         MonotoneMap(chain2, chain2, (0, 5))
     with pytest.raises(ValueError, match="length"):
         MonotoneMap(chain2, chain2, (0,))
-    with pytest.raises(IndexError, match="outside the target"):
+    with pytest.raises(ValueError, match="not an element"):
         MonotoneMap(chain2, chain2, (-1, 0))
 
 

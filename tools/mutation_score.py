@@ -16,7 +16,7 @@ mutant that is expected to survive is a known gap in the checks: on a
 finite space the kernel and the core of every clopen upset are the upset
 itself, so no finite test tells either operator from the identity.
 
-The list holds 94 mutants. 92 are expected to be killed, and two,
+The list holds 97 mutants. 95 are expected to be killed, and two,
 `core-identity` and `kernel-identity`, to survive for that reason. The
 point-space predicate `compactlyBased` has no kernel and so no mutant: each
 open o is itself a compact open inside o, so the predicate holds on every
@@ -115,9 +115,16 @@ MUTANTS = (
         "lattice-hom-trusted-by-default",
         "src/framelab/posets.py",
         "        for v in image:\n"
-        "            if not 0 <= v < target.size:\n"
-        '                raise IndexError(f"image entry {v} outside the target")\n',
+        "            _require_element(target, v)\n",
         "",
+        "killed",
+    ),
+    Mutant(
+        "pointwise-map-entries-checked-by-range-only",
+        "src/framelab/posets.py",
+        "            _require_element(target, v)\n",
+        "            if not 0 <= v < target.size:\n"
+        '                raise ValueError(f"{v!r} is not an element of 0..{target.size - 1}")\n',
         "killed",
     ),
     Mutant(
@@ -158,9 +165,28 @@ MUTANTS = (
         "decide-flags-skips-the-split",
         "src/framelab/lattices.py",
         "    if k > 1 and not (coherent and proper):\n"
-        "        return [_decide_flags(source, target, images[i:i + n])[0]"
-        " for i in range(0, len(images), n)]\n",
+        "        return [_decide_flags(source, target, [row])[0] for row in rows]\n",
         "",
+        "killed",
+    ),
+    Mutant(
+        "enumerate-homs-decides-before-it-sorts",
+        "src/framelab/lattices.py",
+        "    rows = sorted([images[i:i + n] for i in range(0, len(images), n)])\n"
+        "    new, homs = object.__new__, []\n"
+        "    for image, flags in zip(map(tuple, rows), _decide_flags(source, target, rows)):\n",
+        "    rows = [images[i:i + n] for i in range(0, len(images), n)]\n"
+        "    decided = _decide_flags(source, target, rows)\n"
+        "    rows.sort()\n"
+        "    new, homs = object.__new__, []\n"
+        "    for image, flags in zip(map(tuple, rows), decided):\n",
+        "killed",
+    ),
+    Mutant(
+        "lattice-constructor-without-row-width",
+        "src/framelab/lattices.py",
+        "        self.size = _require_row_width(carrier.size)\n",
+        "        self.size = carrier.size\n",
         "killed",
     ),
     Mutant(
@@ -250,8 +276,8 @@ MUTANTS = (
     Mutant(
         "poset-cover-pairs-unchecked",
         "src/framelab/posets.py",
-        "if not (isinstance(c, (list, tuple)) and len(c) == 2",
-        "if False and not (isinstance(c, (list, tuple)) and len(c) == 2",
+        "if not (isinstance(p, (list, tuple)) and len(p) == 2",
+        "if False and not (isinstance(p, (list, tuple)) and len(p) == 2",
         "killed",
     ),
     Mutant(
@@ -404,7 +430,7 @@ MUTANTS = (
     ),
     Mutant(
         "lattice-doc-pair-accepts-bool",
-        "src/framelab/lattices.py",
+        "src/framelab/posets.py",
         "all(type(x) is int and 0 <= x < size for x in p)",
         "all(isinstance(x, int) and 0 <= x < size for x in p)",
         "killed",
